@@ -190,6 +190,9 @@ def build_table_code(entry):
 
 _PC16 = None
 
+# Rows of the fixed-side filter per call; keeps the m_table gather in cache.
+FILTER_CHUNK = 1024
+
 
 def _pc16():
     global _PC16
@@ -198,6 +201,19 @@ def _pc16():
             np.uint8
         )
     return _PC16
+
+
+def _span(rows):
+    """All 2^k XOR combinations of the k rows on the last axis, in binary
+    counting order: combination c takes the rows at the set bits of c."""
+    rows = np.asarray(rows)
+    k = rows.shape[-1]
+    out = np.zeros(rows.shape[:-1] + (1 << k,), dtype=rows.dtype)
+    size = 1
+    for j in range(k):
+        out[..., size : 2 * size] = out[..., :size] ^ rows[..., j : j + 1]
+        size *= 2
+    return out
 
 
 class DecomposedEngine:
@@ -222,11 +238,7 @@ class DecomposedEngine:
             )
         if len(rows) != 16:
             raise RuntimeError("expected 16 binary rows for the even part")
-        words = np.zeros(1 << 16, dtype=np.uint64)
-        size = 1
-        for row in rows:
-            words[size : 2 * size] = words[:size] ^ np.uint64(row)
-            size *= 2
+        words = _span(np.array(rows, dtype=np.uint64))
         support = np.zeros(1 << 16, dtype=np.uint16)
         for j in range(16):
             cyc = (words >> np.uint64(3 * j)) & np.uint64(7)
@@ -235,42 +247,42 @@ class DecomposedEngine:
         self.support = support
         self.gf4_weight = _pc16()[support].astype(np.int16)
         self._m_table = None
+        # The fixed side of the filter: bit i of base row k, and three
+        # times the weight of each nonzero base word, in _span order
+        # (a coordinate permutation keeps every weight).
+        base = np.array(dataset.gb_matrix().rows, dtype=np.uint16)
+        self._base_bits = base >> np.arange(16, dtype=np.uint16)[:, None] & 1
+        self._fixed_weight3 = 3 * _pc16()[_span(base)[1:]].astype(np.int16)
+        self._even_min = int(2 * self.gf4_weight[1:].min())
 
     # -- per-tau fixed side ------------------------------------------------
 
     @staticmethod
     def _pi_words(tau):
         """All 256 words of the tau-permuted base code (16-bit masks)."""
-        rows = permuted_base_rows(tau)
-        arr = np.zeros(256, dtype=np.uint16)
-        size = 1
-        for row in rows:
-            arr[size : 2 * size] = arr[:size] ^ np.uint16(row)
-            size *= 2
-        return arr
+        return _span(np.array(permuted_base_rows(tau), dtype=np.uint16))
+
+    def _weights_by_fixed_part(self, tau):
+        """Yield (u, weights of the 4^8 codewords with fixed part u) for
+        each of the 256 fixed parts u of C_i^tau."""
+        pc16 = _pc16()
+        a2 = 2 * self.gf4_weight
+        for u in self._pi_words(tau):
+            s = pc16[self.support & u].astype(np.int16)
+            yield u, a2 + 3 * int(pc16[u]) - 4 * s
 
     def weight_enumerator(self, tau):
         """Exact weight distribution of C_i^tau (49 coefficients)."""
-        pc16 = _pc16()
-        a2 = 2 * self.gf4_weight
         counts = np.zeros(49, dtype=np.int64)
-        for u in self._pi_words(tau):
-            b = int(pc16[u])
-            s = pc16[self.support & u].astype(np.int16)
-            w = a2 + (3 * b) - 4 * s
+        for _, w in self._weights_by_fixed_part(tau):
             counts += np.bincount(w, minlength=49)
         return counts
 
     def words_of_weights(self, tau, wanted):
         """48-bit codewords of the given weights, as uint64 arrays."""
-        pc16 = _pc16()
         layout = STANDARD_3_16_0
-        a2 = 2 * self.gf4_weight
         out = {w: [] for w in wanted}
-        for u in self._pi_words(tau):
-            b = int(pc16[u])
-            s = pc16[self.support & u].astype(np.int16)
-            w = a2 + (3 * b) - 4 * s
+        for u, w in self._weights_by_fixed_part(tau):
             lifted = np.uint64(pi_inverse(int(u), layout))
             for target in wanted:
                 idx = np.nonzero(w == target)[0]
@@ -285,25 +297,28 @@ class DecomposedEngine:
             for w, chunks in out.items()
         }
 
+    def filter_images(self, images, threshold=10):
+        """Which taus give a code of minimum distance >= threshold.
+
+        ``images`` is a (T, 16) array, row t the image tuple of one tau.
+        The 255 nonzero fixed parts of C_i^tau are the base code's words
+        with bit i moved to bit tau(i), so no reduction is needed: the
+        minimum weight over words with fixed part u is
+        ``m_table()[u] + 3 wt(u)``, and words without one weigh 2a.
+        """
+        images = np.asarray(images, dtype=np.uint16).reshape(-1, 16)
+        table = self.m_table()
+        low = np.empty(len(images), dtype=np.int16)
+        for lo in range(0, len(images), FILTER_CHUNK):
+            chunk = images[lo : lo + FILTER_CHUNK]
+            rows = np.left_shift(1, chunk, dtype=np.uint16) @ self._base_bits
+            weights = np.take(table, _span(rows)[:, 1:]) + self._fixed_weight3
+            low[lo : lo + FILTER_CHUNK] = weights.min(axis=1)
+        return (low >= threshold) & (self._even_min >= threshold)
+
     def min_weight_at_least(self, tau, threshold=10):
         """True iff the constructed code has minimum distance >= threshold."""
-        if self._m_table is not None:
-            return self._filter_with_table(tau, threshold)
-        pc16 = _pc16()
-        a2 = 2 * self.gf4_weight
-        us = self._pi_words(tau)
-        order = np.argsort(pc16[us], kind="stable")
-        if int(a2[a2 > 0].min()) < threshold:
-            return False
-        for u in us[order]:
-            b = int(pc16[u])
-            if u == 0:
-                continue
-            s = pc16[self.support & u].astype(np.int16)
-            w = a2 + (3 * b) - 4 * s
-            if int(w.min()) < threshold:
-                return False
-        return True
+        return bool(self.filter_images(tau.img, threshold)[0])
 
     # -- the precomputed search table --------------------------------------
 
@@ -311,68 +326,28 @@ class DecomposedEngine:
         """For every 16-bit mask u: min over even words v of 2a - 4s.
 
         Adding 3*wt(u) gives the minimum weight over all codewords with
-        fixed part u, so the distance filter becomes 256 table lookups.
+        fixed part u.  With S the support of v, 2a - 4s sums, over the
+        cycles j, 0 if j is not in S, +2 if j is in S but not in u, and
+        -2 if j is in both.  So a min-plus pass per bit turns the table
+        "0 on supports, infinite elsewhere" into m, one bit j at a time
+        moving from S-coordinates to u-coordinates.
         """
         if self._m_table is None:
-            self._m_table = _build_m_table(self.support)
+            f = np.full(1 << 16, 1000, dtype=np.int16)
+            f[self.support] = 0
+            for j in range(16):
+                pair = f.reshape(-1, 2, 1 << j)
+                off, on = pair[:, 0], pair[:, 1]
+                u_off, u_on = np.minimum(off, on + 2), np.minimum(off, on - 2)
+                pair[:, 0], pair[:, 1] = u_off, u_on
+            self._m_table = f
         return self._m_table
-
-    def _filter_with_table(self, tau, threshold):
-        pc16 = _pc16()
-        us = self._pi_words(tau)
-        if int((2 * self.gf4_weight[1:]).min()) < threshold:
-            return False
-        vals = self._m_table[us[1:]] + 3 * pc16[us[1:]].astype(np.int16)
-        return int(vals.min()) >= threshold
 
     def min_distance(self, tau):
         """Exact minimum distance via the weight distribution."""
         counts = self.weight_enumerator(tau)
         nz = np.nonzero(counts[1:])[0]
         return int(nz[0]) + 1
-
-
-def _build_m_table_numpy(support):
-    pc16 = _pc16()
-    # a = pc(support), so only distinct support masks matter.
-    uniq = np.unique(support)
-    a2 = 2 * pc16[uniq].astype(np.int16)
-    out = np.empty(1 << 16, dtype=np.int16)
-    chunk = 2048
-    for lo in range(0, 1 << 16, chunk):
-        us = np.arange(lo, lo + chunk, dtype=np.uint16)
-        s = pc16[uniq[None, :] & us[:, None]].astype(np.int16)
-        out[lo : lo + chunk] = (a2[None, :] - 4 * s).min(axis=1)
-    return out
-
-
-try:
-    import numba
-
-    @numba.njit(parallel=True, cache=True)
-    def _m_table_kernel(uniq, a2, out):  # pragma: no cover - jit
-        for u in numba.prange(1 << 16):
-            best = np.int16(127)
-            for i in range(uniq.shape[0]):
-                x = uniq[i] & u
-                x = x - ((x >> 1) & 0x5555)
-                x = (x & 0x3333) + ((x >> 2) & 0x3333)
-                x = (x + (x >> 4)) & 0x0F0F
-                s = (x + (x >> 8)) & 0x1F
-                w = a2[i] - 4 * np.int16(s)
-                if w < best:
-                    best = w
-            out[u] = best
-
-    def _build_m_table(support):
-        uniq = np.unique(support).astype(np.int64)
-        a2 = (2 * _pc16()[uniq]).astype(np.int16)
-        out = np.empty(1 << 16, dtype=np.int16)
-        _m_table_kernel(uniq, a2, out)
-        return out
-
-except ImportError:  # pragma: no cover
-    _build_m_table = _build_m_table_numpy
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,16 @@ right transversal of its automorphism group in S16.
 Two iteration modes share one driver.  Full mode streams the exact
 lexicographically-minimal representative of every right coset (about
 2.8e8 per X matrix, a long-running job, shardable).  Sample mode draws
-seeded uniform permutations and canonicalizes each to its coset
-representative, so a fixed (seed, index) pair always names the same
-coset regardless of sharding or interruption.
+seeded uniform permutations, so a fixed (seed, index) pair always names
+the same coset regardless of sharding or interruption.
 
-Each candidate tau is kept iff the code generated by (pi^-1(tau B);
-phi^-1(X_i)) has minimum distance 10, decided by the precomputed
-distance tables of the decomposed engine.  Survivors are deduplicated
-by code equivalence, against each other and against the published
-table codes.
+Both cut their candidates into blocks, filtered in one batch each,
+serially or on a fork pool.  A tau is kept iff the code generated by
+(pi^-1(tau B); phi^-1(X_i)) has minimum distance 10.  The code depends
+only on the coset of tau, so sample draws are filtered raw and only the
+hits are reduced to their coset representative.  Survivors are
+deduplicated by code equivalence, against each other and against the
+published table codes.
 """
 
 from __future__ import annotations
@@ -21,14 +22,17 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import construct, dataset, equiv
 from .perm import Permutation
 
-CHECKPOINT_EVERY = 2000
+# Positions per filtered block, checkpoint and progress call.
+BLOCK_SIZE = 10000
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,11 @@ def load_checkpoint(path):
         return SearchState.from_json(fh.read())
 
 
+def _draw(seed, index):
+    """The uniform permutation image drawn for sample (seed, index)."""
+    return np.random.default_rng([seed, index]).permutation(16)
+
+
 def sampled_tau(seed, index):
     """The canonical coset representative for sample (seed, index).
 
@@ -103,8 +112,7 @@ def sampled_tau(seed, index):
     element of its right coset, so repeats of one coset collapse to
     one representative.
     """
-    rng = np.random.default_rng([seed, index])
-    tau = Permutation(tuple(int(x) for x in rng.permutation(16)))
+    tau = Permutation(tuple(int(x) for x in _draw(seed, index)))
     return dataset.autb_group().min_coset_rep(tau)
 
 
@@ -126,22 +134,6 @@ def register_engine_data(engine, tau, code=None):
     return code
 
 
-def _candidate_stream(state):
-    """Yield (position, tau) pairs starting at state.position."""
-    if state.mode == "sample":
-        shard_idx, shard_cnt = state.shard
-        for i in range(state.position, state.sample):
-            if i % shard_cnt != shard_idx:
-                continue
-            yield i, sampled_tau(state.seed, i)
-    else:
-        stream = dataset.autb_group().right_transversal(shard=state.shard)
-        for pos, tau in enumerate(stream):
-            if pos < state.position:
-                continue
-            yield pos, tau
-
-
 _WORKER_ENGINES = {}
 
 
@@ -154,16 +146,64 @@ def _worker_engine(xi_index):
     return eng
 
 
+def _blocks(state):
+    """Yield (candidates, end, job) for every block from state.position:
+    hit offset k of the job names ``candidates[k]``, a sample index or a
+    transversal tau, and ``end`` is the stream position after the block.
+    """
+    if state.mode == "sample":
+        shard_idx, shard_cnt = state.shard
+        first = state.position + (shard_idx - state.position) % shard_cnt
+        step = BLOCK_SIZE * shard_cnt
+        for lo in range(first, state.sample, step):
+            end = min(lo + step, state.sample)
+            indices = range(lo, end, shard_cnt)
+            yield indices, end, (state.xi_index, state.seed, indices)
+        return
+    stream = dataset.autb_group().right_transversal(shard=state.shard)
+    stream = islice(stream, state.position, None)
+    end = state.position
+    while taus := list(islice(stream, BLOCK_SIZE)):
+        end += len(taus)
+        images = np.array([t.img for t in taus], dtype=np.uint16)
+        yield taus, end, (state.xi_index, state.seed, images)
+
+
 def _filter_block(args):
-    """Pool worker: filter one block of sample indices, return the hits."""
-    xi_index, seed, indices = args
-    eng = _worker_engine(xi_index)
-    hits = []
-    for i in indices:
-        tau = sampled_tau(seed, i)
-        if eng.min_weight_at_least(tau, 10):
-            hits.append(i)
-    return hits
+    """Pool task: filter one block, return the offsets of its hits.
+
+    The block is a range of sample indices, drawn here, or a (T, 16)
+    array of transversal images.
+    """
+    xi_index, seed, block = args
+    if isinstance(block, range):
+        block = np.array([_draw(seed, i) for i in block])
+    hits = _worker_engine(xi_index).filter_images(block)
+    return np.flatnonzero(hits).tolist()
+
+
+def _drive(blocks, threads, finish):
+    """Filter every block and call finish(candidates, end, hits) in block
+    order.  With threads > 1 a fork pool filters ahead, at most two
+    blocks per worker, while this process produces and finishes blocks.
+    """
+    if threads == 1:
+        for candidates, end, job in blocks:
+            finish(candidates, end, _filter_block(job))
+        return
+    from multiprocessing import get_context
+
+    # Forked workers inherit the engines and distance tables built here.
+    with get_context("fork").Pool(threads) as pool:
+        window = deque()
+        for candidates, end, job in blocks:
+            pending = pool.apply_async(_filter_block, (job,))
+            window.append((candidates, end, pending))
+            if len(window) >= 2 * threads:
+                candidates, end, pending = window.popleft()
+                finish(candidates, end, pending.get())
+        for candidates, end, pending in window:
+            finish(candidates, end, pending.get())
 
 
 def run_search(
@@ -181,9 +221,17 @@ def run_search(
 
     ``extra_taus`` are injected ahead of the stream (not counted in the
     position), useful for spot checks with known permutations.  With
-    ``threads`` > 1 the sample mode filters blocks in a process pool;
-    survivors and checkpoints are still handled by this process only.
+    ``threads`` > 1 either mode filters its blocks in a process pool;
+    survivors, ``progress`` calls (one per block) and checkpoints are
+    still handled by this process only.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1, got %d" % threads)
+    shard_idx, shard_cnt = shard
+    if not 0 <= shard_idx < shard_cnt:
+        raise ValueError(
+            "invalid shard %d/%d: need 0 <= i < m" % (shard_idx, shard_cnt)
+        )
     if state is None:
         if checkpoint_path is not None and os.path.exists(checkpoint_path):
             state = load_checkpoint(checkpoint_path)
@@ -206,63 +254,38 @@ def run_search(
     engine = _worker_engine(xi_index)
     seen = {s.perm_text for s in state.survivors}
 
-    def consider(tau):
+    def keep(tau):
+        """Record a canonical tau that passed the filter, once per coset."""
         text = tau.to_cycle_text() or "()"
-        if text in seen:
-            return
-        if engine.min_weight_at_least(tau, 10):
+        if text not in seen:
             code = register_engine_data(engine, tau)
             state.survivors.append(
                 Survivor(xi_index, text, code_digest(code))
             )
             seen.add(text)
 
+    def finish(candidates, end, hits):
+        for k in hits:
+            if state.mode == "sample":
+                keep(sampled_tau(state.seed, candidates[k]))
+            else:
+                keep(candidates[k])
+        state.position = end
+        if progress is not None:
+            progress(state)
+        if checkpoint_path is not None:
+            _write_checkpoint(checkpoint_path, state)
+
     for tau in extra_taus:
-        consider(dataset.autb_group().min_coset_rep(tau))
-    if threads > 1 and state.mode == "sample":
-        _run_pooled(state, consider, checkpoint_path, progress, threads)
-    else:
-        done = 0
-        for pos, tau in _candidate_stream(state):
-            consider(tau)
-            state.position = pos + 1
-            done += 1
-            if progress is not None and done % 10000 == 0:
-                progress(state)
-            if checkpoint_path is not None and done % CHECKPOINT_EVERY == 0:
-                _write_checkpoint(checkpoint_path, state)
+        tau = dataset.autb_group().min_coset_rep(tau)
+        if engine.min_weight_at_least(tau, 10):
+            keep(tau)
+    _drive(_blocks(state), threads, finish)
     if state.mode == "sample":
         state.position = state.sample
     if checkpoint_path is not None:
         _write_checkpoint(checkpoint_path, state)
     return state
-
-
-def _run_pooled(state, consider, checkpoint_path, progress, threads):
-    """Filter sample blocks in a process pool, merging results in order."""
-    from multiprocessing import get_context
-
-    shard_idx, shard_cnt = state.shard
-    indices = [
-        i
-        for i in range(state.position, state.sample)
-        if i % shard_cnt == shard_idx
-    ]
-    block_size = 10000
-    blocks = [
-        indices[j : j + block_size]
-        for j in range(0, len(indices), block_size)
-    ]
-    jobs = [(state.xi_index, state.seed, block) for block in blocks]
-    with get_context("fork").Pool(threads) as pool:
-        for block, hits in zip(blocks, pool.imap(_filter_block, jobs)):
-            for i in hits:
-                consider(sampled_tau(state.seed, i))
-            state.position = block[-1] + 1
-            if progress is not None:
-                progress(state)
-            if checkpoint_path is not None:
-                _write_checkpoint(checkpoint_path, state)
 
 
 def _survivor_code(survivor, engines):

@@ -117,6 +117,14 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_search_rejects_bad_shard_and_threads(capsys):
+    for extra in (["--shard", "3/2"], ["--shard", "0/0"], ["--threads", "0"]):
+        code = cli.main(["search", "--xi", "1", "--sample", "200"] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+
+
 def test_parser_rejects_unknown_xi():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["construct", "(1,2)", "9"])

@@ -112,6 +112,51 @@ def test_min_weight_filter_agrees_with_distance():
         assert eng.min_weight_at_least(entry.tau(), 10)
 
 
+def brute_m_table(support, masks):
+    """min over distinct supports S of 2|S| - 4|S & u|, for each mask u."""
+    pc = np.bitwise_count
+    uniq = np.unique(support)
+    a2 = 2 * pc(uniq).astype(np.int16)
+    out = np.empty(len(masks), dtype=np.int16)
+    for lo in range(0, len(masks), 2048):
+        u = masks[lo : lo + 2048]
+        s = pc(uniq[None, :] & u[:, None]).astype(np.int16)
+        out[lo : lo + 2048] = (a2[None, :] - 4 * s).min(axis=1)
+    return out
+
+
+def test_m_table_matches_brute_force():
+    rng = np.random.default_rng(5)
+    for i in (1, 2, 3, 4):
+        eng = DecomposedEngine(i)
+        if i == 3:
+            masks = np.arange(1 << 16, dtype=np.uint16)
+        else:
+            masks = rng.integers(0, 1 << 16, size=4096).astype(np.uint16)
+        assert np.array_equal(
+            eng.m_table()[masks], brute_m_table(eng.support, masks)
+        )
+
+
+def test_filter_images_agrees_with_distance():
+    rnd = random.Random(6)
+    group = dataset.autb_group()
+    for i in (1, 2, 3, 4):
+        eng = DecomposedEngine(i)
+        raw = [random_tau(rnd) for _ in range(8)]
+        canon = [group.min_coset_rep(t) for t in raw]
+        assert any(a != b for a, b in zip(raw, canon))
+        expect = [eng.min_distance(t) >= 10 for t in raw]
+        # Every published tau has distance 10 (checked by the acceptance
+        # gate); so has a non-canonical member of its coset.
+        table = [e.tau() for e in dataset.table_entries(i)]
+        mates = [group.random_element(rnd) * t for t in table]
+        taus = raw + canon + table + mates
+        expect = expect + expect + [True] * (2 * len(table))
+        got = eng.filter_images(np.array([t.img for t in taus]))
+        assert got.tolist() == expect
+
+
 def test_alternate_embedding_gives_equivalent_code():
     # swapping omega and omega^2 in the cycle embedding changes the
     # generator matrix but only by a coordinate relabeling

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import pytest
@@ -95,14 +96,45 @@ def test_state_json_roundtrip():
 
 
 def test_pooled_matches_serial():
-    taus = table1_taus()[:2]
-    serial = search.run_search(1, sample=3000, seed=12, extra_taus=taus)
-    pooled = search.run_search(
-        1, sample=3000, seed=12, extra_taus=taus, threads=3
-    )
-    assert {s.perm_text for s in serial.survivors} == {
-        s.perm_text for s in pooled.survivors
-    }
+    # X_4 has survivors dense enough for a small sample to hit some.
+    serial = search.run_search(4, sample=4000, seed=7)
+    pooled = search.run_search(4, sample=4000, seed=7, threads=2)
+    assert len(serial.survivors) == 4
+    assert serial.survivors == pooled.survivors
+    assert serial.position == pooled.position == 4000
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_pooled_full_prefix_matches_serial():
+    def prefix(threads):
+        seen = []
+
+        def progress(state):
+            seen.append(state.position)
+            if state.position >= 2 * search.BLOCK_SIZE:
+                raise _Stop
+
+        state = search.SearchState(2, "full", 0, None, (0, 4))
+        with pytest.raises(_Stop):
+            search.run_search(
+                2,
+                shard=(0, 4),
+                state=state,
+                progress=progress,
+                threads=threads,
+            )
+        assert seen == [search.BLOCK_SIZE, 2 * search.BLOCK_SIZE]
+        return state
+
+    serial = prefix(1)
+    pooled = prefix(2)
+    assert serial.survivors
+    assert serial.survivors == pooled.survivors
+    # Raising from the callback shut the pool down.
+    assert multiprocessing.active_children() == []
 
 
 def test_dedup_against_tables():
