@@ -23,45 +23,42 @@ EXPECTED_WE = {10: 768, 12: 8592, 14: 57600, 16: 267831}
 # verify-tables
 
 def _verify_entry(index):
-    """Check one table entry; returns its report row plus the codeword
-    data needed for the later class partition."""
+    """Check one table entry; returns its report row and its code, with
+    refinement data attached for the later class partition."""
     entry = dataset.table_entries()[index]
-    eng = search._worker_engine(entry.table_id)
-    tau = entry.tau()
     row = {"index": index, "table_id": entry.table_id, "perm": entry.perm_text}
     try:
-        code = construct.build_table_code(entry)
+        code = search.register_engine_data(
+            search._worker_engine(entry.table_id), entry.tau()
+        )
     except Exception as exc:
         row.update(pass_=False, error=str(exc))
         return row, None
-    we = eng.weight_enumerator(tau)
-    words = eng.words_of_weights(tau, (10, 12))
-    nz = [w for w in range(1, 49) if we[w]]
+    we = equiv.code_data(code).we
     row["self_dual"] = code.is_self_dual()
-    row["min_distance"] = min(nz)
+    row["min_distance"] = min(w for w in range(1, 49) if we[w])
     row["weight_enumerator_ok"] = all(
-        int(we[w]) == v for w, v in EXPECTED_WE.items()
+        we[w] == v for w, v in EXPECTED_WE.items()
     )
-    equiv.register_code_data(code, we, words[10], words[12])
     row["aut_order"] = equiv.automorphism_group(code).order()
     row["aut_order_expected"] = entry.expected_aut_order
+    row["digest"] = search.code_digest(code)
+    row["digest_ok"] = row["digest"] == dataset.table_digests()[index]
     row["pass_"] = (
         row["self_dual"]
         and row["min_distance"] == 10
         and row["weight_enumerator_ok"]
         and row["aut_order"] == entry.expected_aut_order
+        and row["digest_ok"]
     )
-    payload = (
-        code.rows,
-        tuple(int(x) for x in we),
-        words[10].tolist(),
-        words[12].tolist(),
-    )
-    return row, payload
+    return row, code
 
 
 def verify_tables(table_id=None, threads=1, return_codes=False):
-    """Verify every table entry and the pairwise inequivalence claim."""
+    """Verify every table entry, its digest in the shipped index, and the
+    pairwise inequivalence claim."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1, got %d" % threads)
     entries = dataset.table_entries()
     indices = [
         i
@@ -75,23 +72,8 @@ def verify_tables(table_id=None, threads=1, return_codes=False):
             results = pool.map(_verify_entry, indices)
     else:
         results = [_verify_entry(i) for i in indices]
-    rows = []
-    codes = []
-    import numpy as np
-
-    for row, payload in results:
-        rows.append(row)
-        if payload is None:
-            continue
-        code_rows, we, w10, w12 = payload
-        code = gf2.BinaryCode(48, code_rows)
-        equiv.register_code_data(
-            code,
-            we,
-            np.asarray(w10, dtype=np.uint64),
-            np.asarray(w12, dtype=np.uint64),
-        )
-        codes.append(code)
+    rows = [row for row, _ in results]
+    codes = [code for _, code in results if code is not None]
     classes = equiv.partition_classes(codes)
     duplicates = [m for m in classes if len(m) > 1]
     report = {
@@ -119,12 +101,14 @@ def _print_verify_text(report, out):
             )
             continue
         out.write(
-            "table %d  %-44s d=%-3d we=%s |Aut|=%-3d (expect %-3d) %s\n"
+            "table %d  %-44s d=%-3d we=%s digest=%s "
+            "|Aut|=%-3d (expect %-3d) %s\n"
             % (
                 r["table_id"],
                 r["perm"],
                 r["min_distance"],
                 "ok " if r["weight_enumerator_ok"] else "BAD",
+                "ok " if r["digest_ok"] else "BAD",
                 r["aut_order"],
                 r["aut_order_expected"],
                 "pass" if r["pass_"] else "FAIL",
@@ -162,6 +146,8 @@ def _write_verify_csv(report, path):
         "weight_enumerator_ok",
         "aut_order",
         "aut_order_expected",
+        "digest",
+        "digest_ok",
         "pass_",
         "error",
     ]
@@ -190,8 +176,11 @@ def _read_code(path):
 
 
 def _parse_shard(text):
-    i, m = text.split("/")
-    return int(i), int(m)
+    try:
+        i, m = text.split("/")
+        return int(i), int(m)
+    except ValueError:
+        raise ValueError("shard must be I/M, got %r" % text) from None
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +361,17 @@ def build_parser():
 
     def common(p):
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("verify-tables", help="rebuild and check all 264 codes")
     common(p)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--table", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--csv", metavar="PATH", help="also write a CSV report")
     p.set_defaults(func=cmd_verify_tables)
 
     p = sub.add_parser("search", help="filter coset representatives")
     common(p)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--xi", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--sample", type=int, help="seeded sample size (default: full transversal)")
     p.add_argument("--seed", type=int, default=0)

@@ -262,40 +262,25 @@ class DecomposedEngine:
         """All 256 words of the tau-permuted base code (16-bit masks)."""
         return _span(np.array(permuted_base_rows(tau), dtype=np.uint16))
 
-    def _weights_by_fixed_part(self, tau):
-        """Yield (u, weights of the 4^8 codewords with fixed part u) for
-        each of the 256 fixed parts u of C_i^tau."""
-        pc16 = _pc16()
-        a2 = 2 * self.gf4_weight
-        for u in self._pi_words(tau):
-            s = pc16[self.support & u].astype(np.int16)
-            yield u, a2 + 3 * int(pc16[u]) - 4 * s
-
     def weight_enumerator(self, tau):
         """Exact weight distribution of C_i^tau (49 coefficients)."""
-        counts = np.zeros(49, dtype=np.int64)
-        for _, w in self._weights_by_fixed_part(tau):
-            counts += np.bincount(w, minlength=49)
-        return counts
+        return self.words_of_weights(tau, ())[0]
 
     def words_of_weights(self, tau, wanted):
-        """48-bit codewords of the given weights, as uint64 arrays."""
-        layout = STANDARD_3_16_0
+        """(weight distribution, {w: 48-bit codewords of weight w}) of
+        C_i^tau from one pass over its 256 fixed parts u; the 4^8
+        codewords with fixed part u weigh 2a + 3 wt(u) - 4s."""
+        pc16 = _pc16()
+        a2 = 2 * self.gf4_weight
+        counts = np.zeros(49, dtype=np.int64)
         out = {w: [] for w in wanted}
-        for u, w in self._weights_by_fixed_part(tau):
-            lifted = np.uint64(pi_inverse(int(u), layout))
+        for u in self._pi_words(tau):
+            w = a2 + 3 * int(pc16[u]) - 4 * pc16[self.support & u]
+            counts += np.bincount(w, minlength=49)
+            lifted = np.uint64(pi_inverse(int(u), STANDARD_3_16_0))
             for target in wanted:
-                idx = np.nonzero(w == target)[0]
-                if idx.size:
-                    out[target].append(self.even_words[idx] ^ lifted)
-        return {
-            w: (
-                np.concatenate(chunks)
-                if chunks
-                else np.empty(0, dtype=np.uint64)
-            )
-            for w, chunks in out.items()
-        }
+                out[target].append(self.even_words[w == target] ^ lifted)
+        return counts, {w: np.concatenate(c) for w, c in out.items()}
 
     def filter_images(self, images, threshold=10):
         """Which taus give a code of minimum distance >= threshold.

@@ -1,5 +1,6 @@
 """Embedded dataset: the [16,8] base code, its automorphism group, the
-four GF(4) matrices, and the 264 published table entries.
+four GF(4) matrices, the 264 published table entries and the digest
+index of their codes.
 
 Everything is shipped as plain-text files under ``data/`` so the ground
 truth stays diffable.
@@ -110,6 +111,20 @@ def table_entries(table_id=None):
     if table_id is not None:
         out = [e for e in out if e.table_id == table_id]
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def table_digests():
+    """``search.code_digest`` of each table entry's code, in table order.
+
+    Equivalent codes share a digest, so this index tells which entries
+    a code can match without building them.  ``verify-tables`` checks
+    every digest against a freshly built code.
+    """
+    digests = tuple(_read("table_digests.txt").split())
+    if len(digests) != len(table_entries()):
+        raise ValueError("table_digests.txt does not match tables.txt")
+    return digests
 
 
 def citations_text():

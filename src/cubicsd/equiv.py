@@ -9,6 +9,11 @@ backtrack branches on the images of one individualized coordinate.
 Every candidate produced by a discrete coloring is verified against the
 full code (RREF equality) before it is accepted, so refinement strength
 affects only speed, never correctness.
+
+The refinement data of a code (:class:`CodeData`) is stored on the code
+object itself, so it is freed with the code and travels with it when
+the code is pickled, e.g. back from a pool worker.  There is no
+process-wide store of per-code data.
 """
 
 from __future__ import annotations
@@ -37,7 +42,10 @@ class CodeData:
     invariant_key: tuple
 
 
-_cache = {}
+# Instance attribute holding a code's CodeData.  BinaryCode is a frozen
+# dataclass, so the data goes into the instance __dict__, the way its
+# cached ``pivots`` do; equality and hash only see (n, rows).
+_DATA_ATTR = "_code_data"
 
 
 def _co_matrix(words, n):
@@ -77,15 +85,15 @@ def _wl_colors(mats, n, colors=None):
 
 
 def register_code_data(code, we, words_low, words_high):
-    """Attach externally computed codeword data (e.g. from the decomposed
-    engine) so generic re-enumeration is skipped."""
+    """Attach codeword data computed elsewhere (e.g. by the decomposed
+    engine) to the code, so generic re-enumeration is skipped."""
     n = code.n
     co_low = _co_matrix(np.asarray(words_low, dtype=np.uint64), n)
     co_high = co_low + _co_matrix(np.asarray(words_high, dtype=np.uint64), n)
     colors = _wl_colors([co_low, co_high], n)
     key = _make_key(code, we, co_low, co_high, colors)
     data = CodeData(tuple(int(x) for x in we), co_low, co_high, key)
-    _cache[code] = data
+    code.__dict__[_DATA_ATTR] = data
     return data
 
 
@@ -105,9 +113,9 @@ def _make_key(code, we, co_low, co_high, colors):
 
 
 def code_data(code):
-    """Refinement data for a code, computed by full enumeration if it was
-    not registered."""
-    data = _cache.get(code)
+    """Refinement data for a code, computed by full enumeration and
+    attached if it was not registered."""
+    data = code.__dict__.get(_DATA_ATTR)
     if data is not None:
         return data
     we = code.weight_enumerator()

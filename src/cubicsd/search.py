@@ -28,8 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import construct, dataset, equiv
-from .perm import Permutation
+from . import construct, dataset, equiv, perm
 
 # Positions per filtered block, checkpoint and progress call.
 BLOCK_SIZE = 10000
@@ -112,7 +111,7 @@ def sampled_tau(seed, index):
     element of its right coset, so repeats of one coset collapse to
     one representative.
     """
-    tau = Permutation(tuple(int(x) for x in _draw(seed, index)))
+    tau = perm.Permutation(tuple(int(x) for x in _draw(seed, index)))
     return dataset.autb_group().min_coset_rep(tau)
 
 
@@ -122,15 +121,12 @@ def code_digest(code):
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-def register_engine_data(engine, tau, code=None):
-    """Compute refinement data for a tau through the decomposed engine
-    (768 + 8592 low-weight words) and attach it to the code."""
-    if code is None:
-        code = construct.build_code(tau, engine.xi_index, engine.embed)
-    if code not in equiv._cache:
-        we = engine.weight_enumerator(tau)
-        words = engine.words_of_weights(tau, (10, 12))
-        equiv.register_code_data(code, we, words[10], words[12])
+def register_engine_data(engine, tau):
+    """Build the code of a tau and attach its refinement data, computed
+    in one decomposed-engine pass (768 + 8592 low-weight words)."""
+    code = construct.build_code(tau, engine.xi_index, engine.embed)
+    we, words = engine.words_of_weights(tau, (10, 12))
+    equiv.register_code_data(code, we, words[10], words[12])
     return code
 
 
@@ -227,6 +223,8 @@ def run_search(
     """
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
+    if sample is not None and sample < 0:
+        raise ValueError("sample must be at least 0, got %d" % sample)
     shard_idx, shard_cnt = shard
     if not 0 <= shard_idx < shard_cnt:
         raise ValueError(
@@ -288,20 +286,10 @@ def run_search(
     return state
 
 
-def _survivor_code(survivor, engines):
-    eng = engines.setdefault(
-        survivor.xi_index, construct.DecomposedEngine(survivor.xi_index)
-    )
-    tau = dataset.autb_group().min_coset_rep(
-        _parse(survivor.perm_text)
-    )
-    return register_engine_data(eng, tau)
-
-
-def _parse(text):
-    from . import perm
-
-    return perm.parse_cycles(text, 16)
+def _survivor_code(survivor):
+    tau = perm.parse_cycles(survivor.perm_text, 16)
+    tau = dataset.autb_group().min_coset_rep(tau)
+    return register_engine_data(_worker_engine(survivor.xi_index), tau)
 
 
 def dedup_survivors(survivors, against_tables=True):
@@ -310,18 +298,20 @@ def dedup_survivors(survivors, against_tables=True):
     Returns a dict with the class structure and, when checked against
     the published tables, which table entry each class matches (or None
     for a genuinely new code, which for this search space should never
-    happen).
+    happen).  Equivalent codes share a digest, so only the table entries
+    whose shipped digest (``dataset.table_digests()``) equals one
+    computed here from a survivor's code are built and compared.
     """
-    engines = {}
-    codes = [_survivor_code(s, engines) for s in survivors]
+    codes = [_survivor_code(s) for s in survivors]
     labels = [("survivor", i) for i in range(len(survivors))]
     if against_tables:
-        for idx, entry in enumerate(dataset.table_entries()):
-            eng = engines.setdefault(
-                entry.table_id, construct.DecomposedEngine(entry.table_id)
-            )
-            codes.append(register_engine_data(eng, entry.tau()))
-            labels.append(("table", idx))
+        digests = {code_digest(code) for code in codes}
+        entries = dataset.table_entries()
+        for idx, digest in enumerate(dataset.table_digests()):
+            if digest in digests:
+                engine = _worker_engine(entries[idx].table_id)
+                codes.append(register_engine_data(engine, entries[idx].tau()))
+                labels.append(("table", idx))
     classes = equiv.partition_classes(codes)
     out = {"num_survivors": len(survivors), "classes": []}
     for members in classes:

@@ -13,9 +13,11 @@ def _worker_count():
 def full_verification():
     """Rebuild and check all 264 table codes once per test session.
 
-    Returns the verify-tables report together with the code objects
-    (refinement data already registered), keyed for reuse by the
-    acceptance tests.
+    Returns the verify-tables report together with the code objects,
+    each carrying its refinement data (registered once, in the pool
+    worker that built it), keyed for reuse by the acceptance tests.
+    Dedup tests do not depend on this fixture having run: they match
+    survivors through the shipped digest index.
     """
     report, codes = cli.verify_tables(
         threads=_worker_count(), return_codes=True

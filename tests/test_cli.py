@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubicsd import cli, dataset
+from cubicsd import cli, dataset, equiv
 
 
 def run_cli(capsys, *argv):
@@ -117,12 +117,62 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_tables_registers_each_code_once(monkeypatch):
+    calls = []
+    register = equiv.register_code_data
+
+    def counted(*args):
+        calls.append(args[0])
+        return register(*args)
+
+    monkeypatch.setattr(equiv, "register_code_data", counted)
+    serial = cli.verify_tables(table_id=1)
+    assert len(calls) == 5
+    calls.clear()
+    # Pool workers register the codes and send them back with their data.
+    pooled = cli.verify_tables(table_id=1, threads=2)
+    assert calls == []
+    assert pooled == serial
+
+
+def test_verify_tables_fails_on_stale_digest(monkeypatch):
+    digests = list(dataset.table_digests())
+    digests[2] = "0" * 16
+    monkeypatch.setattr(dataset, "table_digests", lambda: tuple(digests))
+    report = cli.verify_tables(table_id=1)
+    assert [r["digest_ok"] for r in report["entries"]] == [
+        True, True, False, True, True
+    ]
+    assert not report["entries"][2]["pass_"]
+    assert not report["pass_"]
+
+
 def test_search_rejects_bad_shard_and_threads(capsys):
-    for extra in (["--shard", "3/2"], ["--shard", "0/0"], ["--threads", "0"]):
+    for extra, message in (
+        (["--shard", "3/2"], "invalid shard"),
+        (["--shard", "0/0"], "invalid shard"),
+        (["--shard", "1"], "shard must be I/M"),
+        (["--threads", "0"], "threads must be at least 1"),
+        (["--sample", "-5"], "sample must be at least 0"),
+    ):
         code = cli.main(["search", "--xi", "1", "--sample", "200"] + extra)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and message in err
+
+
+def test_threads_only_where_used(capsys):
+    code = cli.main(["verify-tables", "--table", "1", "--threads", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: threads")
+    for argv in (
+        ["feasible", "48", "10"],
+        ["construct", "(5,6)(12,14)", "1"],
+        ["wenum", "code.txt"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--threads", "7"])
+        assert exc.value.code == 2
 
 
 def test_parser_rejects_unknown_xi():

@@ -88,9 +88,11 @@ def test_engine_words_of_weights():
     entry = dataset.table_entries(1)[0]
     tau = entry.tau()
     code = construct.build_table_code(entry)
-    words = eng.words_of_weights(tau, (10, 12))
-    assert len(words[10]) == 768
-    assert len(words[12]) == 8592
+    counts, words = eng.words_of_weights(tau, (10, 12))
+    assert np.array_equal(counts, eng.weight_enumerator(tau))
+    assert np.array_equal(counts, code.weight_enumerator())
+    assert len(words[10]) == counts[10] == 768
+    assert len(words[12]) == counts[12] == 8592
     for w in words[10][:20]:
         assert gf2.weight(int(w)) == 10
         assert code.contains(int(w))

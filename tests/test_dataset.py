@@ -39,3 +39,11 @@ def test_x_matrices_shape():
         assert len(x) == 8 and all(len(row) == 8 for row in x)
         gen = dataset.x_generator(i)
         assert len(gen) == 8 and all(len(row) == 16 for row in gen)
+
+
+def test_table_digest_index(full_verification):
+    digests = dataset.table_digests()
+    assert len(set(digests)) == len(digests) == 264
+    rows = full_verification["report"]["entries"]
+    assert [r["digest"] for r in rows] == list(digests)
+    assert all(r["digest_ok"] for r in rows)

@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 from itertools import permutations
+from multiprocessing import get_context
 
 import pytest
 
@@ -130,3 +133,34 @@ def test_partition_classes_order_independent():
         sorted(order[i] for i in members) for members in shuffled_classes
     )
     assert regrouped == sorted(sorted(m) for m in classes)
+
+
+def test_code_data_is_freed_with_the_code():
+    code = random_code(random.Random(6), 8, 3)
+    ref = weakref.ref(equiv.code_data(code))
+    assert ref() is not None
+    del code
+    gc.collect()
+    assert ref() is None
+
+
+def _with_code_data(code):
+    equiv.code_data(code)
+    return code
+
+
+def test_code_data_travels_with_pickled_code(monkeypatch):
+    rnd = random.Random(7)
+    code = random_code(rnd, 10, 4)
+    other = random_shuffle(rnd, code)
+    assert other != code
+    expected = equiv.invariant(other)
+    with get_context("fork").Pool(1) as pool:
+        back = pool.apply_async(_with_code_data, (code,)).get(timeout=60)
+    assert back == code
+
+    def no_enumeration(self):
+        raise AssertionError("code data was enumerated again")
+
+    monkeypatch.setattr(BinaryCode, "_codeword_array", no_enumeration)
+    assert equiv.invariant(back) == expected

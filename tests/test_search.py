@@ -137,10 +137,20 @@ def test_pooled_full_prefix_matches_serial():
     assert multiprocessing.active_children() == []
 
 
-def test_dedup_against_tables():
+def test_dedup_against_tables(monkeypatch):
     taus = table1_taus()
     state = search.run_search(1, sample=0, extra_taus=taus)
+    calls = []
+    register = search.register_engine_data
+
+    def counted(engine, tau):
+        calls.append(tau)
+        return register(engine, tau)
+
+    monkeypatch.setattr(search, "register_engine_data", counted)
     report = search.dedup_survivors(state.survivors, against_tables=True)
+    # The 5 survivors, then only the 5 table entries sharing a digest.
+    assert len(calls) == 10
     assert report["num_survivors"] == 5
     assert len(report["classes"]) == 5
     assert report["all_matched"]
