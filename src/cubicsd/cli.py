@@ -211,6 +211,7 @@ def cmd_search(args):
         "xi_index": args.xi,
         "mode": state.mode,
         "position": state.position,
+        "total": state.total,
         "survivors": [
             {"perm": s.perm_text, "digest": s.digest} for s in state.survivors
         ],
@@ -219,11 +220,12 @@ def cmd_search(args):
 
     def render(rep, out):
         out.write(
-            "xi=%d %s position %d, %d survivors in %d classes\n"
+            "xi=%d %s position %d of %d, %d survivors in %d classes\n"
             % (
                 rep["xi_index"],
                 rep["mode"],
                 rep["position"],
+                rep["total"],
                 len(rep["survivors"]),
                 len(rep["dedup"]["classes"]),
             )
@@ -242,7 +244,7 @@ def cmd_search(args):
         )
 
     _emit(report, args, render)
-    return 0
+    return 0 if args.no_table_check or dedup["all_matched"] else 1
 
 
 def cmd_feasible(args):

@@ -3,9 +3,11 @@ right transversal of its automorphism group in S16.
 
 Two iteration modes share one driver.  Full mode streams the exact
 lexicographically-minimal representative of every right coset (about
-2.8e8 per X matrix, a long-running job, shardable).  Sample mode draws
-seeded uniform permutations, so a fixed (seed, index) pair always names
-the same coset regardless of sharding or interruption.
+2.8e8 per X matrix, a long-running job, shardable): its blocks are the
+(10000, 16) image arrays of ``PermGroup.transversal_blocks``, and a
+resumed run starts that generator at its checkpoint position.  Sample
+mode draws seeded uniform permutations, so a fixed (seed, index) pair
+always names the same coset regardless of sharding or interruption.
 
 Both cut their candidates into blocks, filtered in one batch each,
 serially or on a fork pool.  A tau is kept iff the code generated by
@@ -24,7 +26,6 @@ import os
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -70,6 +71,16 @@ class SearchState:
             },
             indent=1,
         )
+
+    @property
+    def total(self):
+        """Positions in this search: the sample size, or the shard's
+        share of the right cosets of Aut(B) in S16."""
+        if self.mode == "sample":
+            return self.sample
+        shard_idx, shard_cnt = self.shard
+        cosets = dataset.autb_group().num_right_cosets()
+        return (cosets - shard_idx + shard_cnt - 1) // shard_cnt
 
     @classmethod
     def from_json(cls, text):
@@ -144,8 +155,9 @@ def _worker_engine(xi_index):
 
 def _blocks(state):
     """Yield (candidates, end, job) for every block from state.position:
-    hit offset k of the job names ``candidates[k]``, a sample index or a
-    transversal tau, and ``end`` is the stream position after the block.
+    hit offset k of the job names ``candidates[k]``, a sample index or
+    the image row of a transversal tau, and ``end`` is the stream
+    position after the block.
     """
     if state.mode == "sample":
         shard_idx, shard_cnt = state.shard
@@ -156,20 +168,20 @@ def _blocks(state):
             indices = range(lo, end, shard_cnt)
             yield indices, end, (state.xi_index, state.seed, indices)
         return
-    stream = dataset.autb_group().right_transversal(shard=state.shard)
-    stream = islice(stream, state.position, None)
+    blocks = dataset.autb_group().transversal_blocks(
+        state.shard, state.position, BLOCK_SIZE
+    )
     end = state.position
-    while taus := list(islice(stream, BLOCK_SIZE)):
-        end += len(taus)
-        images = np.array([t.img for t in taus], dtype=np.uint16)
-        yield taus, end, (state.xi_index, state.seed, images)
+    for images in blocks:
+        end += len(images)
+        yield images, end, (state.xi_index, state.seed, images)
 
 
 def _filter_block(args):
     """Pool task: filter one block, return the offsets of its hits.
 
     The block is a range of sample indices, drawn here, or a (T, 16)
-    array of transversal images.
+    uint8 array of transversal images.
     """
     xi_index, seed, block = args
     if isinstance(block, range):
@@ -267,12 +279,12 @@ def run_search(
             if state.mode == "sample":
                 keep(sampled_tau(state.seed, candidates[k]))
             else:
-                keep(candidates[k])
+                keep(perm.Permutation(tuple(candidates[k].tolist())))
         state.position = end
-        if progress is not None:
-            progress(state)
         if checkpoint_path is not None:
             _write_checkpoint(checkpoint_path, state)
+        if progress is not None:
+            progress(state)
 
     for tau in extra_taus:
         tau = dataset.autb_group().min_coset_rep(tau)

@@ -1,8 +1,9 @@
 import json
+from itertools import islice
 
 import pytest
 
-from cubicsd import cli, dataset, equiv
+from cubicsd import cli, dataset, equiv, search
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +107,42 @@ def test_search_sample(capsys):
     obj = json.loads(out)
     assert obj["position"] == 300
     assert obj["mode"] == "sample"
+
+
+def test_search_reports_total(capsys, monkeypatch):
+    code, out = run_cli(
+        capsys, "search", "--xi", "1", "--sample", "300", "--no-table-check"
+    )
+    assert code == 0
+    assert "sample position 300 of 300," in out
+    # Full mode, cut to its first block.
+    blocks = search._blocks
+    monkeypatch.setattr(search, "_blocks", lambda st: islice(blocks(st), 1))
+    argv = ["search", "--xi", "1", "--shard", "3/8", "--no-table-check"]
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["mode"] == "full"
+    assert obj["position"] == search.BLOCK_SIZE
+    assert obj["total"] == 35472938  # ceil((283783500 - 3) / 8)
+    code, out = run_cli(capsys, *argv)
+    assert "full position 10000 of 35472938," in out
+
+
+def test_search_exits_1_on_unmatched_class(capsys, monkeypatch):
+    unmatched = {
+        "num_survivors": 1,
+        "classes": [{"survivors": ["(1,2)"], "table_match": None}],
+        "all_matched": False,
+    }
+    monkeypatch.setattr(search, "dedup_survivors", lambda *a, **k: unmatched)
+    argv = ["search", "--xi", "1", "--sample", "50"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert "(1,2) -> NEW" in out
+    assert "all survivors matched to tables: False" in out
+    code, out = run_cli(capsys, *argv, "--no-table-check")
+    assert code == 0
 
 
 def test_error_exit_codes(capsys, tmp_path):

@@ -1,11 +1,65 @@
 import random
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 
 import pytest
 
 from cubicsd import dataset
 from cubicsd.perm import Permutation, PermGroup, parse_cycles
+
+
+def _reference_transversal(group, shard=None):
+    """The image-by-image backtracking the block generator replaced,
+    kept as its reference: a representative r is minimal iff r[x] exceeds
+    r[j] for every chain level j < x whose orbit contains x."""
+    n = group.n
+    if shard is not None:
+        shard_idx, shard_cnt = shard
+        if not 0 <= shard_idx < shard_cnt:
+            raise ValueError("invalid shard")
+    constraints = [[] for _ in range(n)]
+    for j, level in enumerate(group._levels):
+        for x in level.orbit:
+            if x != j:
+                constraints[x].append(j)
+    img = [0] * n
+    used = [False] * n
+    counter = 0
+
+    def dfs(pos):
+        nonlocal counter
+        if pos == n:
+            take = shard is None or counter % shard_cnt == shard_idx
+            counter += 1
+            if take:
+                yield tuple(img)
+            return
+        for v in range(n):
+            if used[v]:
+                continue
+            if any(v < img[j] for j in constraints[pos]):
+                continue
+            used[v] = True
+            img[pos] = v
+            yield from dfs(pos + 1)
+            used[v] = False
+
+    yield from dfs(0)
+
+
+def _joined(blocks, size):
+    rows = []
+    for block in blocks:
+        assert 0 < len(block) <= size
+        assert block.dtype == "uint8"
+        rows.extend(tuple(r) for r in block.tolist())
+    return rows
+
+
+SMALL_GROUPS = (
+    (4, ["(1,2,3)", "(2,3,4)"]),
+    (5, ["(1,2,3,4,5)", "(2,5)(3,4)"]),
+)
 
 
 def random_perm(rnd, n):
@@ -155,3 +209,46 @@ def test_transversal_sharding_partitions():
     assert sorted(full) == sorted(sharded)
     with pytest.raises(ValueError):
         next(g.right_transversal(shard=(4, 4)))
+
+
+def test_transversal_blocks_match_reference():
+    rnd = random.Random(11)
+    for n, gens in SMALL_GROUPS:
+        g = PermGroup([parse_cycles(t, n) for t in gens], n)
+        for m in (1, 3, 4):
+            for i in range(m):
+                ref = list(_reference_transversal(g, shard=(i, m)))
+                stream = g.right_transversal(shard=(i, m))
+                assert [r.img for r in stream] == ref
+                size = rnd.randint(1, 4)
+                starts = {0, size // 2, len(ref), len(ref) + 3}
+                starts.add(rnd.randrange(len(ref) + 1))
+                for start in sorted(starts):
+                    blocks = g.transversal_blocks((i, m), start, size)
+                    assert _joined(blocks, size) == ref[start:]
+                    resumed = g.right_transversal(shard=(i, m), start=start)
+                    assert [r.img for r in resumed] == ref[start:]
+
+
+def test_transversal_blocks_match_reference_on_autb():
+    # The first 200k positions of shards 0/4 and 3/4: 800k stream leaves.
+    group = dataset.autb_group()
+    ref = list(islice(_reference_transversal(group), 800000))
+    size = 7919
+    for i in (0, 3):
+        blocks = group.transversal_blocks((i, 4), size=size)
+        got = _joined(islice(blocks, -(-200000 // size)), size)
+        assert got[:200000] == ref[i::4]
+    start = random.Random(12).randrange(100000)
+    blocks = group.transversal_blocks((3, 4), start, size)
+    got = _joined(islice(blocks, 3), size)
+    assert got == ref[3::4][start : start + 3 * size]
+
+
+def test_transversal_blocks_reject_bad_input():
+    g = PermGroup([parse_cycles("(1,2,3)", 4)], 4)
+    for shard, start in (((4, 4), 0), ((0, 0), 0), ((-1, 2), 0), ((0, 2), -1)):
+        with pytest.raises(ValueError):
+            g.transversal_blocks(shard, start)
+        with pytest.raises(ValueError):
+            next(g.right_transversal(shard=shard, start=start))

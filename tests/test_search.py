@@ -137,6 +137,55 @@ def test_pooled_full_prefix_matches_serial():
     assert multiprocessing.active_children() == []
 
 
+def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
+    def stop_after(blocks):
+        def progress(state):
+            if state.position >= blocks * search.BLOCK_SIZE:
+                raise _Stop
+
+        return progress
+
+    whole = search.SearchState(2, "full", 0, None, (0, 4))
+    with pytest.raises(_Stop):
+        search.run_search(2, shard=(0, 4), state=whole, progress=stop_after(4))
+    cp = str(tmp_path / "cp.json")
+    with pytest.raises(_Stop):
+        search.run_search(
+            2, shard=(0, 4), checkpoint_path=cp, progress=stop_after(2)
+        )
+    stopped = search.load_checkpoint(cp)
+    assert stopped.position == 2 * search.BLOCK_SIZE
+    assert stopped.survivors
+    calls = []
+    filter_block = search._filter_block
+
+    def counted(job):
+        calls.append(job)
+        return filter_block(job)
+
+    monkeypatch.setattr(search, "_filter_block", counted)
+    with pytest.raises(_Stop):
+        search.run_search(
+            2, shard=(0, 4), checkpoint_path=cp, progress=stop_after(4)
+        )
+    resumed = search.load_checkpoint(cp)
+    assert len(calls) == 2
+    assert resumed.position == whole.position == 4 * search.BLOCK_SIZE
+    assert resumed.survivors == whole.survivors
+    assert len(whole.survivors) > len(stopped.survivors)
+
+
+def test_search_total():
+    cosets = dataset.autb_group().num_right_cosets()
+    totals = [
+        search.SearchState(1, "full", 0, None, (i, 8)).total for i in range(8)
+    ]
+    assert sum(totals) == cosets
+    # 283783500 = 8 * 35472937 + 4: the first 4 shards take one more.
+    assert totals == [35472938] * 4 + [35472937] * 4
+    assert search.SearchState(1, "sample", 0, 300, (1, 3)).total == 300
+
+
 def test_dedup_against_tables(monkeypatch):
     taus = table1_taus()
     state = search.run_search(1, sample=0, extra_taus=taus)
