@@ -24,7 +24,7 @@ from .equiv import (
 from .feasibility import EliminationReport, feasible_types, full_pipeline, g
 from .gf2 import BinaryCode, BinaryMatrix
 from .perm import Permutation, PermGroup, parse_cycles
-from .search import run_search, dedup_survivors
+from .search import classify_hits, run_search
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "automorphism_group",
     "build_code",
     "build_table_code",
-    "dedup_survivors",
+    "classify_hits",
     "feasible_types",
     "find_isomorphism",
     "full_pipeline",

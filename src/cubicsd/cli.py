@@ -194,6 +194,63 @@ def cmd_verify_tables(args):
     return 0 if report["pass_"] else 1
 
 
+def _render_classes(report, out):
+    """Text lines for a ``search.classify_hits`` report."""
+    for x in report["xi"]:
+        matched = [c for c in x["classes"] if c["table_match"] is not None]
+        out.write(
+            "xi=%d: %d hits in %d orbits (%d members), %d classes, "
+            "%d table rows matched\n"
+            % (
+                x["xi_index"],
+                x["hits"],
+                x["orbits"],
+                x["orbit_members"],
+                len(x["classes"]),
+                len(matched),
+            )
+        )
+        for cls in x["classes"]:
+            match = cls["table_match"]
+            out.write(
+                "  %s: %d hits, orbit %d -> %s\n"
+                % (
+                    cls["representative"],
+                    len(cls["hits"]),
+                    cls["orbit_size"],
+                    "table entry %d" % match if match is not None else "NEW",
+                )
+            )
+    out.write("all classes matched to tables: %s\n" % report["all_matched"])
+    if "missing" in report:
+        out.write(
+            "complete: %d orbit members are not hits\n" % report["missing"]
+        )
+
+
+def _classify(states, against_tables):
+    """Classify the hits of finished or stopped shards of one search.
+
+    When all m shards of a full-mode search reached their totals, every
+    orbit member must be a hit: the report then carries the number of
+    members that are not.  Returns (report, exit code).
+    """
+    report = search.classify_hits(
+        [s for st in states for s in st.survivors],
+        against_tables=against_tables,
+    )
+    failed = against_tables and not report["all_matched"]
+    complete = len(states) == states[0].shard[1] and all(
+        st.mode == "full" and st.position >= st.total for st in states
+    )
+    if complete:
+        report["missing"] = sum(
+            x["orbit_members"] - x["hits"] for x in report["xi"]
+        )
+        failed = failed or report["missing"] > 0
+    return report, 1 if failed else 0
+
+
 def cmd_search(args):
     shard = _parse_shard(args.shard)
     state = search.run_search(
@@ -204,47 +261,68 @@ def cmd_search(args):
         checkpoint_path=args.checkpoint,
         threads=args.threads,
     )
-    dedup = search.dedup_survivors(
-        state.survivors, against_tables=not args.no_table_check
-    )
+    classes, status = _classify([state], not args.no_table_check)
     report = {
         "xi_index": args.xi,
         "mode": state.mode,
         "position": state.position,
         "total": state.total,
-        "survivors": [
-            {"perm": s.perm_text, "digest": s.digest} for s in state.survivors
-        ],
-        "dedup": dedup,
+        "hits": [s.perm_text for s in state.survivors],
+        "classify": classes,
     }
 
     def render(rep, out):
         out.write(
-            "xi=%d %s position %d of %d, %d survivors in %d classes\n"
+            "xi=%d %s position %d of %d, %d hits\n"
             % (
                 rep["xi_index"],
                 rep["mode"],
                 rep["position"],
                 rep["total"],
-                len(rep["survivors"]),
-                len(rep["dedup"]["classes"]),
+                len(rep["hits"]),
             )
         )
-        for cls in rep["dedup"]["classes"]:
-            match = cls["table_match"]
-            out.write(
-                "  %s -> %s\n"
-                % (
-                    ", ".join(cls["survivors"]),
-                    "table entry %d" % match if match is not None else "NEW",
-                )
-            )
-        out.write(
-            "all survivors matched to tables: %s\n" % rep["dedup"]["all_matched"]
-        )
+        _render_classes(rep["classify"], out)
 
     _emit(report, args, render)
-    return 0 if args.no_table_check or dedup["all_matched"] else 1
+    return status
+
+
+def cmd_classify(args):
+    states = [search.load_checkpoint(path) for path in args.checkpoints]
+    first = states[0]
+    run = (first.xi_index, first.mode, first.seed, first.sample)
+    for path, st in zip(args.checkpoints, states):
+        if (st.xi_index, st.mode, st.seed, st.sample) != run:
+            raise ValueError(
+                "%s: checkpoints must share xi, mode, seed and sample" % path
+            )
+    shards = [st.shard for st in states]
+    if len({m for _, m in shards}) != 1 or len(set(shards)) != len(shards):
+        raise ValueError("checkpoints must be distinct shards i/m of one m")
+    classes, status = _classify(states, True)
+    report = {
+        "shards": [
+            {
+                "shard": "%d/%d" % st.shard,
+                "position": st.position,
+                "total": st.total,
+            }
+            for st in states
+        ],
+        "classify": classes,
+    }
+
+    def render(rep, out):
+        for sh in rep["shards"]:
+            out.write(
+                "shard %s position %d of %d\n"
+                % (sh["shard"], sh["position"], sh["total"])
+            )
+        _render_classes(rep["classify"], out)
+
+    _emit(report, args, render)
+    return status
 
 
 def cmd_feasible(args):
@@ -382,9 +460,21 @@ def build_parser():
     p.add_argument(
         "--no-table-check",
         action="store_true",
-        help="skip deduplication against the published tables",
+        help="skip matching the classes against the published tables",
     )
     p.set_defaults(func=cmd_search)
+
+    p = sub.add_parser(
+        "classify", help="classify the hits of search checkpoints"
+    )
+    common(p)
+    p.add_argument(
+        "checkpoints",
+        nargs="+",
+        metavar="CHECKPOINT",
+        help="logs of distinct shards of one search",
+    )
+    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("feasible", help="run the automorphism type sieve")
     common(p)

@@ -162,6 +162,17 @@ def permuted_base_rows(tau, gb=None):
     return gf2.rref(rows, gb.n_cols)[0]
 
 
+def even_part_rows(xi_index, embed=cyclicring.gf4_embed):
+    """The 16 binary rows spanning E_i = phi^-1(X_i), the [48,16] even
+    part shared by every code built from X_i."""
+    rows = []
+    for grow in dataset.x_generator(xi_index):
+        rows.extend(
+            phi_inverse_rows(gf4_row_to_pvector(grow, embed), STANDARD_3_16_0)
+        )
+    return rows
+
+
 def build_code(tau, xi_index, embed=cyclicring.gf4_embed):
     """The [48,24] code generated by the lifted tau-permuted base code and
     the embedded GF(4) code (I | X_i).
@@ -171,8 +182,7 @@ def build_code(tau, xi_index, embed=cyclicring.gf4_embed):
     """
     layout = STANDARD_3_16_0
     rows = [pi_inverse(r, layout) for r in permuted_base_rows(tau)]
-    for grow in dataset.x_generator(xi_index):
-        rows.extend(phi_inverse_rows(gf4_row_to_pvector(grow, embed), layout))
+    rows.extend(even_part_rows(xi_index, embed))
     code = gf2.BinaryCode.from_rows(rows, layout.n)
     if code.k != 24:
         raise RuntimeError("construction produced rank %d != 24" % code.k)
@@ -230,12 +240,7 @@ class DecomposedEngine:
     def __init__(self, xi_index, embed=cyclicring.gf4_embed):
         self.xi_index = xi_index
         self.embed = embed
-        layout = STANDARD_3_16_0
-        rows = []
-        for grow in dataset.x_generator(xi_index):
-            rows.extend(
-                phi_inverse_rows(gf4_row_to_pvector(grow, embed), layout)
-            )
+        rows = even_part_rows(xi_index, embed)
         if len(rows) != 16:
             raise RuntimeError("expected 16 binary rows for the even part")
         words = _span(np.array(rows, dtype=np.uint64))

@@ -1,6 +1,7 @@
 """Embedded dataset: the [16,8] base code, its automorphism group, the
-four GF(4) matrices, the 264 published table entries and the digest
-index of their codes.
+four GF(4) matrices, the generators of the automorphism groups of their
+even parts, the 264 published table entries and the digest index of
+their codes.
 
 Everything is shipped as plain-text files under ``data/`` so the ground
 truth stays diffable.
@@ -83,6 +84,35 @@ def x_matrix(i):
     return tuple(
         tuple(row) for row in cyclicring.parse_gf4_matrix(_read("x%d.txt" % i))
     )
+
+
+@lru_cache(maxsize=None)
+def aute_generators(i):
+    """48-point generators of Aut(E_i), E_i = phi^-1(X_i) the [48,16]
+    even part of every code built from X_i (``data/aute.txt``, lines
+    ``i;<cycles>``)."""
+    x_matrix(i)  # validate i
+    gens = []
+    for ln in _read("aute.txt").splitlines():
+        if ln.strip():
+            tid, text = ln.split(";")
+            if int(tid) == i:
+                gens.append(perm.parse_cycles(text, 48))
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def h_group(i):
+    """H_i, the action of Aut(E_i) on the 16 cycles {3j, 3j+1, 3j+2}, as
+    a degree-16 group.  For h in H_i, tau and tau * h build equivalent
+    codes from X_i."""
+    gens = []
+    for g in aute_generators(i):
+        img = tuple(g.img[3 * j] // 3 for j in range(16))
+        if any(g.img[p] // 3 != img[p // 3] for p in range(48)):
+            raise ValueError("aute.txt: a generator splits a cycle")
+        gens.append(perm.Permutation(img))
+    return perm.PermGroup(gens, 16)
 
 
 @lru_cache(maxsize=None)

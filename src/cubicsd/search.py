@@ -1,21 +1,31 @@
 """Coset search for [48,24,10] codes built from the base code and a
-right transversal of its automorphism group in S16.
+right transversal of its automorphism group in S16: a scan that records
+hits, then a post-pass that classifies them.
 
-Two iteration modes share one driver.  Full mode streams the exact
-lexicographically-minimal representative of every right coset (about
-2.8e8 per X matrix, a long-running job, shardable): its blocks are the
-(10000, 16) image arrays of ``PermGroup.transversal_blocks``, and a
-resumed run starts that generator at its checkpoint position.  Sample
-mode draws seeded uniform permutations, so a fixed (seed, index) pair
-always names the same coset regardless of sharding or interruption.
+The scan (``run_search``).  Two iteration modes share one driver.  Full
+mode streams the exact lexicographically-minimal representative of
+every right coset (about 2.8e8 per X matrix, a long-running job,
+shardable): its blocks are the (10000, 16) image arrays of
+``PermGroup.transversal_blocks``, and a resumed run starts that
+generator at its checkpoint position.  Sample mode draws seeded uniform
+permutations, so a fixed (seed, index) pair always names the same coset
+regardless of sharding or interruption.  Both cut their candidates into
+blocks, filtered in one batch each, serially or on a fork pool.  A tau
+is a hit iff the code generated by (pi^-1(tau B); phi^-1(X_i)) has
+minimum distance 10.  The code depends only on the coset of tau, so
+sample draws are filtered raw and only the hits are reduced to their
+coset representative.  A hit is recorded as (X_i, representative) and
+nothing more; the checkpoint is an append-only log with one line per
+block.
 
-Both cut their candidates into blocks, filtered in one batch each,
-serially or on a fork pool.  A tau is kept iff the code generated by
-(pi^-1(tau B); phi^-1(X_i)) has minimum distance 10.  The code depends
-only on the coset of tau, so sample draws are filtered raw and only the
-hits are reduced to their coset representative.  Survivors are
-deduplicated by code equivalence, against each other and against the
-published table codes.
+The post-pass (``classify_hits``).  Let H_i be the action of Aut(E_i)
+on the 16 cycles, E_i = phi^-1(X_i) the even part (``dataset.h_group``).
+For h in H_i, tau and tau * h build equivalent codes, so the hits of
+one double coset Aut(B) tau H_i form an H_i-orbit of cosets and one
+registered code per orbit classifies them all (Yorgov's method for
+Huffman's decomposition C = F + E).  The orbit representatives are
+partitioned by code equivalence and matched against the published
+table codes through the shipped digest index.
 """
 
 from __future__ import annotations
@@ -31,8 +41,11 @@ import numpy as np
 
 from . import construct, dataset, equiv, perm
 
-# Positions per filtered block, checkpoint and progress call.
+# Positions per filtered block, checkpoint line and progress call.
 BLOCK_SIZE = 10000
+
+# Checkpoint format: JSON lines, a header and then one line per block.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -41,12 +54,11 @@ class Survivor:
 
     xi_index: int
     perm_text: str
-    digest: str
 
 
 @dataclass
 class SearchState:
-    """Progress of one (xi, shard) search, serializable to JSON."""
+    """Progress of one (xi, shard) search."""
 
     xi_index: int
     mode: str  # "sample" or "full"
@@ -55,22 +67,6 @@ class SearchState:
     shard: tuple
     position: int = 0
     survivors: list = field(default_factory=list)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "xi_index": self.xi_index,
-                "mode": self.mode,
-                "seed": self.seed,
-                "sample": self.sample,
-                "shard": list(self.shard),
-                "position": self.position,
-                "survivors": [
-                    [s.xi_index, s.perm_text, s.digest] for s in self.survivors
-                ],
-            },
-            indent=1,
-        )
 
     @property
     def total(self):
@@ -82,32 +78,77 @@ class SearchState:
         cosets = dataset.autb_group().num_right_cosets()
         return (cosets - shard_idx + shard_cnt - 1) // shard_cnt
 
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(
-            xi_index=obj["xi_index"],
-            mode=obj["mode"],
-            seed=obj["seed"],
-            sample=obj["sample"],
-            shard=tuple(obj["shard"]),
-            position=obj["position"],
-            survivors=[Survivor(*row) for row in obj["survivors"]],
-        )
 
-
-def _write_checkpoint(path, state):
+def _start_checkpoint(path, state):
+    """Create (or replace) the checkpoint atomically with its header."""
+    header = {
+        "version": CHECKPOINT_VERSION,
+        "xi": state.xi_index,
+        "mode": state.mode,
+        "seed": state.seed,
+        "sample": state.sample,
+        "shard": list(state.shard),
+    }
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp"
     )
     with os.fdopen(fd, "w") as fh:
-        fh.write(state.to_json())
+        fh.write(json.dumps(header) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
+def _append_checkpoint(path, position, hits):
+    """Append one block line: the position after it and its new hits."""
+    with open(path, "a") as fh:
+        fh.write(json.dumps({"position": position, "hits": hits}) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _replay_checkpoint(path):
+    """(state, length): the search a checkpoint records, and the byte
+    length of its complete lines.  A torn last line (no newline) is left
+    out of both."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.split(b"\n")
+    torn = lines.pop()
+    try:
+        header = json.loads(lines[0])
+    except (IndexError, ValueError):
+        header = None
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(
+            "%s is not a format-%d checkpoint (JSON lines with a version "
+            "header); a format-1 checkpoint (one JSON object) cannot be "
+            "resumed" % (path, CHECKPOINT_VERSION)
+        )
+    state = SearchState(
+        xi_index=header["xi"],
+        mode=header["mode"],
+        seed=header["seed"],
+        sample=header["sample"],
+        shard=tuple(header["shard"]),
+    )
+    for number, line in enumerate(lines[1:], 2):
+        try:
+            block = json.loads(line)
+            state.position = block["position"]
+            hits = block["hits"]
+        except (ValueError, KeyError, TypeError):
+            raise ValueError(
+                "%s: line %d is not a checkpoint block" % (path, number)
+            ) from None
+        state.survivors.extend(Survivor(state.xi_index, t) for t in hits)
+    return state, len(data) - len(torn)
+
+
 def load_checkpoint(path):
-    with open(path) as fh:
-        return SearchState.from_json(fh.read())
+    """The SearchState recorded by a checkpoint log."""
+    return _replay_checkpoint(path)[0]
 
 
 def _draw(seed, index):
@@ -225,13 +266,15 @@ def run_search(
     extra_taus=(),
     threads=1,
 ):
-    """Run (or resume) one search; returns the final SearchState.
+    """Run (or resume) one scan; returns the final SearchState.
 
     ``extra_taus`` are injected ahead of the stream (not counted in the
     position), useful for spot checks with known permutations.  With
     ``threads`` > 1 either mode filters its blocks in a process pool;
-    survivors, ``progress`` calls (one per block) and checkpoints are
-    still handled by this process only.
+    survivors, ``progress`` calls (one per block) and checkpoint lines
+    are still handled by this process only.  A missing checkpoint starts
+    a clean search; an existing one is resumed, dropping a torn last
+    line.  Hits are recorded, not classified: see ``classify_hits``.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
@@ -242,18 +285,21 @@ def run_search(
         raise ValueError(
             "invalid shard %d/%d: need 0 <= i < m" % (shard_idx, shard_cnt)
         )
-    if state is None:
-        if checkpoint_path is not None and os.path.exists(checkpoint_path):
-            state = load_checkpoint(checkpoint_path)
-            if (state.xi_index, state.sample, state.seed) != (
-                xi_index,
-                sample,
-                seed,
-            ) or tuple(state.shard) != tuple(shard):
-                raise ValueError(
-                    "checkpoint does not match the requested search"
-                )
-        else:
+    # What the checkpoint log already holds: a position and a hit count.
+    logged = (0, 0)
+    resume = checkpoint_path is not None and os.path.exists(checkpoint_path)
+    if state is None and resume:
+        state, length = _replay_checkpoint(checkpoint_path)
+        if (state.xi_index, state.sample, state.seed) != (
+            xi_index,
+            sample,
+            seed,
+        ) or tuple(state.shard) != tuple(shard):
+            raise ValueError("checkpoint does not match the requested search")
+        os.truncate(checkpoint_path, length)
+        logged = (state.position, len(state.survivors))
+    else:
+        if state is None:
             state = SearchState(
                 xi_index=xi_index,
                 mode="sample" if sample is not None else "full",
@@ -261,18 +307,25 @@ def run_search(
                 sample=sample,
                 shard=tuple(shard),
             )
-    engine = _worker_engine(xi_index)
+        if checkpoint_path is not None:
+            _start_checkpoint(checkpoint_path, state)
     seen = {s.perm_text for s in state.survivors}
 
     def keep(tau):
         """Record a canonical tau that passed the filter, once per coset."""
         text = tau.to_cycle_text() or "()"
         if text not in seen:
-            code = register_engine_data(engine, tau)
-            state.survivors.append(
-                Survivor(xi_index, text, code_digest(code))
-            )
+            state.survivors.append(Survivor(xi_index, text))
             seen.add(text)
+
+    def record():
+        """Append what the log lacks, if anything."""
+        nonlocal logged
+        now = (state.position, len(state.survivors))
+        if checkpoint_path is not None and now != logged:
+            hits = [s.perm_text for s in state.survivors[logged[1] :]]
+            _append_checkpoint(checkpoint_path, state.position, hits)
+            logged = now
 
     def finish(candidates, end, hits):
         for k in hits:
@@ -281,11 +334,11 @@ def run_search(
             else:
                 keep(perm.Permutation(tuple(candidates[k].tolist())))
         state.position = end
-        if checkpoint_path is not None:
-            _write_checkpoint(checkpoint_path, state)
+        record()
         if progress is not None:
             progress(state)
 
+    engine = _worker_engine(xi_index)
     for tau in extra_taus:
         tau = dataset.autb_group().min_coset_rep(tau)
         if engine.min_weight_at_least(tau, 10):
@@ -293,55 +346,123 @@ def run_search(
     _drive(_blocks(state), threads, finish)
     if state.mode == "sample":
         state.position = state.sample
-    if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, state)
+    record()
     return state
 
 
-def _survivor_code(survivor):
-    tau = perm.parse_cycles(survivor.perm_text, 16)
-    tau = dataset.autb_group().min_coset_rep(tau)
-    return register_engine_data(_worker_engine(survivor.xi_index), tau)
+def hit_orbits(xi_index, taus):
+    """Group coset representatives of X_i hits into H_i-orbits.
 
-
-def dedup_survivors(survivors, against_tables=True):
-    """Partition survivor codes into equivalence classes.
-
-    Returns a dict with the class structure and, when checked against
-    the published tables, which table entry each class matches (or None
-    for a genuinely new code, which for this search space should never
-    happen).  Equivalent codes share a digest, so only the table entries
-    whose shipped digest (``dataset.table_digests()``) equals one
-    computed here from a survivor's code are built and compared.
+    Returns a list of (members, hits) pairs, in order of first hit:
+    ``members`` the set of representatives ``min_coset_rep(tau * h)``,
+    h in H_i, found by breadth-first search over the generators of H_i,
+    and ``hits`` the input taus that lie in it.  Each orbit is expanded
+    once, and every member of every orbit is run through the filter: a
+    member that fails means the H_i data or the product order is wrong,
+    and raises RuntimeError.
     """
-    codes = [_survivor_code(s) for s in survivors]
-    labels = [("survivor", i) for i in range(len(survivors))]
-    if against_tables:
-        digests = {code_digest(code) for code in codes}
-        entries = dataset.table_entries()
-        for idx, digest in enumerate(dataset.table_digests()):
-            if digest in digests:
-                engine = _worker_engine(entries[idx].table_id)
-                codes.append(register_engine_data(engine, entries[idx].tau()))
-                labels.append(("table", idx))
-    classes = equiv.partition_classes(codes)
-    out = {"num_survivors": len(survivors), "classes": []}
-    for members in classes:
-        tagged = [labels[m] for m in members]
-        if not any(kind == "survivor" for kind, _ in tagged):
+    group = dataset.autb_group()
+    gens = dataset.h_group(xi_index).generators
+    orbit_of = {}
+    orbits = []
+    seen = set()
+    for tau in taus:
+        tau = group.min_coset_rep(tau)
+        if tau in seen:
             continue
-        table_matches = [i for kind, i in tagged if kind == "table"]
-        out["classes"].append(
+        seen.add(tau)
+        k = orbit_of.get(tau)
+        if k is None:
+            k = len(orbits)
+            members = {tau}
+            queue = deque(members)
+            while queue:
+                rep = queue.popleft()
+                for h in gens:
+                    # tau * h applies tau first: the cycles of E_i move
+                    # by h after tau has placed the base code.
+                    image = group.min_coset_rep(rep * h)
+                    if image not in members:
+                        members.add(image)
+                        queue.append(image)
+            orbits.append((members, []))
+            orbit_of.update(dict.fromkeys(members, k))
+        orbits[k][1].append(tau)
+    if orbit_of:
+        images = np.array([tau.img for tau in orbit_of], dtype=np.uint8)
+        if not _worker_engine(xi_index).filter_images(images).all():
+            raise RuntimeError(
+                "an H_%d-orbit member fails the filter: the H_i data or "
+                "the product order is wrong" % xi_index
+            )
+    return orbits
+
+
+def classify_hits(survivors, against_tables=True):
+    """Classify search hits, one registered code per H_i-orbit.
+
+    For each X_i in the input, the hits are grouped into H_i-orbits
+    (``hit_orbits``), the lex-min member of each orbit is registered,
+    and the representatives are partitioned into equivalence classes.
+    When checked against the published tables, only the table entries
+    whose shipped digest (``dataset.table_digests()``) equals one
+    computed here are built and compared.  Returns, per X_i, the counts
+    of hits, orbits, orbit members and classes, and per class its hits,
+    representative, orbit size and matching table entry (None for a code
+    in no table).
+    """
+    by_xi = {}
+    for s in survivors:
+        by_xi.setdefault(s.xi_index, []).append(s.perm_text)
+    entries = dataset.table_entries()
+    report = {"num_hits": 0, "xi": []}
+    for xi_index in sorted(by_xi):
+        taus = [perm.parse_cycles(t, 16) for t in by_xi[xi_index]]
+        orbits = hit_orbits(xi_index, taus)
+        engine = _worker_engine(xi_index)
+        reps = [min(members, key=lambda t: t.img) for members, _ in orbits]
+        codes = [register_engine_data(engine, tau) for tau in reps]
+        labels = [("orbit", k) for k in range(len(orbits))]
+        if against_tables:
+            digests = {code_digest(code) for code in codes}
+            for idx, digest in enumerate(dataset.table_digests()):
+                if digest in digests:
+                    table_engine = _worker_engine(entries[idx].table_id)
+                    codes.append(
+                        register_engine_data(table_engine, entries[idx].tau())
+                    )
+                    labels.append(("table", idx))
+        classes = []
+        for members in equiv.partition_classes(codes):
+            tagged = [labels[m] for m in members]
+            ks = [k for kind, k in tagged if kind == "orbit"]
+            if not ks:
+                continue
+            matches = [i for kind, i in tagged if kind == "table"]
+            classes.append(
+                {
+                    "representative": reps[ks[0]].to_cycle_text() or "()",
+                    "hits": [
+                        tau.to_cycle_text() or "()"
+                        for k in ks
+                        for tau in orbits[k][1]
+                    ],
+                    "orbit_size": sum(len(orbits[k][0]) for k in ks),
+                    "table_match": matches[0] if matches else None,
+                }
+            )
+        hits = sum(len(h) for _, h in orbits)
+        report["num_hits"] += hits
+        report["xi"].append(
             {
-                "survivors": [
-                    survivors[i].perm_text
-                    for kind, i in tagged
-                    if kind == "survivor"
-                ],
-                "table_match": table_matches[0] if table_matches else None,
+                "xi_index": xi_index,
+                "hits": hits,
+                "orbits": len(orbits),
+                "orbit_members": sum(len(m) for m, _ in orbits),
+                "classes": classes,
             }
         )
-    out["all_matched"] = all(
-        c["table_match"] is not None for c in out["classes"]
+    report["all_matched"] = all(
+        c["table_match"] is not None for x in report["xi"] for c in x["classes"]
     )
-    return out
+    return report

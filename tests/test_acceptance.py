@@ -169,7 +169,7 @@ def test_criterion_10_sampled_search():
     for i in range(1, 5):
         state = search.run_search(i, sample=100_000, seed=1, threads=threads)
         survivors.extend(state.survivors)
-    report = search.dedup_survivors(survivors, against_tables=True)
+    report = search.classify_hits(survivors, against_tables=True)
     ok = report["all_matched"]
     verdict(
         10,

@@ -131,18 +131,120 @@ def test_search_reports_total(capsys, monkeypatch):
 
 def test_search_exits_1_on_unmatched_class(capsys, monkeypatch):
     unmatched = {
-        "num_survivors": 1,
-        "classes": [{"survivors": ["(1,2)"], "table_match": None}],
+        "num_hits": 1,
+        "xi": [
+            {
+                "xi_index": 1,
+                "hits": 1,
+                "orbits": 1,
+                "orbit_members": 1920,
+                "classes": [
+                    {
+                        "representative": "(1,2)",
+                        "hits": ["(1,2)"],
+                        "orbit_size": 1920,
+                        "table_match": None,
+                    }
+                ],
+            }
+        ],
         "all_matched": False,
     }
-    monkeypatch.setattr(search, "dedup_survivors", lambda *a, **k: unmatched)
+    monkeypatch.setattr(search, "classify_hits", lambda *a, **k: unmatched)
     argv = ["search", "--xi", "1", "--sample", "50"]
     code, out = run_cli(capsys, *argv)
     assert code == 1
-    assert "(1,2) -> NEW" in out
-    assert "all survivors matched to tables: False" in out
+    assert "(1,2): 1 hits, orbit 1920 -> NEW" in out
+    assert "all classes matched to tables: False" in out
     code, out = run_cli(capsys, *argv, "--no-table-check")
     assert code == 0
+
+
+def _cut_search(capsys, monkeypatch, blocks, *argv):
+    """Run ``cubicsd search`` in full mode cut to its first blocks."""
+    cut = search._blocks
+    monkeypatch.setattr(
+        search, "_blocks", lambda st: islice(cut(st), blocks)
+    )
+    code, out = run_cli(capsys, "search", "--xi", "2", *argv, "--json")
+    monkeypatch.setattr(search, "_blocks", cut)
+    return code, json.loads(out)
+
+
+def _class_set(report):
+    return {
+        (
+            x["xi_index"],
+            c["representative"],
+            tuple(sorted(c["hits"])),
+            c["orbit_size"],
+            c["table_match"],
+        )
+        for x in report["xi"]
+        for c in x["classes"]
+    }
+
+
+def test_classify_merges_shard_logs(capsys, monkeypatch, tmp_path):
+    # Shards 0/2 and 1/2 cut at 2 blocks cover the first 4 blocks of 0/1.
+    logs = []
+    for i in range(2):
+        logs.append(str(tmp_path / ("shard%d.jsonl" % i)))
+        argv = ["--shard", "%d/2" % i, "--checkpoint", logs[-1]]
+        _cut_search(capsys, monkeypatch, 2, *argv, "--no-table-check")
+    code, whole = _cut_search(capsys, monkeypatch, 4, "--shard", "0/1")
+    # The prefix reaches the X_2 class that is in no table.
+    assert code == 1
+    code, merged = run_cli(capsys, "classify", *logs, "--json")
+    assert code == 1
+    merged = json.loads(merged)
+    assert [s["position"] for s in merged["shards"]] == [20000, 20000]
+    assert _class_set(merged["classify"]) == _class_set(whole["classify"])
+    assert merged["classify"]["xi"][0]["hits"] == len(whole["hits"]) == 5
+    assert "missing" not in merged["classify"]
+    code, out = run_cli(capsys, "classify", *logs)
+    assert "shard 1/2 position 20000 of 141891750" in out
+    assert "xi=2: 5 hits in " in out
+    assert "(8,12,11,10,9)(13,15): 1 hits, orbit 240 -> NEW" in out
+
+
+def test_classify_checks_complete_runs(capsys, monkeypatch, tmp_path):
+    log = tmp_path / "done.jsonl"
+    state = search.SearchState(1, "full", 0, None, (0, 1))
+    search._start_checkpoint(str(log), state)
+    search._append_checkpoint(str(log), state.total, ["(7,8)(12,14)"])
+    # A finished run must hold every member of its orbits.
+    code, out = run_cli(capsys, "classify", str(log), "--json")
+    assert code == 1
+    assert json.loads(out)["classify"]["missing"] == 1920 - 1
+
+
+def test_classify_rejects_bad_logs(capsys, tmp_path):
+    def log(name, xi, shard, seed=0):
+        path = str(tmp_path / name)
+        search._start_checkpoint(
+            path, search.SearchState(xi, "full", seed, None, shard)
+        )
+        return path
+
+    a = log("a", 1, (0, 2))
+    for other, message in (
+        (log("b", 2, (1, 2)), "share xi, mode, seed and sample"),
+        (log("c", 1, (1, 2), seed=3), "share xi, mode, seed and sample"),
+        (log("d", 1, (0, 2)), "distinct shards"),
+        (log("e", 1, (1, 3)), "distinct shards"),
+    ):
+        assert cli.main(["classify", a, other]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps({"xi_index": 1, "survivors": []}, indent=1))
+    for argv in (
+        ["classify", str(old)],
+        ["search", "--xi", "1", "--sample", "50", "--checkpoint", str(old)],
+    ):
+        assert cli.main(argv) == 2
+        assert "not a format-2 checkpoint" in capsys.readouterr().err
 
 
 def test_error_exit_codes(capsys, tmp_path):

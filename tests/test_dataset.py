@@ -1,4 +1,4 @@
-from cubicsd import dataset
+from cubicsd import construct, dataset, gf2, perm
 
 
 def test_table_entry_counts():
@@ -31,6 +31,21 @@ def test_base_generators_preserve_code():
     code = dataset.gb_code()
     for g in dataset.autb_generators():
         assert code.permuted(g.img) == code
+
+
+def test_even_part_automorphisms():
+    orders = {1: (5760, 1920), 2: (720, 240), 3: (288, 96), 4: (2016, 672)}
+    for i, (order48, order16) in orders.items():
+        even = gf2.BinaryCode.from_rows(construct.even_part_rows(i), 48)
+        gens = dataset.aute_generators(i)
+        for g in gens:
+            assert even.permuted(g.img) == even
+            for j in range(16):
+                assert {g.img[3 * j + k] // 3 for k in range(3)} == {
+                    g.img[3 * j] // 3
+                }
+        assert perm.PermGroup(gens, 48).order() == order48
+        assert dataset.h_group(i).order() == order16
 
 
 def test_x_matrices_shape():

@@ -1,13 +1,25 @@
+import json
 import multiprocessing
-import os
 
 import pytest
 
-from cubicsd import dataset, search
+from cubicsd import construct, dataset, equiv, perm, search
 
 
 def table1_taus():
     return [e.tau() for e in dataset.table_entries(1)]
+
+
+class _Stop(Exception):
+    pass
+
+
+def _raise_at(position):
+    def progress(state):
+        if state.position >= position:
+            raise _Stop
+
+    return progress
 
 
 def test_sampled_tau_deterministic_and_canonical():
@@ -58,18 +70,27 @@ def test_shard_union_equals_full():
 def test_checkpoint_resume(tmp_path):
     cp = str(tmp_path / "cp.json")
     taus = table1_taus()[:1]
-    full = search.run_search(1, sample=2500, seed=7, extra_taus=taus)
-    partial = search.run_search(
-        1, sample=1000, seed=7, checkpoint_path=cp, extra_taus=taus
-    )
-    # extend the target and resume from the checkpoint file
-    partial.sample = 2500
-    search._write_checkpoint(cp, partial)
-    resumed = search.run_search(1, sample=2500, seed=7, checkpoint_path=cp)
-    assert {s.perm_text for s in resumed.survivors} == {
-        s.perm_text for s in full.survivors
-    }
-    assert resumed.position == 2500
+    full = search.run_search(4, sample=20000, seed=7, extra_taus=taus)
+
+    def stop_after_first_block(state):
+        raise _Stop
+
+    with pytest.raises(_Stop):
+        search.run_search(
+            4,
+            sample=20000,
+            seed=7,
+            checkpoint_path=cp,
+            extra_taus=taus,
+            progress=stop_after_first_block,
+        )
+    stopped = search.load_checkpoint(cp)
+    assert stopped.position == search.BLOCK_SIZE
+    resumed = search.run_search(4, sample=20000, seed=7, checkpoint_path=cp)
+    assert len(full.survivors) > len(stopped.survivors) > 1
+    assert resumed.survivors == full.survivors
+    assert resumed.position == 20000
+    assert search.load_checkpoint(cp) == resumed
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
@@ -81,7 +102,8 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         search.run_search(2, sample=50, seed=8, checkpoint_path=cp)
 
 
-def test_state_json_roundtrip():
+def test_state_json_roundtrip(tmp_path):
+    cp = str(tmp_path / "cp.json")
     st = search.SearchState(
         xi_index=3,
         mode="sample",
@@ -89,10 +111,74 @@ def test_state_json_roundtrip():
         sample=500,
         shard=(1, 2),
         position=120,
-        survivors=[search.Survivor(3, "(1,2)", "abcd")],
+        survivors=[search.Survivor(3, "(1,2)")],
     )
-    back = search.SearchState.from_json(st.to_json())
-    assert back == st
+    search._start_checkpoint(cp, st)
+    search._append_checkpoint(cp, 100, ["(1,2)"])
+    search._append_checkpoint(cp, 120, [])
+    assert search.load_checkpoint(cp) == st
+    with open(cp) as fh:
+        lines = [json.loads(line) for line in fh]
+    assert lines[0] == {
+        "version": 2,
+        "xi": 3,
+        "mode": "sample",
+        "seed": 11,
+        "sample": 500,
+        "shard": [1, 2],
+    }
+    assert lines[1:] == [
+        {"position": 100, "hits": ["(1,2)"]},
+        {"position": 120, "hits": []},
+    ]
+
+
+def test_checkpoint_ignores_torn_last_line(tmp_path):
+    block = search.BLOCK_SIZE
+    whole = search.SearchState(2, "full", 0, None, (0, 4))
+    with pytest.raises(_Stop):
+        search.run_search(
+            2, shard=(0, 4), state=whole, progress=_raise_at(4 * block)
+        )
+    cp = str(tmp_path / "cp.json")
+    with pytest.raises(_Stop):
+        search.run_search(
+            2, shard=(0, 4), checkpoint_path=cp, progress=_raise_at(2 * block)
+        )
+    stopped = search.load_checkpoint(cp)
+    # A write cut short by a crash leaves a line without its newline.
+    with open(cp, "a") as fh:
+        fh.write('{"position": 30000, "hits": ["(1,')
+    assert search.load_checkpoint(cp) == stopped
+    with pytest.raises(_Stop):
+        search.run_search(
+            2, shard=(0, 4), checkpoint_path=cp, progress=_raise_at(4 * block)
+        )
+    with open(cp) as fh:
+        text = fh.read()
+    assert text.endswith("\n") and '["(1,' not in text
+    resumed = search.load_checkpoint(cp)
+    assert resumed.position == whole.position
+    assert resumed.survivors == whole.survivors
+
+
+def test_checkpoint_rejects_format_1(tmp_path):
+    cp = tmp_path / "cp.json"
+    old = {
+        "xi_index": 1,
+        "mode": "sample",
+        "seed": 0,
+        "sample": 50,
+        "shard": [0, 1],
+        "position": 50,
+        "survivors": [[1, "(7,8)(12,14)", "0123456789abcdef"]],
+    }
+    cp.write_text(json.dumps(old, indent=1))
+    with pytest.raises(ValueError, match="not a format-2 checkpoint"):
+        search.load_checkpoint(str(cp))
+    with pytest.raises(ValueError, match="not a format-2 checkpoint"):
+        search.run_search(1, sample=50, checkpoint_path=str(cp))
+    assert json.loads(cp.read_text()) == old
 
 
 def test_pooled_matches_serial():
@@ -102,10 +188,6 @@ def test_pooled_matches_serial():
     assert len(serial.survivors) == 4
     assert serial.survivors == pooled.survivors
     assert serial.position == pooled.position == 4000
-
-
-class _Stop(Exception):
-    pass
 
 
 def test_pooled_full_prefix_matches_serial():
@@ -186,9 +268,7 @@ def test_search_total():
     assert search.SearchState(1, "sample", 0, 300, (1, 3)).total == 300
 
 
-def test_dedup_against_tables(monkeypatch):
-    taus = table1_taus()
-    state = search.run_search(1, sample=0, extra_taus=taus)
+def _count_registrations(monkeypatch):
     calls = []
     register = search.register_engine_data
 
@@ -197,18 +277,108 @@ def test_dedup_against_tables(monkeypatch):
         return register(engine, tau)
 
     monkeypatch.setattr(search, "register_engine_data", counted)
-    report = search.dedup_survivors(state.survivors, against_tables=True)
-    # The 5 survivors, then only the 5 table entries sharing a digest.
+    return calls
+
+
+def test_scan_registers_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scan built or registered a code")
+
+    monkeypatch.setattr(search, "register_engine_data", refuse)
+    monkeypatch.setattr(construct, "build_code", refuse)
+    taus = [e.tau() for e in dataset.table_entries(4)[:3]]
+    state = search.run_search(4, sample=4000, seed=7, extra_taus=taus)
+    assert len(state.survivors) == 3 + 4
+    whole = search.SearchState(2, "full", 0, None, (0, 1))
+    with pytest.raises(_Stop):
+        search.run_search(
+            2, state=whole, progress=_raise_at(2 * search.BLOCK_SIZE)
+        )
+    assert len(whole.survivors) == 2
+
+
+def test_dedup_against_tables(monkeypatch):
+    taus = table1_taus()
+    calls = _count_registrations(monkeypatch)
+    state = search.run_search(1, sample=0, extra_taus=taus)
+    assert calls == []
+    report = search.classify_hits(state.survivors, against_tables=True)
+    # One code per orbit (the 5 taus lie in 5 orbits), then only the 5
+    # table entries sharing a digest.
     assert len(calls) == 10
-    assert report["num_survivors"] == 5
-    assert len(report["classes"]) == 5
+    assert report["num_hits"] == 5
+    (x1,) = report["xi"]
+    assert (x1["xi_index"], x1["hits"], x1["orbits"]) == (1, 5, 5)
+    assert sorted(c["table_match"] for c in x1["classes"]) == [0, 1, 2, 3, 4]
     assert report["all_matched"]
 
 
 def test_dedup_without_tables():
     taus = table1_taus()[:2]
     state = search.run_search(1, sample=0, extra_taus=taus)
-    report = search.dedup_survivors(state.survivors, against_tables=False)
-    assert len(report["classes"]) == 2
-    assert all(c["table_match"] is None for c in report["classes"])
-    assert not report["all_matched"] or not report["classes"]
+    report = search.classify_hits(state.survivors, against_tables=False)
+    classes = report["xi"][0]["classes"]
+    assert len(classes) == 2
+    assert all(c["table_match"] is None for c in classes)
+    assert not report["all_matched"]
+
+
+def test_orbits_share_one_registration(monkeypatch):
+    # Two taus of one H_1-orbit: tau and min_coset_rep(tau * h).
+    group = dataset.autb_group()
+    tau = group.min_coset_rep(table1_taus()[0])
+    h = dataset.h_group(1).generators[0]
+    other = group.min_coset_rep(tau * h)
+    assert other != tau
+    hits = [
+        search.Survivor(1, t.to_cycle_text() or "()") for t in (tau, other)
+    ]
+    calls = _count_registrations(monkeypatch)
+    report = search.classify_hits(hits, against_tables=False)
+    assert len(calls) == 1
+    (cls,) = report["xi"][0]["classes"]
+    assert cls["hits"] == [s.perm_text for s in hits]
+    assert cls["orbit_size"] == 1920
+
+
+def test_hit_orbits_reject_wrong_h_data(monkeypatch):
+    # A 16-cycle is not in H_1: its orbit leaves the hits at once.
+    shift = perm.Permutation(tuple((j + 1) % 16 for j in range(16)))
+    monkeypatch.setattr(
+        dataset, "h_group", lambda i: perm.PermGroup([shift], 16)
+    )
+    with pytest.raises(RuntimeError, match="fails the filter"):
+        search.hit_orbits(1, table1_taus()[:1])
+
+
+def test_unmatched_class_is_a_finding():
+    """The X_2 class found by the full scan and in no published table."""
+    tau = "(8,12,11,10,9)(13,15)"
+    report = search.classify_hits([search.Survivor(2, tau)])
+    (cls,) = report["xi"][0]["classes"]
+    assert cls["representative"] == tau
+    assert cls["orbit_size"] == 240
+    assert cls["table_match"] is None
+    assert not report["all_matched"]
+    code = construct.build_code(perm.parse_cycles(tau, 16), 2)
+    digest = search.code_digest(code)
+    assert digest == "902c618401fa354e"
+    assert digest not in dataset.table_digests()
+    assert equiv.automorphism_group(code).order() == 3
+
+
+def test_hit_orbits_on_first_2m_positions():
+    """Hits and H_i-orbits of the first 2,000,000 stream positions."""
+    expected = {1: (27, 5), 2: (84, 16), 3: (81, 48), 4: (470, 112)}
+    for xi, (hits, orbits) in expected.items():
+        state = search.SearchState(xi, "full", 0, None, (0, 1))
+        with pytest.raises(_Stop):
+            search.run_search(
+                xi, state=state, progress=_raise_at(2_000_000), threads=2
+            )
+        assert state.position == 2_000_000
+        taus = [perm.parse_cycles(s.perm_text, 16) for s in state.survivors]
+        # hit_orbits raises if an orbit member fails the filter.
+        found = search.hit_orbits(xi, taus)
+        assert (len(state.survivors), len(found)) == (hits, orbits), xi
+        assert sum(len(h) for _, h in found) == hits
