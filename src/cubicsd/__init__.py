@@ -9,7 +9,6 @@ codes, rebuilt here from the shipped permutation tables.
 from .construct import (
     AutType,
     DecomposedEngine,
-    SigmaLayout,
     STANDARD_3_16_0,
     build_code,
     build_table_code,
@@ -36,7 +35,6 @@ __all__ = [
     "EliminationReport",
     "Permutation",
     "PermGroup",
-    "SigmaLayout",
     "STANDARD_3_16_0",
     "are_equivalent",
     "automorphism_group",

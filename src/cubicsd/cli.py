@@ -384,7 +384,7 @@ def cmd_equiv(args):
     iso = equiv.find_isomorphism(a, b)
     obj = {
         "equivalent": iso is not None,
-        "witness": (iso.to_cycle_text() or "()") if iso else None,
+        "witness": str(iso) if iso else None,
     }
 
     def render(rep, out):

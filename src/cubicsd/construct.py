@@ -6,7 +6,12 @@ follow.  A code invariant under sigma splits into the fixed subcode
 (words constant on every cycle) and the even subcode (words of even
 weight on every cycle); the first projects to a binary code of length
 c + f, the second maps cycle-wise to vectors over the even-weight
-polynomial ring P.
+polynomial ring P.  ``AutType`` is both the type and this layout:
+``AutType.sigma()`` is the standard sigma.
+
+``DecomposedEngine`` computes weights of the codes built for one X_i
+from their 4^8-word even part and 256-word fixed part; its spans and
+popcounts are the ``gf2`` ones.
 """
 
 from __future__ import annotations
@@ -40,29 +45,6 @@ class AutType:
     def __str__(self):
         return "%d-(%d,%d)" % (self.p, self.c, self.f)
 
-
-@dataclass(frozen=True)
-class SigmaLayout:
-    """Coordinate layout for sigma: cycles first, then fixed points."""
-
-    type: AutType
-
-    @property
-    def n(self):
-        return self.type.n
-
-    @property
-    def p(self):
-        return self.type.p
-
-    @property
-    def c(self):
-        return self.type.c
-
-    @property
-    def f(self):
-        return self.type.f
-
     def sigma(self):
         """The standard automorphism (1,2,..,p)(p+1,..,2p)... as a permutation."""
         p, c, n = self.p, self.c, self.n
@@ -73,11 +55,8 @@ class SigmaLayout:
                 img[base + i] = base + (i + 1) % p
         return perm.Permutation(tuple(img))
 
-    def cycle_mask(self, j):
-        return ((1 << self.p) - 1) << (self.p * j)
 
-
-STANDARD_3_16_0 = SigmaLayout(AutType(3, 16, 0))
+STANDARD_3_16_0 = AutType(3, 16, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,32 +177,11 @@ def build_table_code(entry):
 # ---------------------------------------------------------------------------
 # Decomposed weight engine (p=3, c=16, f=0)
 
-_PC16 = None
-
 # Rows of the fixed-side filter per call; keeps the m_table gather in cache.
 FILTER_CHUNK = 1024
 
-
-def _pc16():
-    global _PC16
-    if _PC16 is None:
-        _PC16 = np.bitwise_count(np.arange(65536, dtype=np.uint32)).astype(
-            np.uint8
-        )
-    return _PC16
-
-
-def _span(rows):
-    """All 2^k XOR combinations of the k rows on the last axis, in binary
-    counting order: combination c takes the rows at the set bits of c."""
-    rows = np.asarray(rows)
-    k = rows.shape[-1]
-    out = np.zeros(rows.shape[:-1] + (1 << k,), dtype=rows.dtype)
-    size = 1
-    for j in range(k):
-        out[..., size : 2 * size] = out[..., :size] ^ rows[..., j : j + 1]
-        size *= 2
-    return out
+# The minimum distance a constructed code must reach to be a hit.
+MIN_DISTANCE = 10
 
 
 class DecomposedEngine:
@@ -243,21 +201,23 @@ class DecomposedEngine:
         rows = even_part_rows(xi_index, embed)
         if len(rows) != 16:
             raise RuntimeError("expected 16 binary rows for the even part")
-        words = _span(np.array(rows, dtype=np.uint64))
+        words = gf2.span(np.array(rows, dtype=np.uint64))
         support = np.zeros(1 << 16, dtype=np.uint16)
         for j in range(16):
             cyc = (words >> np.uint64(3 * j)) & np.uint64(7)
             support |= (cyc != 0).astype(np.uint16) << np.uint16(j)
         self.even_words = words
         self.support = support
-        self.gf4_weight = _pc16()[support].astype(np.int16)
+        self.gf4_weight = np.bitwise_count(support).astype(np.int16)
         self._m_table = None
         # The fixed side of the filter: bit i of base row k, and three
-        # times the weight of each nonzero base word, in _span order
+        # times the weight of each nonzero base word, in gf2.span order
         # (a coordinate permutation keeps every weight).
         base = np.array(dataset.gb_matrix().rows, dtype=np.uint16)
         self._base_bits = base >> np.arange(16, dtype=np.uint16)[:, None] & 1
-        self._fixed_weight3 = 3 * _pc16()[_span(base)[1:]].astype(np.int16)
+        self._fixed_weight3 = 3 * np.bitwise_count(gf2.span(base)[1:]).astype(
+            np.int16
+        )
         self._even_min = int(2 * self.gf4_weight[1:].min())
 
     # -- per-tau fixed side ------------------------------------------------
@@ -265,7 +225,7 @@ class DecomposedEngine:
     @staticmethod
     def _pi_words(tau):
         """All 256 words of the tau-permuted base code (16-bit masks)."""
-        return _span(np.array(permuted_base_rows(tau), dtype=np.uint16))
+        return gf2.span(np.array(permuted_base_rows(tau), dtype=np.uint16))
 
     def weight_enumerator(self, tau):
         """Exact weight distribution of C_i^tau (49 coefficients)."""
@@ -275,20 +235,20 @@ class DecomposedEngine:
         """(weight distribution, {w: 48-bit codewords of weight w}) of
         C_i^tau from one pass over its 256 fixed parts u; the 4^8
         codewords with fixed part u weigh 2a + 3 wt(u) - 4s."""
-        pc16 = _pc16()
         a2 = 2 * self.gf4_weight
         counts = np.zeros(49, dtype=np.int64)
         out = {w: [] for w in wanted}
         for u in self._pi_words(tau):
-            w = a2 + 3 * int(pc16[u]) - 4 * pc16[self.support & u]
+            s = np.bitwise_count(self.support & u)
+            w = a2 + 3 * int(u).bit_count() - 4 * s
             counts += np.bincount(w, minlength=49)
             lifted = np.uint64(pi_inverse(int(u), STANDARD_3_16_0))
             for target in wanted:
                 out[target].append(self.even_words[w == target] ^ lifted)
         return counts, {w: np.concatenate(c) for w, c in out.items()}
 
-    def filter_images(self, images, threshold=10):
-        """Which taus give a code of minimum distance >= threshold.
+    def filter_images(self, images):
+        """Which taus give a code of minimum distance >= MIN_DISTANCE.
 
         ``images`` is a (T, 16) array, row t the image tuple of one tau.
         The 255 nonzero fixed parts of C_i^tau are the base code's words
@@ -302,13 +262,13 @@ class DecomposedEngine:
         for lo in range(0, len(images), FILTER_CHUNK):
             chunk = images[lo : lo + FILTER_CHUNK]
             rows = np.left_shift(1, chunk, dtype=np.uint16) @ self._base_bits
-            weights = np.take(table, _span(rows)[:, 1:]) + self._fixed_weight3
+            weights = np.take(table, gf2.span(rows)[:, 1:]) + self._fixed_weight3
             low[lo : lo + FILTER_CHUNK] = weights.min(axis=1)
-        return (low >= threshold) & (self._even_min >= threshold)
+        return (low >= MIN_DISTANCE) & (self._even_min >= MIN_DISTANCE)
 
-    def min_weight_at_least(self, tau, threshold=10):
-        """True iff the constructed code has minimum distance >= threshold."""
-        return bool(self.filter_images(tau.img, threshold)[0])
+    def min_weight_at_least(self, tau):
+        """True iff the constructed code has minimum distance >= MIN_DISTANCE."""
+        return bool(self.filter_images(tau.img)[0])
 
     # -- the precomputed search table --------------------------------------
 

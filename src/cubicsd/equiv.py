@@ -72,16 +72,27 @@ def _signature_rows(mats, colors):
     return np.concatenate([c[:, None], packed], axis=1)
 
 
-def _wl_colors(mats, n, colors=None):
-    """Stable coloring under pairwise refinement; canonical color ids."""
-    colors = list(colors) if colors is not None else [0] * n
+def _refine(mats_a, mats_b, ca, cb):
+    """Refine the colorings of two codes together until both are stable.
+
+    Both sides share one canonical color numbering; returns the refined
+    (ca, cb), or None as soon as their color multisets differ.  On a
+    code against itself this is its stable coloring.
+    """
+    n = len(ca)
     while True:
-        rows = _signature_rows(mats, colors)
-        _, inv = np.unique(rows, axis=0, return_inverse=True)
-        new = inv.tolist()
-        if new == colors:
-            return colors
-        colors = new
+        rows_a = _signature_rows(mats_a, ca)
+        rows_b = _signature_rows(mats_b, cb)
+        _, inv = np.unique(
+            np.concatenate([rows_a, rows_b]), axis=0, return_inverse=True
+        )
+        na, nb = inv[:n], inv[n:]
+        if not np.array_equal(np.sort(na), np.sort(nb)):
+            return None
+        na, nb = na.tolist(), nb.tolist()
+        if na == ca and nb == cb:
+            return ca, cb
+        ca, cb = na, nb
 
 
 def register_code_data(code, we, words_low, words_high):
@@ -90,7 +101,8 @@ def register_code_data(code, we, words_low, words_high):
     n = code.n
     co_low = _co_matrix(np.asarray(words_low, dtype=np.uint64), n)
     co_high = co_low + _co_matrix(np.asarray(words_high, dtype=np.uint64), n)
-    colors = _wl_colors([co_low, co_high], n)
+    mats = [co_low, co_high]
+    colors = _refine(mats, mats, [0] * n, [0] * n)[0]
     key = _make_key(code, we, co_low, co_high, colors)
     data = CodeData(tuple(int(x) for x in we), co_low, co_high, key)
     code.__dict__[_DATA_ATTR] = data
@@ -118,14 +130,12 @@ def code_data(code):
     data = code.__dict__.get(_DATA_ATTR)
     if data is not None:
         return data
-    we = code.weight_enumerator()
     arr = code._codeword_array()
-    wts = np.bitwise_count(arr).astype(np.int64)
-    nz = np.nonzero(we[1:])[0]
-    d = int(nz[0]) + 1 if nz.size else 0
-    lows = arr[wts == d] if d else arr[:0]
-    d2 = int(nz[1]) + 1 if nz.size > 1 else None
-    highs = arr[wts == d2] if d2 is not None else arr[:0]
+    wts = np.bitwise_count(arr)
+    we = np.bincount(wts, minlength=code.n + 1)
+    nz = np.flatnonzero(we[1:]) + 1
+    lows = arr[wts == nz[0]] if nz.size else arr[:0]
+    highs = arr[wts == nz[1]] if nz.size > 1 else arr[:0]
     if len(lows) + len(highs) > _MAX_REFINE_WORDS:
         raise ValueError("too many low-weight words for refinement")
     return register_code_data(code, we, lows, highs)
@@ -156,25 +166,10 @@ class _IRSearch:
         self._descend([0] * n, [0] * n)
         return self.found
 
-    def _refine(self, ca, cb):
-        n = self.n
-        while True:
-            rows_a = _signature_rows(self.mats_a, ca)
-            rows_b = _signature_rows(self.mats_b, cb)
-            both = np.concatenate([rows_a, rows_b])
-            _, inv = np.unique(both, axis=0, return_inverse=True)
-            na, nb = inv[:n], inv[n:]
-            if not np.array_equal(np.sort(na), np.sort(nb)):
-                return None
-            na, nb = na.tolist(), nb.tolist()
-            if na == ca and nb == cb:
-                return ca, cb
-            ca, cb = na, nb
-
     def _descend(self, ca, cb):
         if self.found and self.stop_at_first:
             return
-        refined = self._refine(ca, cb)
+        refined = _refine(self.mats_a, self.mats_b, ca, cb)
         if refined is None:
             return
         ca, cb = refined

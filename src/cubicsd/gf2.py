@@ -4,6 +4,10 @@ Rows of binary matrices are stored as Python integers: bit i (LSB first)
 holds the entry of column i.  Externally coordinates are numbered 1..n;
 bit 0 corresponds to coordinate 1.  Codes are kept in reduced row-echelon
 form so that two equal codes always compare bit-identical.
+
+Each low-level job has one kernel here: ``span`` lists a row space,
+``permute_word`` moves the bits of a word, and numpy's
+``np.bitwise_count`` counts them.
 """
 
 from __future__ import annotations
@@ -99,14 +103,26 @@ def weight(word):
     return int(word).bit_count()
 
 
+def span(rows):
+    """All 2^k XOR combinations of the k rows on the last axis, in binary
+    counting order: combination c takes the rows at the set bits of c."""
+    rows = np.asarray(rows)
+    k = rows.shape[-1]
+    out = np.zeros(rows.shape[:-1] + (1 << k,), dtype=rows.dtype)
+    size = 1
+    for j in range(k):
+        out[..., size : 2 * size] = out[..., :size] ^ rows[..., j : j + 1]
+        size *= 2
+    return out
+
+
 def permute_word(word, img):
     """Move bit i of ``word`` to position img[i]."""
     out = 0
     w = int(word)
     while w:
         low = w & -w
-        i = low.bit_length() - 1
-        out |= 1 << img[i]
+        out |= 1 << img[low.bit_length() - 1]
         w ^= low
     return out
 
@@ -185,42 +201,16 @@ class BinaryCode:
             raise ValueError("enumeration budget exceeded")
         if self.n > 63:
             raise ValueError("codeword enumeration limited to n <= 63")
-        arr = np.zeros(1 << self.k, dtype=np.uint64)
-        size = 1
-        for row in self.rows:
-            arr[size : 2 * size] = arr[:size] ^ np.uint64(row)
-            size *= 2
-        return arr
+        return span(np.array(self.rows, dtype=np.uint64))
 
     def weight_enumerator(self):
         """Exact weight distribution (A_0, ..., A_n) by full enumeration."""
-        arr = self._codeword_array()
-        counts = np.bincount(
-            np.bitwise_count(arr).astype(np.int64), minlength=self.n + 1
+        return np.bincount(
+            np.bitwise_count(self._codeword_array()), minlength=self.n + 1
         )
-        return counts
 
-    def min_distance(self, abort_below=None):
-        """Exact minimum distance, with an optional early-abort threshold.
-
-        With ``abort_below=t`` the return value v satisfies v = d if
-        v >= t, and v < t iff d < t; enumeration stops at the first
-        codeword of weight below t.
-        """
+    def min_distance(self):
+        """Exact minimum distance, from the weight distribution."""
         if self.k == 0:
             raise ValueError("empty code")
-        if self.n > 63:
-            raise ValueError("enumeration limited to n <= 63")
-        if self.k > MAX_ENUM_DIM:
-            raise ValueError("enumeration budget exceeded")
-        arr = np.zeros(1 << self.k, dtype=np.uint64)
-        size = 1
-        best = self.n + 1
-        for row in self.rows:
-            arr[size : 2 * size] = arr[:size] ^ np.uint64(row)
-            block = np.bitwise_count(arr[size : 2 * size]).astype(np.int64)
-            best = min(best, int(block.min()))
-            if abort_below is not None and best < abort_below:
-                return best
-            size *= 2
-        return best
+        return int(np.flatnonzero(self.weight_enumerator()[1:])[0]) + 1

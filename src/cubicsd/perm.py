@@ -21,6 +21,8 @@ from math import factorial
 
 import numpy as np
 
+from . import gf2
+
 # Transversal blocks: prefixes expanded per step (on Aut(B), 1024 is as
 # fast as 4096 and holds ~3 MB less at peak), and the number of last
 # positions filled at once from the orderings of the values left.
@@ -83,13 +85,7 @@ class Permutation:
 
     def apply_to_word(self, word):
         """Permute the coordinates of a bit-row: bit i moves to bit img[i]."""
-        out = 0
-        w = int(word)
-        while w:
-            low = w & -w
-            out |= 1 << self.img[low.bit_length() - 1]
-            w ^= low
-        return out
+        return gf2.permute_word(word, self.img)
 
     def cycles(self):
         """Nontrivial cycles as tuples of 0-based points."""

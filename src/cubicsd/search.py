@@ -261,7 +261,6 @@ def run_search(
     seed=0,
     shard=(0, 1),
     checkpoint_path=None,
-    state=None,
     progress=None,
     extra_taus=(),
     threads=1,
@@ -287,8 +286,7 @@ def run_search(
         )
     # What the checkpoint log already holds: a position and a hit count.
     logged = (0, 0)
-    resume = checkpoint_path is not None and os.path.exists(checkpoint_path)
-    if state is None and resume:
+    if checkpoint_path is not None and os.path.exists(checkpoint_path):
         state, length = _replay_checkpoint(checkpoint_path)
         if (state.xi_index, state.sample, state.seed) != (
             xi_index,
@@ -299,21 +297,20 @@ def run_search(
         os.truncate(checkpoint_path, length)
         logged = (state.position, len(state.survivors))
     else:
-        if state is None:
-            state = SearchState(
-                xi_index=xi_index,
-                mode="sample" if sample is not None else "full",
-                seed=seed,
-                sample=sample,
-                shard=tuple(shard),
-            )
+        state = SearchState(
+            xi_index=xi_index,
+            mode="sample" if sample is not None else "full",
+            seed=seed,
+            sample=sample,
+            shard=tuple(shard),
+        )
         if checkpoint_path is not None:
             _start_checkpoint(checkpoint_path, state)
     seen = {s.perm_text for s in state.survivors}
 
     def keep(tau):
         """Record a canonical tau that passed the filter, once per coset."""
-        text = tau.to_cycle_text() or "()"
+        text = str(tau)
         if text not in seen:
             state.survivors.append(Survivor(xi_index, text))
             seen.add(text)
@@ -341,7 +338,7 @@ def run_search(
     engine = _worker_engine(xi_index)
     for tau in extra_taus:
         tau = dataset.autb_group().min_coset_rep(tau)
-        if engine.min_weight_at_least(tau, 10):
+        if engine.min_weight_at_least(tau):
             keep(tau)
     _drive(_blocks(state), threads, finish)
     if state.mode == "sample":
@@ -441,12 +438,8 @@ def classify_hits(survivors, against_tables=True):
             matches = [i for kind, i in tagged if kind == "table"]
             classes.append(
                 {
-                    "representative": reps[ks[0]].to_cycle_text() or "()",
-                    "hits": [
-                        tau.to_cycle_text() or "()"
-                        for k in ks
-                        for tau in orbits[k][1]
-                    ],
+                    "representative": str(reps[ks[0]]),
+                    "hits": [str(tau) for k in ks for tau in orbits[k][1]],
                     "orbit_size": sum(len(orbits[k][0]) for k in ks),
                     "table_match": matches[0] if matches else None,
                 }

@@ -106,12 +106,12 @@ def test_min_weight_filter_agrees_with_distance():
     for _ in range(40):
         tau = random_tau(rnd)
         d = eng.min_distance(tau)
-        assert eng.min_weight_at_least(tau, 10) == (d >= 10)
+        assert eng.min_weight_at_least(tau) == (d >= 10)
         hits += d >= 10
         misses += d < 10
     # table taus must pass the filter
     for entry in dataset.table_entries(2)[:3]:
-        assert eng.min_weight_at_least(entry.tau(), 10)
+        assert eng.min_weight_at_least(entry.tau())
 
 
 def brute_m_table(support, masks):

@@ -14,9 +14,14 @@ class _Stop(Exception):
     pass
 
 
-def _raise_at(position):
+def _raise_at(position, seen=None):
+    """A progress callback that stops the search at ``position``, after
+    appending the live state to ``seen``."""
+
     def progress(state):
         if state.position >= position:
+            if seen is not None:
+                seen.append(state)
             raise _Stop
 
     return progress
@@ -135,11 +140,10 @@ def test_state_json_roundtrip(tmp_path):
 
 def test_checkpoint_ignores_torn_last_line(tmp_path):
     block = search.BLOCK_SIZE
-    whole = search.SearchState(2, "full", 0, None, (0, 4))
+    seen = []
     with pytest.raises(_Stop):
-        search.run_search(
-            2, shard=(0, 4), state=whole, progress=_raise_at(4 * block)
-        )
+        search.run_search(2, shard=(0, 4), progress=_raise_at(4 * block, seen))
+    (whole,) = seen
     cp = str(tmp_path / "cp.json")
     with pytest.raises(_Stop):
         search.run_search(
@@ -197,19 +201,16 @@ def test_pooled_full_prefix_matches_serial():
         def progress(state):
             seen.append(state.position)
             if state.position >= 2 * search.BLOCK_SIZE:
+                live.append(state)
                 raise _Stop
 
-        state = search.SearchState(2, "full", 0, None, (0, 4))
+        live = []
         with pytest.raises(_Stop):
             search.run_search(
-                2,
-                shard=(0, 4),
-                state=state,
-                progress=progress,
-                threads=threads,
+                2, shard=(0, 4), progress=progress, threads=threads
             )
         assert seen == [search.BLOCK_SIZE, 2 * search.BLOCK_SIZE]
-        return state
+        return live[0]
 
     serial = prefix(1)
     pooled = prefix(2)
@@ -220,20 +221,15 @@ def test_pooled_full_prefix_matches_serial():
 
 
 def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
-    def stop_after(blocks):
-        def progress(state):
-            if state.position >= blocks * search.BLOCK_SIZE:
-                raise _Stop
-
-        return progress
-
-    whole = search.SearchState(2, "full", 0, None, (0, 4))
+    block = search.BLOCK_SIZE
+    seen = []
     with pytest.raises(_Stop):
-        search.run_search(2, shard=(0, 4), state=whole, progress=stop_after(4))
+        search.run_search(2, shard=(0, 4), progress=_raise_at(4 * block, seen))
+    (whole,) = seen
     cp = str(tmp_path / "cp.json")
     with pytest.raises(_Stop):
         search.run_search(
-            2, shard=(0, 4), checkpoint_path=cp, progress=stop_after(2)
+            2, shard=(0, 4), checkpoint_path=cp, progress=_raise_at(2 * block)
         )
     stopped = search.load_checkpoint(cp)
     assert stopped.position == 2 * search.BLOCK_SIZE
@@ -248,7 +244,7 @@ def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "_filter_block", counted)
     with pytest.raises(_Stop):
         search.run_search(
-            2, shard=(0, 4), checkpoint_path=cp, progress=stop_after(4)
+            2, shard=(0, 4), checkpoint_path=cp, progress=_raise_at(4 * block)
         )
     resumed = search.load_checkpoint(cp)
     assert len(calls) == 2
@@ -289,11 +285,10 @@ def test_scan_registers_nothing(monkeypatch):
     taus = [e.tau() for e in dataset.table_entries(4)[:3]]
     state = search.run_search(4, sample=4000, seed=7, extra_taus=taus)
     assert len(state.survivors) == 3 + 4
-    whole = search.SearchState(2, "full", 0, None, (0, 1))
+    seen = []
     with pytest.raises(_Stop):
-        search.run_search(
-            2, state=whole, progress=_raise_at(2 * search.BLOCK_SIZE)
-        )
+        search.run_search(2, progress=_raise_at(2 * search.BLOCK_SIZE, seen))
+    (whole,) = seen
     assert len(whole.survivors) == 2
 
 
@@ -371,11 +366,12 @@ def test_hit_orbits_on_first_2m_positions():
     """Hits and H_i-orbits of the first 2,000,000 stream positions."""
     expected = {1: (27, 5), 2: (84, 16), 3: (81, 48), 4: (470, 112)}
     for xi, (hits, orbits) in expected.items():
-        state = search.SearchState(xi, "full", 0, None, (0, 1))
+        seen = []
         with pytest.raises(_Stop):
             search.run_search(
-                xi, state=state, progress=_raise_at(2_000_000), threads=2
+                xi, progress=_raise_at(2_000_000, seen), threads=2
             )
+        (state,) = seen
         assert state.position == 2_000_000
         taus = [perm.parse_cycles(s.perm_text, 16) for s in state.survivors]
         # hit_orbits raises if an orbit member fails the filter.
