@@ -59,6 +59,8 @@ def verify_tables(table_id=None, threads=1, return_codes=False):
     pairwise inequivalence claim."""
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
+    if table_id is not None:
+        dataset.table_entries(table_id)  # validate table_id
     entries = dataset.table_entries()
     indices = [
         i

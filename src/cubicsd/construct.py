@@ -10,8 +10,9 @@ polynomial ring P.  ``AutType`` is both the type and this layout:
 ``AutType.sigma()`` is the standard sigma.
 
 ``DecomposedEngine`` computes weights of the codes built for one X_i
-from their 4^8-word even part and 256-word fixed part; its spans and
-popcounts are the ``gf2`` ones.
+as the 256 cosets of their 4^8-word even part, through
+``gf2.coset_words``; the weight formula 2a + 3b - 4s backs only its
+search table and filter.
 """
 
 from __future__ import annotations
@@ -188,11 +189,11 @@ class DecomposedEngine:
     """Fast weight computations for codes C_i^tau with fixed X_i.
 
     All 4^8 words of the embedded GF(4) code are tabulated once per X_i:
-    their 48-bit expansion, their cycle-support mask, and their GF(4)
-    weight.  A mixed codeword then has weight 2a + 3b - 4s, where a is
-    the GF(4) weight of the even part, b the weight of the projected
-    fixed part, and s the size of their common cycle support.  Only the
-    256-word fixed side depends on tau.
+    their 48-bit expansion and their cycle-support mask.  Only the
+    256-word fixed side depends on tau.  The search table and filter use
+    that a mixed codeword has weight 2a + 3b - 4s, where a is the GF(4)
+    weight of the even part, b the weight of the projected fixed part,
+    and s the size of their common cycle support.
     """
 
     def __init__(self, xi_index, embed=cyclicring.gf4_embed):
@@ -208,7 +209,6 @@ class DecomposedEngine:
             support |= (cyc != 0).astype(np.uint16) << np.uint16(j)
         self.even_words = words
         self.support = support
-        self.gf4_weight = np.bitwise_count(support).astype(np.int16)
         self._m_table = None
         # The fixed side of the filter: bit i of base row k, and three
         # times the weight of each nonzero base word, in gf2.span order
@@ -218,14 +218,9 @@ class DecomposedEngine:
         self._fixed_weight3 = 3 * np.bitwise_count(gf2.span(base)[1:]).astype(
             np.int16
         )
-        self._even_min = int(2 * self.gf4_weight[1:].min())
+        self._even_min = int(np.bitwise_count(words[1:]).min())
 
     # -- per-tau fixed side ------------------------------------------------
-
-    @staticmethod
-    def _pi_words(tau):
-        """All 256 words of the tau-permuted base code (16-bit masks)."""
-        return gf2.span(np.array(permuted_base_rows(tau), dtype=np.uint16))
 
     def weight_enumerator(self, tau):
         """Exact weight distribution of C_i^tau (49 coefficients)."""
@@ -233,19 +228,11 @@ class DecomposedEngine:
 
     def words_of_weights(self, tau, wanted):
         """(weight distribution, {w: 48-bit codewords of weight w}) of
-        C_i^tau from one pass over its 256 fixed parts u; the 4^8
-        codewords with fixed part u weigh 2a + 3 wt(u) - 4s."""
-        a2 = 2 * self.gf4_weight
-        counts = np.zeros(49, dtype=np.int64)
-        out = {w: [] for w in wanted}
-        for u in self._pi_words(tau):
-            s = np.bitwise_count(self.support & u)
-            w = a2 + 3 * int(u).bit_count() - 4 * s
-            counts += np.bincount(w, minlength=49)
-            lifted = np.uint64(pi_inverse(int(u), STANDARD_3_16_0))
-            for target in wanted:
-                out[target].append(self.even_words[w == target] ^ lifted)
-        return counts, {w: np.concatenate(c) for w, c in out.items()}
+        C_i^tau: the even words in the cosets of the 256 lifted fixed
+        words, the span of the rows :func:`build_code` lifts."""
+        lifted = [pi_inverse(r, STANDARD_3_16_0) for r in permuted_base_rows(tau)]
+        leaders = gf2.span(np.array(lifted, dtype=np.uint64))
+        return gf2.coset_words(self.even_words, leaders, 48, wanted)
 
     def filter_images(self, images):
         """Which taus give a code of minimum distance >= MIN_DISTANCE.

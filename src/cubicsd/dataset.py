@@ -127,6 +127,8 @@ def x_generator(i):
 @lru_cache(maxsize=None)
 def table_entries(table_id=None):
     """The published (table_id, permutation, |Aut|) entries."""
+    if table_id is not None and table_id not in TABLE_SIZES:
+        raise ValueError("table id must be 1..4, got %r" % (table_id,))
     out = []
     for ln in _read("tables.txt").splitlines():
         ln = ln.strip()

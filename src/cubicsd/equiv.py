@@ -49,13 +49,12 @@ _DATA_ATTR = "_code_data"
 
 
 def _co_matrix(words, n):
-    if len(words) == 0:
-        return np.zeros((n, n), dtype=np.int64)
+    # float32 sums of 0/1 products are exact below 2^24 > _MAX_REFINE_WORDS.
     bits = (
         (words[:, None] >> np.arange(n, dtype=np.uint64)[None, :])
         & np.uint64(1)
-    ).astype(np.int64)
-    return bits.T @ bits
+    ).astype(np.float32)
+    return (bits.T @ bits).astype(np.int64)
 
 
 def _signature_rows(mats, colors):
@@ -126,19 +125,18 @@ def _make_key(code, we, co_low, co_high, colors):
 
 def code_data(code):
     """Refinement data for a code, computed by full enumeration and
-    attached if it was not registered."""
+    attached if it was not registered.  A first pass counts the weights;
+    a second collects the words of the two lowest nonzero weights."""
     data = code.__dict__.get(_DATA_ATTR)
     if data is not None:
         return data
-    arr = code._codeword_array()
-    wts = np.bitwise_count(arr)
-    we = np.bincount(wts, minlength=code.n + 1)
-    nz = np.flatnonzero(we[1:]) + 1
-    lows = arr[wts == nz[0]] if nz.size else arr[:0]
-    highs = arr[wts == nz[1]] if nz.size > 1 else arr[:0]
-    if len(lows) + len(highs) > _MAX_REFINE_WORDS:
+    we = code.weight_enumerator()
+    lows = [int(w) + 1 for w in np.flatnonzero(we[1:])[:2]]
+    if sum(int(we[w]) for w in lows) > _MAX_REFINE_WORDS:
         raise ValueError("too many low-weight words for refinement")
-    return register_code_data(code, we, lows, highs)
+    words = code.words_of_weights(lows)[1]
+    low, high = ([words[w] for w in lows] + [[], []])[:2]
+    return register_code_data(code, we, low, high)
 
 
 def invariant(code):
@@ -149,57 +147,32 @@ def invariant(code):
 # ---------------------------------------------------------------------------
 # Individualization-refinement search
 
-class _IRSearch:
-    def __init__(self, a, b, data_a, data_b):
-        self.a = a
-        self.b = b
-        self.mats_a = [data_a.co_low, data_a.co_high]
-        self.mats_b = [data_b.co_low, data_b.co_high]
-        self.n = a.n
-        self.found = []
-        self.stop_at_first = True
-
-    def run(self, stop_at_first=True):
-        self.stop_at_first = stop_at_first
-        self.found = []
-        n = self.n
-        self._descend([0] * n, [0] * n)
-        return self.found
-
-    def _descend(self, ca, cb):
-        if self.found and self.stop_at_first:
-            return
-        refined = _refine(self.mats_a, self.mats_b, ca, cb)
-        if refined is None:
-            return
-        ca, cb = refined
-        n = self.n
-        cells = {}
-        for i, c in enumerate(ca):
-            cells.setdefault(c, []).append(i)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                if target is None or len(cells[c]) < len(cells[target]):
-                    target = c
-        if target is None:
-            # Discrete coloring: read off the candidate and verify it.
-            pos_b = {c: i for i, c in enumerate(cb)}
-            img = [pos_b[c] for c in ca]
-            if self.a.permuted(img) == self.b:
-                self.found.append(Permutation(tuple(img)))
-            return
-        ia = cells[target][0]
-        fresh = n + 1  # unused color id
-        cb_cell = [j for j, c in enumerate(cb) if c == target]
-        for ib in cb_cell:
-            na = list(ca)
-            nb = list(cb)
-            na[ia] = fresh
-            nb[ib] = fresh
-            self._descend(na, nb)
-            if self.found and self.stop_at_first:
-                return
+def _isomorphisms(a, b, mats_a, mats_b, ca, cb):
+    """Yield every verified permutation g with g(a) = b in the search
+    tree below the colorings (ca, cb) of a and b."""
+    refined = _refine(mats_a, mats_b, ca, cb)
+    if refined is None:
+        return
+    ca, cb = refined
+    cells = {}
+    for i, c in enumerate(ca):
+        cells.setdefault(c, []).append(i)
+    # Branch on the smallest non-singleton cell, lowest color first.
+    split = [(len(cell), c) for c, cell in cells.items() if len(cell) > 1]
+    if not split:
+        # Discrete coloring: read off the candidate and verify it.
+        pos_b = {c: i for i, c in enumerate(cb)}
+        img = [pos_b[c] for c in ca]
+        if a.permuted(img) == b:
+            yield Permutation(tuple(img))
+        return
+    target = min(split)[1]
+    ia = cells[target][0]
+    fresh = a.n + 1  # unused color id
+    for ib in [j for j, c in enumerate(cb) if c == target]:
+        na, nb = list(ca), list(cb)
+        na[ia] = nb[ib] = fresh
+        yield from _isomorphisms(a, b, mats_a, mats_b, na, nb)
 
 
 def find_isomorphism(a, b):
@@ -213,8 +186,9 @@ def find_isomorphism(a, b):
     da, db = code_data(a), code_data(b)
     if da.invariant_key != db.invariant_key:
         return None
-    found = _IRSearch(a, b, da, db).run(stop_at_first=True)
-    return found[0] if found else None
+    mats_a, mats_b = [da.co_low, da.co_high], [db.co_low, db.co_high]
+    start = [0] * a.n
+    return next(_isomorphisms(a, b, mats_a, mats_b, start, start), None)
 
 
 def are_equivalent(a, b):
@@ -231,7 +205,8 @@ def automorphism_group(a):
     if a.k < 1:
         raise ValueError("empty code")
     da = code_data(a)
-    found = _IRSearch(a, a, da, da).run(stop_at_first=False)
+    mats, start = [da.co_low, da.co_high], [0] * a.n
+    found = list(_isomorphisms(a, a, mats, mats, start, start))
     group = PermGroup(found, a.n)
     if group.order() != len(found):
         raise RuntimeError("automorphism harvest inconsistent with BSGS")

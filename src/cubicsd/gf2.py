@@ -7,7 +7,9 @@ form so that two equal codes always compare bit-identical.
 
 Each low-level job has one kernel here: ``span`` lists a row space,
 ``permute_word`` moves the bits of a word, and numpy's
-``np.bitwise_count`` counts them.
+``np.bitwise_count`` counts them.  ``coset_words`` is the one codeword
+enumeration: it walks a code as cosets of a span of at most 16 rows, so
+no enumeration holds more than 65536 words at once.
 """
 
 from __future__ import annotations
@@ -116,6 +118,25 @@ def span(rows):
     return out
 
 
+def coset_words(sub, leaders, n, wanted=()):
+    """(weight distribution, {w: words of weight w}) of the words s ^ l,
+    s in ``sub`` and l in ``leaders``, one coset sub ^ l at a time.
+
+    ``sub`` is a span of at most 2^16 words and ``leaders`` the span of
+    the remaining rows; the words of weight w come in leader order, each
+    coset in ``sub`` order.
+    """
+    counts = np.zeros(n + 1, dtype=np.int64)
+    out = {w: [] for w in wanted}
+    for lead in leaders:
+        coset = sub ^ lead
+        wts = np.bitwise_count(coset)
+        counts += np.bincount(wts, minlength=n + 1)
+        for w in out:
+            out[w].append(coset[wts == w])
+    return counts, {w: np.concatenate(c) for w, c in out.items()}
+
+
 def permute_word(word, img):
     """Move bit i of ``word`` to position img[i]."""
     out = 0
@@ -196,18 +217,19 @@ class BinaryCode:
             [permute_word(r, img) for r in self.rows], self.n
         )
 
-    def _codeword_array(self):
+    def words_of_weights(self, wanted=()):
+        """(weight distribution, {w: codewords of weight w}) by full
+        enumeration, as cosets of the span of the first 16 RREF rows."""
         if self.k > MAX_ENUM_DIM:
             raise ValueError("enumeration budget exceeded")
         if self.n > 63:
             raise ValueError("codeword enumeration limited to n <= 63")
-        return span(np.array(self.rows, dtype=np.uint64))
+        rows = np.array(self.rows, dtype=np.uint64)
+        return coset_words(span(rows[:16]), span(rows[16:]), self.n, wanted)
 
     def weight_enumerator(self):
         """Exact weight distribution (A_0, ..., A_n) by full enumeration."""
-        return np.bincount(
-            np.bitwise_count(self._codeword_array()), minlength=self.n + 1
-        )
+        return self.words_of_weights()[0]
 
     def min_distance(self):
         """Exact minimum distance, from the weight distribution."""

@@ -286,6 +286,12 @@ def test_verify_tables_fails_on_stale_digest(monkeypatch):
     assert not report["pass_"]
 
 
+def test_verify_tables_rejects_unknown_table():
+    # An unknown id used to select no entries and report a pass.
+    with pytest.raises(ValueError, match="table id"):
+        cli.verify_tables(table_id=7)
+
+
 def test_search_rejects_bad_shard_and_threads(capsys):
     for extra, message in (
         (["--shard", "3/2"], "invalid shard"),

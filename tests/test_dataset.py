@@ -1,3 +1,5 @@
+import pytest
+
 from cubicsd import construct, dataset, gf2, perm
 
 
@@ -6,6 +8,12 @@ def test_table_entry_counts():
     for tid, size in dataset.TABLE_SIZES.items():
         assert len(dataset.table_entries(tid)) == size
     assert len(dataset.table_entries()) == 264
+
+
+def test_unknown_table_id_is_rejected():
+    for bad in (0, 5, 7):
+        with pytest.raises(ValueError, match="table id"):
+            dataset.table_entries(bad)
 
 
 def test_table_entries_validate():

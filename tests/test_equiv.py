@@ -1,12 +1,13 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from itertools import permutations
 from multiprocessing import get_context
 
 import pytest
 
-from cubicsd import equiv, gf2
+from cubicsd import construct, dataset, equiv, gf2, search
 from cubicsd.gf2 import BinaryCode
 
 
@@ -159,8 +160,23 @@ def test_code_data_travels_with_pickled_code(monkeypatch):
         back = pool.apply_async(_with_code_data, (code,)).get(timeout=60)
     assert back == code
 
-    def no_enumeration(self):
+    def no_enumeration(self, wanted=()):
         raise AssertionError("code data was enumerated again")
 
-    monkeypatch.setattr(BinaryCode, "_codeword_array", no_enumeration)
+    monkeypatch.setattr(BinaryCode, "words_of_weights", no_enumeration)
     assert equiv.invariant(back) == expected
+
+
+def test_generic_code_data_is_small_and_matches_the_index():
+    # Full enumeration of a [48,24] code holds one 65536-word coset at a
+    # time, not all 2^24 words (~272 MB when it did).
+    index = 30
+    code = construct.build_table_code(dataset.table_entries()[index])
+    tracemalloc.start()
+    try:
+        equiv.code_data(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert search.code_digest(code) == dataset.table_digests()[index]

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cubicsd import gf2
@@ -105,6 +106,31 @@ def test_weight_enumerator_matches_brute():
         for w in brute_words(code):
             brute[gf2.weight(w)] += 1
         assert list(we) == brute
+
+
+def test_coset_enumeration_matches_whole_span():
+    # The 16-row split: codes of fewer, exactly 16 and more rows against
+    # one gf2.span of all their rows.
+    rnd = random.Random(5)
+    n = 36
+    for k in (0, 1, 15, 16, 17, 20):
+        code = BinaryCode(n, ())
+        while code.k < k:
+            code = BinaryCode.from_rows(
+                list(code.rows) + [rnd.randrange(1, 1 << n)], n
+            )
+        words = gf2.span(np.array(code.rows, dtype=np.uint64))
+        wts = np.bitwise_count(words)
+        ref = np.bincount(wts, minlength=n + 1)
+        # The three lowest weights present and the lowest one absent.
+        wanted = [int(w) for w in np.flatnonzero(ref)[:3]]
+        wanted.append(int(np.flatnonzero(ref == 0)[0]))
+        counts, found = code.words_of_weights(wanted)
+        assert np.array_equal(counts, ref)
+        assert np.array_equal(code.weight_enumerator(), ref)
+        assert sorted(found) == sorted(wanted)
+        for w in wanted:
+            assert np.array_equal(np.sort(found[w]), np.sort(words[wts == w]))
 
 
 def test_min_distance():
