@@ -138,6 +138,8 @@ def feasible_types(n, d):
     Returns a list of (AutType, EliminationReport) over every odd prime
     p < n and every c >= 1 with f = n - pc >= 0.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     if n % 2:
         raise ValueError("n must be even")
     if d < 2:

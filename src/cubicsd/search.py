@@ -9,14 +9,17 @@ shardable): its blocks are the (10000, 16) image arrays of
 ``PermGroup.transversal_blocks``, and a resumed run starts that
 generator at its checkpoint position.  Sample mode draws seeded uniform
 permutations, so a fixed (seed, index) pair always names the same coset
-regardless of sharding or interruption.  Both cut their candidates into
-blocks, filtered in one batch each, serially or on a fork pool.  A tau
-is a hit iff the code generated by (pi^-1(tau B); phi^-1(X_i)) has
-minimum distance 10.  The code depends only on the coset of tau, so
-sample draws are filtered raw and only the hits are reduced to their
-coset representative.  A hit is recorded as (X_i, representative) and
-nothing more; the checkpoint is an append-only log with one line per
-block.
+regardless of sharding or interruption: index i draws
+``np.random.default_rng([seed, i]).permutation(16)``, and ``_draws``
+reproduces that chain bit for bit for a whole block in one numpy pass
+(~1 µs per index, against ~18 µs for one generator per index).  Both
+cut their candidates into blocks, filtered in one batch each, serially
+or on a fork pool.  A tau is a hit iff the code generated by
+(pi^-1(tau B); phi^-1(X_i)) has minimum distance 10.  The code depends
+only on the coset of tau, so sample draws are filtered raw and only the
+hits are reduced to their coset representative.  A hit is recorded as
+(X_i, representative) and nothing more; the checkpoint is an
+append-only log with one line per block.
 
 The post-pass (``classify_hits``).  Let H_i be the action of Aut(E_i)
 on the 16 cycles, E_i = phi^-1(X_i) the even part (``dataset.h_group``).
@@ -31,6 +34,7 @@ table codes through the shipped digest index.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -151,9 +155,116 @@ def load_checkpoint(path):
     return _replay_checkpoint(path)[0]
 
 
-def _draw(seed, index):
-    """The uniform permutation image drawn for sample (seed, index)."""
-    return np.random.default_rng([seed, index]).permutation(16)
+# numpy's SeedSequence hash constants (pool of 4 uint32 words).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit multiplier, as (high, low) 64-bit halves.
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 pool words."""
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ result >> 16
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix on uint32 arrays: each call xors in the
+    hash constant, steps it (a Python int, so no overflow warning) and
+    multiplies by it."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on uint64
+    (high, low) halves; the 64x64 -> 128 low product goes by 32-bit limbs."""
+    l0, l1 = lo & _MASK32, lo >> 32
+    b0, b1 = _PCG_LO & _MASK32, _PCG_LO >> 32
+    p00, p01, p10 = l0 * b0, l0 * b1, l1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    mul_hi = l1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _PCG_LO + inc_lo
+    new_hi = mul_hi + hi * _PCG_LO + lo * _PCG_HI + inc_hi
+    new_hi += (new_lo < inc_lo).astype(np.uint64)
+    return new_hi, new_lo
+
+
+def _draws(seed, indices):
+    """The (len(indices), 16) int64 array of sample draws: row k equals
+    ``np.random.default_rng([seed, indices[k]]).permutation(16)``.
+
+    numpy's chain SeedSequence -> PCG64 -> Generator.shuffle is run for
+    every index (< 2**32) at once, bit for bit: the entropy words of the
+    seed and the index are hashed into a pool of 4, which makes the
+    128-bit PCG64 state and increment; the shuffle then swaps position i
+    (15 down to 1) with the first 32-bit draw that, masked to the bit
+    length of i, is at most i.  Each 64-bit output gives its low half,
+    then its high.
+    """
+    if seed < 0:
+        raise ValueError("seed must be at least 0, got %d" % seed)
+    index = np.asarray(indices, dtype=np.uint32).reshape(-1)
+    n = len(index)
+    # The little-endian uint32 words of the seed, then the index.
+    entropy = [
+        np.full(n, seed >> shift & _MASK32, np.uint32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ] + [index]
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    padded = entropy + [np.zeros(n, np.uint32)] * (4 - len(entropy))
+    pool = [hashmix(word) for word in padded[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    generate = _hasher(_INIT_B, _MULT_B)
+    words = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    s0, s1, i0, i1 = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+    # PCG64 seeding: state 0, step (state = inc), add (s0, s1), step.
+    inc_hi = i0 << 1 | i1 >> 63
+    inc_lo = i1 << 1 | 1
+    lo = inc_lo + s1
+    hi = inc_hi + s0 + (lo < s1).astype(np.uint64)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+
+    # All lanes read their 32-bit draws in lockstep.  ``at`` is the
+    # position each lane's shuffle has reached, and picks[i, k] the last
+    # draw lane k read there: the accepted one, once ``at`` has moved on.
+    # No mask exceeds 15, so a draw's low 4 bits decide it.  Arrays are
+    # position-major: cell i * n + k of the flat view is [i, k].
+    masks = np.array([(1 << i.bit_length()) - 1 for i in range(16)])
+    lanes = np.arange(n)
+    at = np.full(n, 15)
+    picks = np.zeros((16, n), np.int64)
+    picks_flat = picks.reshape(-1)
+    while at.any():
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out = x >> rot | x << ((64 - rot) & 63)
+        for half in (out, out >> 32):
+            j = (half & 15).astype(np.int64) & masks[at]
+            picks_flat[at * n + lanes] = j
+            at -= (j <= at) & (at > 0)
+    rows = np.repeat(np.arange(16)[:, None], n, axis=1)
+    rows_flat = rows.reshape(-1)
+    for i in range(15, 0, -1):
+        cell = picks[i] * n + lanes
+        swapped = rows[i].copy()
+        rows[i] = rows_flat[cell]
+        rows_flat[cell] = swapped
+    return rows.T
 
 
 def sampled_tau(seed, index):
@@ -163,7 +274,7 @@ def sampled_tau(seed, index):
     element of its right coset, so repeats of one coset collapse to
     one representative.
     """
-    tau = perm.Permutation(tuple(int(x) for x in _draw(seed, index)))
+    tau = perm.Permutation(tuple(_draws(seed, [index])[0].tolist()))
     return dataset.autb_group().min_coset_rep(tau)
 
 
@@ -226,7 +337,7 @@ def _filter_block(args):
     """
     xi_index, seed, block = args
     if isinstance(block, range):
-        block = np.array([_draw(seed, i) for i in block])
+        block = _draws(seed, np.arange(block.start, block.stop, block.step))
     hits = _worker_engine(xi_index).filter_images(block)
     return np.flatnonzero(hits).tolist()
 
@@ -279,6 +390,10 @@ def run_search(
         raise ValueError("threads must be at least 1, got %d" % threads)
     if sample is not None and sample < 0:
         raise ValueError("sample must be at least 0, got %d" % sample)
+    if sample is not None and sample > 2**32:
+        raise ValueError("sample must be at most 2**32, got %d" % sample)
+    if seed < 0:
+        raise ValueError("seed must be at least 0, got %d" % seed)
     shard_idx, shard_cnt = shard
     if not 0 <= shard_idx < shard_cnt:
         raise ValueError(

@@ -254,6 +254,11 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2
     code = cli.main(["wenum", str(tmp_path / "missing.txt")])
     assert code == 2
+    for n in ("0", "-4"):
+        # An n below 2 used to list no types and exit 0.
+        code = cli.main(["feasible", n, "10"])
+        assert code == 2
+        assert "need n >= 2" in capsys.readouterr().err
 
 
 def test_verify_tables_registers_each_code_once(monkeypatch):
@@ -299,6 +304,9 @@ def test_search_rejects_bad_shard_and_threads(capsys):
         (["--shard", "1"], "shard must be I/M"),
         (["--threads", "0"], "threads must be at least 1"),
         (["--sample", "-5"], "sample must be at least 0"),
+        (["--sample", str(2**32 + 1)], "sample must be at most 2**32"),
+        (["--seed", "-1"], "seed must be at least 0, got -1"),
+        (["--seed", "-1", "--threads", "2"], "seed must be at least 0"),
     ):
         code = cli.main(["search", "--xi", "1", "--sample", "200"] + extra)
         assert code == 2
