@@ -306,10 +306,9 @@ def _worker_engine(xi_index):
 
 
 def _blocks(state):
-    """Yield (candidates, end, job) for every block from state.position:
-    hit offset k of the job names ``candidates[k]``, a sample index or
-    the image row of a transversal tau, and ``end`` is the stream
-    position after the block.
+    """Yield (end, job) for every block from state.position: ``end`` is
+    the stream position after the block, and the job's block is a range
+    of sample indices or a (T, 16) array of transversal image rows.
     """
     if state.mode == "sample":
         shard_idx, shard_cnt = state.shard
@@ -318,7 +317,7 @@ def _blocks(state):
         for lo in range(first, state.sample, step):
             end = min(lo + step, state.sample)
             indices = range(lo, end, shard_cnt)
-            yield indices, end, (state.xi_index, state.seed, indices)
+            yield end, (state.xi_index, state.seed, indices)
         return
     blocks = dataset.autb_group().transversal_blocks(
         state.shard, state.position, BLOCK_SIZE
@@ -326,11 +325,11 @@ def _blocks(state):
     end = state.position
     for images in blocks:
         end += len(images)
-        yield images, end, (state.xi_index, state.seed, images)
+        yield end, (state.xi_index, state.seed, images)
 
 
 def _filter_block(args):
-    """Pool task: filter one block, return the offsets of its hits.
+    """Pool task: filter one block, return the image rows of its hits.
 
     The block is a range of sample indices, drawn here, or a (T, 16)
     uint8 array of transversal images.
@@ -339,31 +338,30 @@ def _filter_block(args):
     if isinstance(block, range):
         block = _draws(seed, np.arange(block.start, block.stop, block.step))
     hits = _worker_engine(xi_index).filter_images(block)
-    return np.flatnonzero(hits).tolist()
+    return block[hits].tolist()
 
 
 def _drive(blocks, threads, finish):
-    """Filter every block and call finish(candidates, end, hits) in block
-    order.  With threads > 1 a fork pool filters ahead, at most two
-    blocks per worker, while this process produces and finishes blocks.
+    """Filter every block and call finish(end, hits) in block order.
+    With threads > 1 a fork pool filters ahead, at most two blocks per
+    worker, while this process produces and finishes blocks.
     """
     if threads == 1:
-        for candidates, end, job in blocks:
-            finish(candidates, end, _filter_block(job))
+        for end, job in blocks:
+            finish(end, _filter_block(job))
         return
     from multiprocessing import get_context
 
     # Forked workers inherit the engines and distance tables built here.
     with get_context("fork").Pool(threads) as pool:
         window = deque()
-        for candidates, end, job in blocks:
-            pending = pool.apply_async(_filter_block, (job,))
-            window.append((candidates, end, pending))
+        for end, job in blocks:
+            window.append((end, pool.apply_async(_filter_block, (job,))))
             if len(window) >= 2 * threads:
-                candidates, end, pending = window.popleft()
-                finish(candidates, end, pending.get())
-        for candidates, end, pending in window:
-            finish(candidates, end, pending.get())
+                end, pending = window.popleft()
+                finish(end, pending.get())
+        for end, pending in window:
+            finish(end, pending.get())
 
 
 def run_search(
@@ -439,12 +437,12 @@ def run_search(
             _append_checkpoint(checkpoint_path, state.position, hits)
             logged = now
 
-    def finish(candidates, end, hits):
-        for k in hits:
+    def finish(end, hits):
+        for row in hits:
+            tau = perm.Permutation(tuple(row))
             if state.mode == "sample":
-                keep(sampled_tau(state.seed, candidates[k]))
-            else:
-                keep(perm.Permutation(tuple(candidates[k].tolist())))
+                tau = dataset.autb_group().min_coset_rep(tau)
+            keep(tau)
         state.position = end
         record()
         if progress is not None:

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from cubicsd import construct, cyclicring, dataset, equiv, gf2
+from cubicsd import construct, cyclicring, dataset, equiv, gf2, search
 from cubicsd.construct import STANDARD_3_16_0, DecomposedEngine
 from cubicsd.cyclicring import PolyP
 from cubicsd.perm import Permutation, parse_cycles
@@ -157,6 +158,71 @@ def test_filter_images_agrees_with_distance():
         expect = expect + expect + [True] * (2 * len(table))
         got = eng.filter_images(np.array([t.img for t in taus]))
         assert got.tolist() == expect
+
+
+def _reference_filter(eng, images):
+    """The single-stage filter: every row is checked on all 255 nonzero
+    base words, each moved bit by bit to its image under tau."""
+    images = np.asarray(images, dtype=np.uint16)
+    base = np.array(dataset.gb_matrix().rows, dtype=np.uint16)
+    words = gf2.span(base)[1:]
+    word_bits = (words[:, None] >> np.arange(16, dtype=np.uint16) & 1).T
+    even_ok = np.bitwise_count(eng.even_words[1:]).min() >= 10
+    keep = [np.zeros(0, dtype=bool)]
+    for lo in range(0, len(images), 4096):
+        bits = np.left_shift(1, images[lo : lo + 4096], dtype=np.uint16)
+        weights = eng.m_table()[bits @ word_bits] + 3 * np.bitwise_count(words)
+        keep.append((weights.min(axis=1) >= 10) & even_ok)
+    return np.concatenate(keep)
+
+
+@pytest.mark.parametrize("xi_index", [1, 2, 3, 4])
+def test_two_stage_filter_matches_reference(xi_index):
+    eng = DecomposedEngine(xi_index)
+    group = dataset.autb_group()
+    inputs = [
+        block
+        for shard in ((0, 1), (3, 4))
+        for block in itertools.islice(group.transversal_blocks(shard), 2)
+    ]
+    inputs.append(search._draws(2, np.arange(20000)))
+    images = np.concatenate(inputs)
+    got = np.concatenate([eng.filter_images(block) for block in inputs])
+    assert np.array_equal(got, _reference_filter(eng, images))
+    # Not vacuous: there are hits, and rows that only the second stage
+    # (all 255 words) rejects.
+    bits = np.left_shift(1, images.astype(np.uint16), dtype=np.uint16)
+    light = eng.m_table()[bits[:, eng._light_support].sum(axis=2)]
+    first_stage = light.min(axis=1) + 12 >= 10
+    assert got.any()
+    assert (first_stage & ~got).any()
+    for rows in (images[:0], images[:1], images[:1].astype(np.uint8)):
+        expect = _reference_filter(eng, rows)
+        assert np.array_equal(eng.filter_images(rows), expect)
+
+
+def test_first_stage_words_are_the_weight_4_words():
+    eng = DecomposedEngine(1)
+    base = np.array(dataset.gb_matrix().rows, dtype=np.uint16)
+    words = gf2.span(base)
+    weight4 = sorted(words[np.bitwise_count(words) == 4].tolist())
+    support = eng._light_support
+    assert support.shape == (12, 4)
+    assert sorted(sum(1 << int(i) for i in row) for row in support) == weight4
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        np.full((1, 16), 16),
+        np.array([[0] * 2 + list(range(2, 16))]),
+        np.tile(np.arange(8), (16, 1)),
+    ],
+    ids=["value-16", "repeated-value", "shape-16x8"],
+)
+def test_filter_images_rejects_non_permutations(images):
+    with pytest.raises(ValueError):
+        DecomposedEngine(1).filter_images(images)
 
 
 def test_alternate_embedding_gives_equivalent_code():
