@@ -9,12 +9,12 @@ shardable): its blocks are the (10000, 16) image arrays of
 ``PermGroup.transversal_blocks``, and a resumed run starts that
 generator at its checkpoint position.  Sample mode draws seeded uniform
 permutations, so a fixed (seed, index) pair always names the same coset
-regardless of sharding or interruption: index i draws
-``np.random.default_rng([seed, i]).permutation(16)``, and ``_draws``
-reproduces that chain bit for bit for a whole block in one numpy pass
-(~1 µs per index, against ~18 µs for one generator per index).  Both
-cut their candidates into blocks, filtered in one batch each, serially
-or on a fork pool.  A tau is a hit iff the code generated by
+regardless of sharding or interruption: index i is row i % BLOCK_SIZE
+of block i // BLOCK_SIZE, and block b is drawn by one generator,
+``np.random.default_rng([seed, b])``, shuffling every row of 0..15 on
+its own.  Shard i/m of a sample takes the blocks b = i mod m.  Both
+modes cut their candidates into blocks, filtered in one batch each,
+serially or on a fork pool.  A tau is a hit iff the code generated by
 (pi^-1(tau B); phi^-1(X_i)) has minimum distance 10.  The code depends
 only on the coset of tau, so sample draws are filtered raw and only the
 hits are reduced to their coset representative.  A hit is recorded as
@@ -34,7 +34,6 @@ table codes through the shipped digest index.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import tempfile
@@ -45,11 +44,13 @@ import numpy as np
 
 from . import construct, dataset, equiv, perm
 
-# Positions per filtered block, checkpoint line and progress call.
+# Positions per filtered block, checkpoint line and progress call.  It
+# also fixes which coset a sample index names (row i % BLOCK_SIZE of
+# block i // BLOCK_SIZE), so changing it needs a checkpoint version bump.
 BLOCK_SIZE = 10000
 
 # Checkpoint format: JSON lines, a header and then one line per block.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,16 @@ class SearchState:
     """Progress of one (xi, shard) search."""
 
     xi_index: int
-    mode: str  # "sample" or "full"
     seed: int
     sample: int | None
     shard: tuple
     position: int = 0
     survivors: list = field(default_factory=list)
+
+    @property
+    def mode(self):
+        """The scan mode: "sample" iff a sample size is set, else "full"."""
+        return "full" if self.sample is None else "sample"
 
     @property
     def total(self):
@@ -88,7 +93,6 @@ def _start_checkpoint(path, state):
     header = {
         "version": CHECKPOINT_VERSION,
         "xi": state.xi_index,
-        "mode": state.mode,
         "seed": state.seed,
         "sample": state.sample,
         "shard": list(state.shard),
@@ -127,25 +131,44 @@ def _replay_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             "%s is not a format-%d checkpoint (JSON lines with a version "
-            "header); a format-1 checkpoint (one JSON object) cannot be "
-            "resumed" % (path, CHECKPOINT_VERSION)
+            "header); a format-1 or format-2 checkpoint cannot be resumed"
+            % (path, CHECKPOINT_VERSION)
         )
-    state = SearchState(
-        xi_index=header["xi"],
-        mode=header["mode"],
-        seed=header["seed"],
-        sample=header["sample"],
-        shard=tuple(header["shard"]),
-    )
+    keys = ("xi", "seed", "sample", "shard")
+    xi, seed, sample, shard = map(header.get, keys)
+    if not (
+        type(xi) is int
+        and 1 <= xi <= 4
+        and type(seed) is int
+        and seed >= 0
+        and (sample is None or type(sample) is int and sample >= 0)
+        and type(shard) is list
+        and len(shard) == 2
+        and all(type(k) is int for k in shard)
+        and 0 <= shard[0] < shard[1]
+    ):
+        raise ValueError(
+            "%s: the checkpoint header needs xi in 1..4, seed >= 0, sample "
+            "null or >= 0 and shard [i, m] with 0 <= i < m, got %s"
+            % (path, json.dumps(header))
+        )
+    state = SearchState(xi, seed, sample, tuple(shard))
     for number, line in enumerate(lines[1:], 2):
         try:
             block = json.loads(line)
-            state.position = block["position"]
-            hits = block["hits"]
+            position, hits = block["position"], block["hits"]
+            if not (
+                type(position) is int
+                and position >= 0
+                and type(hits) is list
+                and all(type(t) is str for t in hits)
+            ):
+                raise TypeError
         except (ValueError, KeyError, TypeError):
             raise ValueError(
                 "%s: line %d is not a checkpoint block" % (path, number)
             ) from None
+        state.position = position
         state.survivors.extend(Survivor(state.xi_index, t) for t in hits)
     return state, len(data) - len(torn)
 
@@ -155,126 +178,24 @@ def load_checkpoint(path):
     return _replay_checkpoint(path)[0]
 
 
-# numpy's SeedSequence hash constants (pool of 4 uint32 words).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit multiplier, as (high, low) 64-bit halves.
-_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 pool words."""
-    result = x * _MIX_L - y * _MIX_R
-    return result ^ result >> 16
-
-
-def _hasher(const, mult):
-    """SeedSequence's hashmix on uint32 arrays: each call xors in the
-    hash constant, steps it (a Python int, so no overflow warning) and
-    multiplies by it."""
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 step, state * multiplier + inc mod 2**128, on uint64
-    (high, low) halves; the 64x64 -> 128 low product goes by 32-bit limbs."""
-    l0, l1 = lo & _MASK32, lo >> 32
-    b0, b1 = _PCG_LO & _MASK32, _PCG_LO >> 32
-    p00, p01, p10 = l0 * b0, l0 * b1, l1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    mul_hi = l1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    new_lo = lo * _PCG_LO + inc_lo
-    new_hi = mul_hi + hi * _PCG_LO + lo * _PCG_HI + inc_hi
-    new_hi += (new_lo < inc_lo).astype(np.uint64)
-    return new_hi, new_lo
-
-
-def _draws(seed, indices):
-    """The (len(indices), 16) int64 array of sample draws: row k equals
-    ``np.random.default_rng([seed, indices[k]]).permutation(16)``.
-
-    numpy's chain SeedSequence -> PCG64 -> Generator.shuffle is run for
-    every index (< 2**32) at once, bit for bit: the entropy words of the
-    seed and the index are hashed into a pool of 4, which makes the
-    128-bit PCG64 state and increment; the shuffle then swaps position i
-    (15 down to 1) with the first 32-bit draw that, masked to the bit
-    length of i, is at most i.  Each 64-bit output gives its low half,
-    then its high.
-    """
-    if seed < 0:
-        raise ValueError("seed must be at least 0, got %d" % seed)
-    index = np.asarray(indices, dtype=np.uint32).reshape(-1)
-    n = len(index)
-    # The little-endian uint32 words of the seed, then the index.
-    entropy = [
-        np.full(n, seed >> shift & _MASK32, np.uint32)
-        for shift in range(0, max(seed.bit_length(), 1), 32)
-    ] + [index]
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    padded = entropy + [np.zeros(n, np.uint32)] * (4 - len(entropy))
-    pool = [hashmix(word) for word in padded[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    generate = _hasher(_INIT_B, _MULT_B)
-    words = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    s0, s1, i0, i1 = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
-    # PCG64 seeding: state 0, step (state = inc), add (s0, s1), step.
-    inc_hi = i0 << 1 | i1 >> 63
-    inc_lo = i1 << 1 | 1
-    lo = inc_lo + s1
-    hi = inc_hi + s0 + (lo < s1).astype(np.uint64)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-
-    # All lanes read their 32-bit draws in lockstep.  ``at`` is the
-    # position each lane's shuffle has reached, and picks[i, k] the last
-    # draw lane k read there: the accepted one, once ``at`` has moved on.
-    # No mask exceeds 15, so a draw's low 4 bits decide it.  Arrays are
-    # position-major: cell i * n + k of the flat view is [i, k].
-    masks = np.array([(1 << i.bit_length()) - 1 for i in range(16)])
-    lanes = np.arange(n)
-    at = np.full(n, 15)
-    picks = np.zeros((16, n), np.int64)
-    picks_flat = picks.reshape(-1)
-    while at.any():
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        out = x >> rot | x << ((64 - rot) & 63)
-        for half in (out, out >> 32):
-            j = (half & 15).astype(np.int64) & masks[at]
-            picks_flat[at * n + lanes] = j
-            at -= (j <= at) & (at > 0)
-    rows = np.repeat(np.arange(16)[:, None], n, axis=1)
-    rows_flat = rows.reshape(-1)
-    for i in range(15, 0, -1):
-        cell = picks[i] * n + lanes
-        swapped = rows[i].copy()
-        rows[i] = rows_flat[cell]
-        rows_flat[cell] = swapped
-    return rows.T
+def _sample_block(seed, number):
+    """The (BLOCK_SIZE, 16) uint8 draws of sample block ``number``: one
+    generator per (seed, block) shuffles every row of 0..15 on its own,
+    so each row is a uniform permutation."""
+    rows = np.tile(np.arange(16, dtype=np.uint8), (BLOCK_SIZE, 1))
+    return np.random.default_rng([seed, number]).permuted(rows, axis=1)
 
 
 def sampled_tau(seed, index):
     """The canonical coset representative for sample (seed, index).
 
-    The draw is uniform over S16, then reduced to the lex-minimal
-    element of its right coset, so repeats of one coset collapse to
-    one representative.
+    Index i is row i % BLOCK_SIZE of block i // BLOCK_SIZE, the row that
+    ``run_search`` filters for it.  The draw is uniform over S16, then
+    reduced to the lex-minimal element of its right coset, so repeats of
+    one coset collapse to one representative.
     """
-    tau = perm.Permutation(tuple(_draws(seed, [index])[0].tolist()))
+    number, row = divmod(index, BLOCK_SIZE)
+    tau = perm.Permutation(tuple(_sample_block(seed, number)[row].tolist()))
     return dataset.autb_group().min_coset_rep(tau)
 
 
@@ -307,17 +228,20 @@ def _worker_engine(xi_index):
 
 def _blocks(state):
     """Yield (end, job) for every block from state.position: ``end`` is
-    the stream position after the block, and the job's block is a range
-    of sample indices or a (T, 16) array of transversal image rows.
+    the stream position after the block, and the job's block is a
+    (number, rows) pair of sample block and rows to use, or a (T, 16)
+    array of transversal image rows.  Sample shard i/m takes the blocks
+    numbered i mod m.
     """
     if state.mode == "sample":
         shard_idx, shard_cnt = state.shard
-        first = state.position + (shard_idx - state.position) % shard_cnt
-        step = BLOCK_SIZE * shard_cnt
-        for lo in range(first, state.sample, step):
-            end = min(lo + step, state.sample)
-            indices = range(lo, end, shard_cnt)
-            yield end, (state.xi_index, state.seed, indices)
+        done = -(-state.position // BLOCK_SIZE)
+        first = done + (shard_idx - done) % shard_cnt
+        for number in range(first, -(-state.sample // BLOCK_SIZE), shard_cnt):
+            lo = number * BLOCK_SIZE
+            rows = min(BLOCK_SIZE, state.sample - lo)
+            end = min(lo + BLOCK_SIZE * shard_cnt, state.sample)
+            yield end, (state.xi_index, state.seed, (number, rows))
         return
     blocks = dataset.autb_group().transversal_blocks(
         state.shard, state.position, BLOCK_SIZE
@@ -331,12 +255,14 @@ def _blocks(state):
 def _filter_block(args):
     """Pool task: filter one block, return the image rows of its hits.
 
-    The block is a range of sample indices, drawn here, or a (T, 16)
-    uint8 array of transversal images.
+    The block is a (number, rows) pair, whose sample block is drawn here
+    and cut to its first rows, or a (T, 16) uint8 array of transversal
+    images.
     """
     xi_index, seed, block = args
-    if isinstance(block, range):
-        block = _draws(seed, np.arange(block.start, block.stop, block.step))
+    if isinstance(block, tuple):
+        number, rows = block
+        block = _sample_block(seed, number)[:rows]
     hits = _worker_engine(xi_index).filter_images(block)
     return block[hits].tolist()
 
@@ -410,13 +336,7 @@ def run_search(
         os.truncate(checkpoint_path, length)
         logged = (state.position, len(state.survivors))
     else:
-        state = SearchState(
-            xi_index=xi_index,
-            mode="sample" if sample is not None else "full",
-            seed=seed,
-            sample=sample,
-            shard=tuple(shard),
-        )
+        state = SearchState(xi_index, seed, sample, tuple(shard))
         if checkpoint_path is not None:
             _start_checkpoint(checkpoint_path, state)
     seen = {s.perm_text for s in state.survivors}

@@ -18,7 +18,7 @@ from cubicsd import (
     gf2,
     search,
 )
-from cubicsd.perm import PermGroup, Permutation
+from cubicsd.perm import PermGroup, Permutation, parse_cycles
 
 EXPECTED_WE = {10: 768, 12: 8592, 14: 57600, 16: 267831}
 
@@ -161,6 +161,12 @@ def test_criterion_09_equivalence_oracle():
     verdict(9, "IR agrees with brute force, 200 pairs", ok)
 
 
+# The X_2 class that the full scan finds and no published table holds
+# (tests/test_search.py::test_unmatched_class_is_a_finding).  A sample
+# reaches its 240-coset orbit now and then.
+PINNED_DIGEST = "902c618401fa354e"
+
+
 def test_criterion_10_sampled_search():
     import os
 
@@ -170,10 +176,21 @@ def test_criterion_10_sampled_search():
         state = search.run_search(i, sample=100_000, seed=1, threads=threads)
         survivors.extend(state.survivors)
     report = search.classify_hits(survivors, against_tables=True)
-    ok = report["all_matched"]
+    pinned = 0
+    ok = True
+    for x in report["xi"]:
+        for cls in x["classes"]:
+            if cls["table_match"] is not None:
+                continue
+            tau = parse_cycles(cls["representative"], 16)
+            code = construct.build_code(tau, x["xi_index"])
+            if search.code_digest(code) == PINNED_DIGEST:
+                pinned += len(cls["hits"])
+            else:
+                ok = False
     verdict(
         10,
-        "sampled search (%d hits) all in tables" % len(survivors),
+        "sampled search (%d hits, %d pinned)" % (len(survivors), pinned),
         ok,
     )
 

@@ -210,7 +210,7 @@ def test_classify_merges_shard_logs(capsys, monkeypatch, tmp_path):
 
 def test_classify_checks_complete_runs(capsys, monkeypatch, tmp_path):
     log = tmp_path / "done.jsonl"
-    state = search.SearchState(1, "full", 0, None, (0, 1))
+    state = search.SearchState(1, 0, None, (0, 1))
     search._start_checkpoint(str(log), state)
     search._append_checkpoint(str(log), state.total, ["(7,8)(12,14)"])
     # A finished run must hold every member of its orbits.
@@ -223,7 +223,7 @@ def test_classify_rejects_bad_logs(capsys, tmp_path):
     def log(name, xi, shard, seed=0):
         path = str(tmp_path / name)
         search._start_checkpoint(
-            path, search.SearchState(xi, "full", seed, None, shard)
+            path, search.SearchState(xi, seed, None, shard)
         )
         return path
 
@@ -244,7 +244,64 @@ def test_classify_rejects_bad_logs(capsys, tmp_path):
         ["search", "--xi", "1", "--sample", "50", "--checkpoint", str(old)],
     ):
         assert cli.main(argv) == 2
-        assert "not a format-2 checkpoint" in capsys.readouterr().err
+        assert "not a format-3 checkpoint" in capsys.readouterr().err
+
+
+_GOOD_HEADER = {"version": 3, "xi": 1, "seed": 0, "sample": 50, "shard": [0, 1]}
+_BAD_BLOCK = "line 2 is not a checkpoint block"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([dict(_GOOD_HEADER, version=2, mode="sample")], "not a format-3"),
+        ([{"version": 3}], "header needs"),
+        ([dict(_GOOD_HEADER, xi=9)], "header needs"),
+        ([dict(_GOOD_HEADER, xi=0)], "header needs"),
+        ([dict(_GOOD_HEADER, xi="1")], "header needs"),
+        ([dict(_GOOD_HEADER, seed=-1)], "header needs"),
+        ([dict(_GOOD_HEADER, seed=None)], "header needs"),
+        ([dict(_GOOD_HEADER, sample=-5)], "header needs"),
+        ([dict(_GOOD_HEADER, sample=True)], "header needs"),
+        ([dict(_GOOD_HEADER, shard=[1, 1])], "header needs"),
+        ([dict(_GOOD_HEADER, shard=[0])], "header needs"),
+        ([dict(_GOOD_HEADER, shard="0/1")], "header needs"),
+        ([_GOOD_HEADER, {"position": "10", "hits": []}], _BAD_BLOCK),
+        ([_GOOD_HEADER, {"position": -1, "hits": []}], _BAD_BLOCK),
+        ([_GOOD_HEADER, {"position": 10, "hits": "(1,2)"}], _BAD_BLOCK),
+        ([_GOOD_HEADER, {"position": 10, "hits": [5]}], _BAD_BLOCK),
+    ],
+    ids=[
+        "format-2",
+        "no-keys",
+        "xi-9",
+        "xi-0",
+        "xi-text",
+        "seed-negative",
+        "seed-null",
+        "sample-negative",
+        "sample-bool",
+        "shard-1/1",
+        "shard-short",
+        "shard-text",
+        "position-text",
+        "position-negative",
+        "hits-text",
+        "hit-number",
+    ],
+)
+def test_bad_checkpoint_exits_2(capsys, tmp_path, lines, message):
+    log = tmp_path / "bad.jsonl"
+    text = "".join(json.dumps(obj) + "\n" for obj in lines)
+    log.write_text(text)
+    for argv in (
+        ["classify", str(log)],
+        ["search", "--xi", "1", "--sample", "50", "--checkpoint", str(log)],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s" % log) and message in err
+    assert log.read_text() == text
 
 
 def test_error_exit_codes(capsys, tmp_path):

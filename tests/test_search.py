@@ -1,6 +1,5 @@
 import json
 import multiprocessing
-import warnings
 
 import numpy as np
 import pytest
@@ -39,57 +38,71 @@ def test_sampled_tau_deterministic_and_canonical():
     assert search.sampled_tau(9, 0) != search.sampled_tau(10, 0)
 
 
-def _reference_draws(seed, indices):
-    """The sample draws as numpy's own generator makes them, one by one."""
-    return np.array(
-        [np.random.default_rng([seed, i]).permutation(16) for i in indices]
-    )
-
-
-def test_draws_match_default_rng():
-    indices = list(range(3000)) + list(range(5, 40000, 4)) + [2**31, 2**32 - 1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for seed in (0, 1, 9, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3):
-            draws = search._draws(seed, indices)
-            assert draws.shape == (len(indices), 16)
-            assert draws.dtype == np.int64
-            assert (draws == _reference_draws(seed, indices)).all()
-    # Literal rows: a numpy release that changes this stream fails here.
-    for seed, index, row in (
-        (0, 0, [2, 11, 3, 10, 0, 4, 7, 5, 14, 12, 6, 9, 13, 8, 1, 15]),
-        (1, 59999, [2, 3, 15, 4, 6, 11, 13, 1, 10, 0, 9, 12, 7, 5, 14, 8]),
-        (2**32, 7, [1, 11, 12, 10, 4, 3, 9, 0, 8, 6, 5, 14, 13, 2, 7, 15]),
-    ):
-        assert search._draws(seed, [index])[0].tolist() == row
-        assert _reference_draws(seed, [index])[0].tolist() == row
+def _reference_block(seed, number):
+    """Sample block ``number`` as the test draws it: one generator per
+    (seed, block), every row of 0..15 shuffled on its own."""
+    rows = np.tile(np.arange(16, dtype=np.uint8), (search.BLOCK_SIZE, 1))
+    return np.random.default_rng([seed, number]).permuted(rows, axis=1)
 
 
 @pytest.mark.parametrize("xi_index", [1, 4])
 def test_sample_scan_matches_reference_draws(xi_index, monkeypatch):
-    # A shard whose range is cut into the wrong indices loses or gains
-    # hits; X_4 has one in this sample, X_1 none.  A hit comes back as
-    # the row the filter saw, so no index is drawn twice.
+    # 65000 draws make blocks 0..6, the last one of 5000 rows: shard i/3
+    # takes blocks i, i + 3, ..., so shard 0/3 ends in the partial block
+    # and every shard has at least 2.  A shard that takes the wrong
+    # blocks or rows loses or gains hits.  A hit comes back as the row
+    # the filter saw, so no index is drawn twice.
     monkeypatch.setattr(search, "sampled_tau", None)
+    sample = 65000
     group = dataset.autb_group()
     engine = construct.DecomposedEngine(xi_index)
+    block = search.BLOCK_SIZE
+    draws = np.concatenate([_reference_block(11, b) for b in range(7)])
+    draws = draws[:sample]
     found = 0
     for i in range(3):
-        indices = range(i, 3000, 3)
-        draws = _reference_draws(11, indices)
+        rows = np.concatenate(
+            [draws[b * block : (b + 1) * block] for b in range(i, 7, 3)]
+        )
         expected = []
-        for row in draws[engine.filter_images(draws)]:
+        for row in rows[engine.filter_images(rows)]:
             tau = perm.Permutation(tuple(row.tolist()))
             text = str(group.min_coset_rep(tau))
             if text not in expected:
                 expected.append(text)
         for threads in (1, 2):
             state = search.run_search(
-                xi_index, sample=3000, seed=11, shard=(i, 3), threads=threads
+                xi_index, sample=sample, seed=11, shard=(i, 3), threads=threads
             )
             assert [s.perm_text for s in state.survivors] == expected
+            assert state.position == sample
         found += len(expected)
-    assert found == (xi_index == 4)
+    if xi_index == 4:
+        assert found > 0
+
+
+def test_sampled_tau_names_the_filtered_row(monkeypatch):
+    # 25000 draws make blocks 0, 1 and a partial block 2 of 5000 rows;
+    # shard 0/2 filters blocks 0 and 2.
+    seen = []
+    filter_images = construct.DecomposedEngine.filter_images
+
+    def recorded(engine, images):
+        seen.append(images.copy())
+        return filter_images(engine, images)
+
+    monkeypatch.setattr(construct.DecomposedEngine, "filter_images", recorded)
+    search.run_search(1, sample=25000, seed=3, shard=(0, 2))
+    assert [len(rows) for rows in seen] == [search.BLOCK_SIZE, 5000]
+    group = dataset.autb_group()
+    for index, row in (
+        (0, seen[0][0]),
+        (9999, seen[0][-1]),
+        (20000, seen[1][0]),
+        (24999, seen[1][-1]),
+    ):
+        tau = perm.Permutation(tuple(row.tolist()))
+        assert search.sampled_tau(3, index) == group.min_coset_rep(tau)
 
 
 def test_injected_table_taus_survive():
@@ -153,6 +166,27 @@ def test_checkpoint_resume(tmp_path):
     assert search.load_checkpoint(cp) == resumed
 
 
+def test_sample_shard_resume_matches_uninterrupted(tmp_path):
+    # Shard 1/3 of 65000 draws takes blocks 1 and 4; stop after block 1.
+    cp = str(tmp_path / "cp.json")
+    whole = search.run_search(4, sample=65000, seed=11, shard=(1, 3))
+    with pytest.raises(_Stop):
+        search.run_search(
+            4,
+            sample=65000,
+            seed=11,
+            shard=(1, 3),
+            checkpoint_path=cp,
+            progress=_raise_at(0),
+        )
+    assert search.load_checkpoint(cp).position == 4 * search.BLOCK_SIZE
+    resumed = search.run_search(
+        4, sample=65000, seed=11, shard=(1, 3), checkpoint_path=cp
+    )
+    assert resumed.survivors == whole.survivors
+    assert resumed.position == whole.position == 65000
+
+
 def test_checkpoint_mismatch_rejected(tmp_path):
     cp = str(tmp_path / "cp.json")
     search.run_search(1, sample=50, seed=8, checkpoint_path=cp)
@@ -166,7 +200,6 @@ def test_state_json_roundtrip(tmp_path):
     cp = str(tmp_path / "cp.json")
     st = search.SearchState(
         xi_index=3,
-        mode="sample",
         seed=11,
         sample=500,
         shard=(1, 2),
@@ -180,9 +213,8 @@ def test_state_json_roundtrip(tmp_path):
     with open(cp) as fh:
         lines = [json.loads(line) for line in fh]
     assert lines[0] == {
-        "version": 2,
+        "version": 3,
         "xi": 3,
-        "mode": "sample",
         "seed": 11,
         "sample": 500,
         "shard": [1, 2],
@@ -233,20 +265,21 @@ def test_checkpoint_rejects_format_1(tmp_path):
         "survivors": [[1, "(7,8)(12,14)", "0123456789abcdef"]],
     }
     cp.write_text(json.dumps(old, indent=1))
-    with pytest.raises(ValueError, match="not a format-2 checkpoint"):
+    with pytest.raises(ValueError, match="not a format-3 checkpoint"):
         search.load_checkpoint(str(cp))
-    with pytest.raises(ValueError, match="not a format-2 checkpoint"):
+    with pytest.raises(ValueError, match="not a format-3 checkpoint"):
         search.run_search(1, sample=50, checkpoint_path=str(cp))
     assert json.loads(cp.read_text()) == old
 
 
 def test_pooled_matches_serial():
     # X_4 has survivors dense enough for a small sample to hit some.
-    serial = search.run_search(4, sample=4000, seed=7)
-    pooled = search.run_search(4, sample=4000, seed=7, threads=2)
-    assert len(serial.survivors) == 4
+    # 5 blocks: the pool of 2 holds 4 at a time, so it runs ahead.
+    serial = search.run_search(4, sample=50000, seed=7)
+    pooled = search.run_search(4, sample=50000, seed=7, threads=2)
+    assert len(serial.survivors) == 8
     assert serial.survivors == pooled.survivors
-    assert serial.position == pooled.position == 4000
+    assert serial.position == pooled.position == 50000
 
 
 def test_pooled_full_prefix_matches_serial():
@@ -311,12 +344,12 @@ def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
 def test_search_total():
     cosets = dataset.autb_group().num_right_cosets()
     totals = [
-        search.SearchState(1, "full", 0, None, (i, 8)).total for i in range(8)
+        search.SearchState(1, 0, None, (i, 8)).total for i in range(8)
     ]
     assert sum(totals) == cosets
     # 283783500 = 8 * 35472937 + 4: the first 4 shards take one more.
     assert totals == [35472938] * 4 + [35472937] * 4
-    assert search.SearchState(1, "sample", 0, 300, (1, 3)).total == 300
+    assert search.SearchState(1, 0, 300, (1, 3)).total == 300
 
 
 def _count_registrations(monkeypatch):
@@ -338,8 +371,8 @@ def test_scan_registers_nothing(monkeypatch):
     monkeypatch.setattr(search, "register_engine_data", refuse)
     monkeypatch.setattr(construct, "build_code", refuse)
     taus = [e.tau() for e in dataset.table_entries(4)[:3]]
-    state = search.run_search(4, sample=4000, seed=7, extra_taus=taus)
-    assert len(state.survivors) == 3 + 4
+    state = search.run_search(4, sample=50000, seed=7, extra_taus=taus)
+    assert len(state.survivors) == 3 + 8
     seen = []
     with pytest.raises(_Stop):
         search.run_search(2, progress=_raise_at(2 * search.BLOCK_SIZE, seen))
