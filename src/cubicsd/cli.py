@@ -28,13 +28,11 @@ def _verify_entry(index):
     entry = dataset.table_entries()[index]
     row = {"index": index, "table_id": entry.table_id, "perm": entry.perm_text}
     try:
-        code = search.register_engine_data(
-            search._worker_engine(entry.table_id), entry.tau()
-        )
+        code = construct.build_table_code(entry)
+        we = equiv.code_data(code).we
     except Exception as exc:
         row.update(pass_=False, error=str(exc))
         return row, None
-    we = equiv.code_data(code).we
     row["self_dual"] = code.is_self_dual()
     row["min_distance"] = min(w for w in range(1, 49) if we[w])
     row["weight_enumerator_ok"] = all(

@@ -9,12 +9,12 @@ c + f, the second maps cycle-wise to vectors over the even-weight
 polynomial ring P.  ``AutType`` is both the type and this layout:
 ``AutType.sigma()`` is the standard sigma.
 
-``DecomposedEngine`` computes weights of the codes built for one X_i
-as the 256 cosets of their 4^8-word even part, through
-``gf2.coset_words``; the weight formula 2a + 3b - 4s backs only its
-search table and filter.  The filter rejects a tau on the images of the
-12 weight-4 base words first, which leaves ~0.2-3% of taus, and checks
-all 255 nonzero base words only for those.
+``DecomposedEngine`` holds what the search needs for one X_i: the table
+``m_table`` and the coset filter, both from the weight formula
+2a + 3b - 4s.  It enumerates no codewords; a built code's weights come
+from ``gf2.BinaryCode.low_weight_words``.  The filter rejects a tau on
+the images of the 12 weight-4 base words first, which leaves ~0.2-3% of
+taus, and checks all 255 nonzero base words only for those.
 """
 
 from __future__ import annotations
@@ -188,14 +188,14 @@ MIN_DISTANCE = 10
 
 
 class DecomposedEngine:
-    """Fast weight computations for codes C_i^tau with fixed X_i.
+    """The minimum-distance filter for codes C_i^tau with fixed X_i.
 
-    All 4^8 words of the embedded GF(4) code are tabulated once per X_i:
-    their 48-bit expansion and their cycle-support mask.  Only the
-    256-word fixed side depends on tau.  The search table and filter use
-    that a mixed codeword has weight 2a + 3b - 4s, where a is the GF(4)
-    weight of the even part, b the weight of the projected fixed part,
-    and s the size of their common cycle support.
+    The cycle-support mask of each of the 4^8 words of the embedded
+    GF(4) code is tabulated once per X_i; only the 256-word fixed side
+    depends on tau.  The search table and filter use that a mixed
+    codeword has weight 2a + 3b - 4s, where a is the GF(4) weight of the
+    even part, b the weight of the projected fixed part, and s the size
+    of their common cycle support.
     """
 
     def __init__(self, xi_index, embed=cyclicring.gf4_embed):
@@ -209,7 +209,6 @@ class DecomposedEngine:
         for j in range(16):
             cyc = (words >> np.uint64(3 * j)) & np.uint64(7)
             support |= (cyc != 0).astype(np.uint16) << np.uint16(j)
-        self.even_words = words
         self.support = support
         self._m_table = None
         # The fixed side of the filter: bit i of base row k, and three
@@ -227,19 +226,18 @@ class DecomposedEngine:
         self._light_support = np.nonzero(bit_of)[1].reshape(len(light), -1)
         self._even_min = int(np.bitwise_count(words[1:]).min())
 
-    # -- per-tau fixed side ------------------------------------------------
+    # -- whole-code delegations; perfbench/ still traces and calls them ----
 
     def weight_enumerator(self, tau):
-        """Exact weight distribution of C_i^tau (49 coefficients)."""
-        return self.words_of_weights(tau, ())[0]
+        return build_code(tau, self.xi_index, self.embed).weight_enumerator()
 
-    def words_of_weights(self, tau, wanted):
-        """(weight distribution, {w: 48-bit codewords of weight w}) of
-        C_i^tau: the even words in the cosets of the 256 lifted fixed
-        words, the span of the rows :func:`build_code` lifts."""
-        lifted = [pi_inverse(r, STANDARD_3_16_0) for r in permuted_base_rows(tau)]
-        leaders = gf2.span(np.array(lifted, dtype=np.uint64))
-        return gf2.coset_words(self.even_words, leaders, 48, wanted)
+    def words_of_weights(self, tau):
+        return build_code(tau, self.xi_index, self.embed).low_weight_words()
+
+    def min_distance(self, tau):
+        return build_code(tau, self.xi_index, self.embed).min_distance()
+
+    # -- the coset filter --------------------------------------------------
 
     def filter_images(self, images):
         """Which taus give a code of minimum distance >= MIN_DISTANCE.
@@ -308,12 +306,6 @@ class DecomposedEngine:
                 pair[:, 0], pair[:, 1] = u_off, u_on
             self._m_table = f
         return self._m_table
-
-    def min_distance(self, tau):
-        """Exact minimum distance via the weight distribution."""
-        counts = self.weight_enumerator(tau)
-        nz = np.nonzero(counts[1:])[0]
-        return int(nz[0]) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,8 @@ def _refine(mats_a, mats_b, ca, cb):
 
 
 def register_code_data(code, we, words_low, words_high):
-    """Attach codeword data computed elsewhere (e.g. by the decomposed
-    engine) to the code, so generic re-enumeration is skipped."""
+    """Attach refinement data built from a code's weight distribution and
+    its words of the two lowest nonzero weights to the code."""
     n = code.n
     co_low = _co_matrix(np.asarray(words_low, dtype=np.uint64), n)
     co_high = co_low + _co_matrix(np.asarray(words_high, dtype=np.uint64), n)
@@ -124,18 +124,15 @@ def _make_key(code, we, co_low, co_high, colors):
 
 
 def code_data(code):
-    """Refinement data for a code, computed by full enumeration and
-    attached if it was not registered.  A first pass counts the weights;
-    a second collects the words of the two lowest nonzero weights."""
+    """Refinement data for a code, attached on first use from one full
+    enumeration: the weight distribution and the words of the two lowest
+    nonzero weights (``gf2.BinaryCode.low_weight_words``)."""
     data = code.__dict__.get(_DATA_ATTR)
     if data is not None:
         return data
-    we = code.weight_enumerator()
-    lows = [int(w) + 1 for w in np.flatnonzero(we[1:])[:2]]
-    if sum(int(we[w]) for w in lows) > _MAX_REFINE_WORDS:
+    we, low, high = code.low_weight_words()
+    if len(low) + len(high) > _MAX_REFINE_WORDS:
         raise ValueError("too many low-weight words for refinement")
-    words = code.words_of_weights(lows)[1]
-    low, high = ([words[w] for w in lows] + [[], []])[:2]
     return register_code_data(code, we, low, high)
 
 

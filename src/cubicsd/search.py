@@ -206,11 +206,10 @@ def code_digest(code):
 
 
 def register_engine_data(engine, tau):
-    """Build the code of a tau and attach its refinement data, computed
-    in one decomposed-engine pass (768 + 8592 low-weight words)."""
+    """Build the code of a tau for the engine's X_i and attach its
+    refinement data, from one enumeration pass (``equiv.code_data``)."""
     code = construct.build_code(tau, engine.xi_index, engine.embed)
-    we, words = engine.words_of_weights(tau, (10, 12))
-    equiv.register_code_data(code, we, words[10], words[12])
+    equiv.code_data(code)
     return code
 
 

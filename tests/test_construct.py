@@ -73,29 +73,50 @@ def test_table_codes_have_published_enumerator():
     assert int(we[1:10].sum()) == 0
 
 
+def _decomposed_minimum(eng, images):
+    """The exact minimum weight of each tau's code from the engine's
+    parts: the lightest even word, and m_table()[tau(u)] + 3 wt(u) over
+    the 255 nonzero base words u, each moved bit by bit to its image."""
+    images = np.asarray(images, dtype=np.uint16)
+    base = np.array(dataset.gb_matrix().rows, dtype=np.uint16)
+    words = gf2.span(base)[1:]
+    word_bits = (words[:, None] >> np.arange(16, dtype=np.uint16) & 1).T
+    even = gf2.span(
+        np.array(construct.even_part_rows(eng.xi_index), dtype=np.uint64)
+    )
+    even_min = int(np.bitwise_count(even[1:]).min())
+    out = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(images), 4096):
+        bits = np.left_shift(1, images[lo : lo + 4096], dtype=np.uint16)
+        weights = eng.m_table()[bits @ word_bits] + 3 * np.bitwise_count(words)
+        out.append(np.minimum(weights.min(axis=1), even_min))
+    return np.concatenate(out)
+
+
 def test_engine_matches_generic_enumerator():
+    # The engine's table and even part give the exact minimum distance
+    # that full enumeration of the built code finds.
     rnd = random.Random(3)
     for i in (1, 3):
         eng = DecomposedEngine(i)
-        for _ in range(3):
-            tau = random_tau(rnd)
-            fast = eng.weight_enumerator(tau)
-            slow = construct.build_code(tau, i).weight_enumerator()
-            assert np.array_equal(fast, slow)
+        taus = [random_tau(rnd) for _ in range(3)]
+        taus.append(dataset.table_entries(i)[0].tau())
+        got = _decomposed_minimum(eng, [t.img for t in taus])
+        expect = [construct.build_code(t, i).min_distance() for t in taus]
+        assert got.tolist() == expect
 
 
-def test_engine_words_of_weights():
-    eng = DecomposedEngine(1)
+def test_table_code_low_weight_words():
     entry = dataset.table_entries(1)[0]
-    tau = entry.tau()
     code = construct.build_table_code(entry)
-    counts, words = eng.words_of_weights(tau, (10, 12))
-    assert np.array_equal(counts, eng.weight_enumerator(tau))
+    counts, low, high = code.low_weight_words()
     assert np.array_equal(counts, code.weight_enumerator())
-    assert len(words[10]) == counts[10] == 768
-    assert len(words[12]) == counts[12] == 8592
-    for w in words[10][:20]:
-        assert gf2.weight(int(w)) == 10
+    assert len(low) == counts[10] == 768
+    assert len(high) == counts[12] == 8592
+    assert len(np.unique(low)) == 768 and len(np.unique(high)) == 8592
+    assert (np.bitwise_count(low) == 10).all()
+    assert (np.bitwise_count(high) == 12).all()
+    for w in np.concatenate([low[:20], high[:20]]):
         assert code.contains(int(w))
 
 
@@ -106,7 +127,7 @@ def test_min_weight_filter_agrees_with_distance():
     hits = misses = 0
     for _ in range(40):
         tau = random_tau(rnd)
-        d = eng.min_distance(tau)
+        d = construct.build_code(tau, 2).min_distance()
         assert eng.min_weight_at_least(tau) == (d >= 10)
         hits += d >= 10
         misses += d < 10
@@ -149,7 +170,7 @@ def test_filter_images_agrees_with_distance():
         raw = [random_tau(rnd) for _ in range(8)]
         canon = [group.min_coset_rep(t) for t in raw]
         assert any(a != b for a, b in zip(raw, canon))
-        expect = [eng.min_distance(t) >= 10 for t in raw]
+        expect = [construct.build_code(t, i).min_distance() >= 10 for t in raw]
         # Every published tau has distance 10 (checked by the acceptance
         # gate); so has a non-canonical member of its coset.
         table = [e.tau() for e in dataset.table_entries(i)]
@@ -162,18 +183,8 @@ def test_filter_images_agrees_with_distance():
 
 def _reference_filter(eng, images):
     """The single-stage filter: every row is checked on all 255 nonzero
-    base words, each moved bit by bit to its image under tau."""
-    images = np.asarray(images, dtype=np.uint16)
-    base = np.array(dataset.gb_matrix().rows, dtype=np.uint16)
-    words = gf2.span(base)[1:]
-    word_bits = (words[:, None] >> np.arange(16, dtype=np.uint16) & 1).T
-    even_ok = np.bitwise_count(eng.even_words[1:]).min() >= 10
-    keep = [np.zeros(0, dtype=bool)]
-    for lo in range(0, len(images), 4096):
-        bits = np.left_shift(1, images[lo : lo + 4096], dtype=np.uint16)
-        weights = eng.m_table()[bits @ word_bits] + 3 * np.bitwise_count(words)
-        keep.append((weights.min(axis=1) >= 10) & even_ok)
-    return np.concatenate(keep)
+    base words and on the even part."""
+    return _decomposed_minimum(eng, images) >= 10
 
 
 @pytest.mark.parametrize("xi_index", [1, 2, 3, 4])

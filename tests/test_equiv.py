@@ -160,10 +160,10 @@ def test_code_data_travels_with_pickled_code(monkeypatch):
         back = pool.apply_async(_with_code_data, (code,)).get(timeout=60)
     assert back == code
 
-    def no_enumeration(self, wanted=()):
+    def no_enumeration(self):
         raise AssertionError("code data was enumerated again")
 
-    monkeypatch.setattr(BinaryCode, "words_of_weights", no_enumeration)
+    monkeypatch.setattr(BinaryCode, "low_weight_words", no_enumeration)
     assert equiv.invariant(back) == expected
 
 
@@ -180,3 +180,21 @@ def test_generic_code_data_is_small_and_matches_the_index():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert search.code_digest(code) == dataset.table_digests()[index]
+
+
+def test_an_unknown_code_is_enumerated_once(monkeypatch):
+    calls = []
+    walk = gf2.coset_words
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(gf2, "coset_words", counted)
+    entry = dataset.table_entries()[0]
+    equiv.code_data(construct.build_table_code(entry))
+    assert len(calls) == 1
+    calls.clear()
+    engine = construct.DecomposedEngine(entry.table_id)
+    search.register_engine_data(engine, entry.tau())
+    assert len(calls) == 1

@@ -110,27 +110,36 @@ def test_weight_enumerator_matches_brute():
 
 def test_coset_enumeration_matches_whole_span():
     # The 16-row split: codes of fewer, exactly 16 and more rows against
-    # one gf2.span of all their rows.
+    # one gf2.span of all their rows, and the [7,3] simplex code, whose
+    # nonzero words all weigh 4.
     rnd = random.Random(5)
     n = 36
+    codes = []
     for k in (0, 1, 15, 16, 17, 20):
         code = BinaryCode(n, ())
         while code.k < k:
             code = BinaryCode.from_rows(
                 list(code.rows) + [rnd.randrange(1, 1 << n)], n
             )
+        codes.append(code)
+    # Row i of the simplex code has bit j set when j + 1 has bit i set.
+    simplex = [0b1010101, 0b1100110, 0b1111000]
+    codes.append(BinaryCode.from_rows(simplex, 7))
+    for code in codes:
         words = gf2.span(np.array(code.rows, dtype=np.uint64))
         wts = np.bitwise_count(words)
-        ref = np.bincount(wts, minlength=n + 1)
-        # The three lowest weights present and the lowest one absent.
-        wanted = [int(w) for w in np.flatnonzero(ref)[:3]]
-        wanted.append(int(np.flatnonzero(ref == 0)[0]))
-        counts, found = code.words_of_weights(wanted)
+        ref = np.bincount(wts, minlength=code.n + 1)
+        counts, *classes = code.low_weight_words()
         assert np.array_equal(counts, ref)
         assert np.array_equal(code.weight_enumerator(), ref)
-        assert sorted(found) == sorted(wanted)
-        for w in wanted:
-            assert np.array_equal(np.sort(found[w]), np.sort(words[wts == w]))
+        lows = list(np.flatnonzero(ref[1:])[:2] + 1)
+        expect = [words[wts == w] for w in lows]
+        expect += [words[:0]] * (2 - len(lows))
+        for got, want in zip(classes, expect):
+            assert got.dtype == np.uint64
+            assert np.array_equal(np.sort(got), np.sort(want))
+    assert [len(c) for c in codes[-1].low_weight_words()[1:]] == [7, 0]
+    assert [len(c) for c in codes[0].low_weight_words()[1:]] == [0, 0]
 
 
 def test_min_distance():
