@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import construct, dataset, equiv, feasibility, gf2, perm, search
 
@@ -65,13 +66,7 @@ def verify_tables(table_id=None, threads=1, return_codes=False):
         for i, e in enumerate(entries)
         if table_id is None or e.table_id == table_id
     ]
-    if threads > 1:
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(threads) as pool:
-            results = pool.map(_verify_entry, indices)
-    else:
-        results = [_verify_entry(i) for i in indices]
+    results = list(search.ordered_map(_verify_entry, indices, threads))
     rows = [row for row, _ in results]
     codes = [code for _, code in results if code is not None]
     classes = equiv.partition_classes(codes)
@@ -513,6 +508,11 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 2
+    except BrokenExecutor as exc:
+        hint = " Rerunning with the same --checkpoint resumes the search."
+        hint = hint if args.command == "search" else ""
+        sys.stderr.write("error: a worker process died: %s%s\n" % (exc, hint))
         return 2
 
 

@@ -198,10 +198,9 @@ class DecomposedEngine:
     of their common cycle support.
     """
 
-    def __init__(self, xi_index, embed=cyclicring.gf4_embed):
+    def __init__(self, xi_index):
         self.xi_index = xi_index
-        self.embed = embed
-        rows = even_part_rows(xi_index, embed)
+        rows = even_part_rows(xi_index)
         if len(rows) != 16:
             raise RuntimeError("expected 16 binary rows for the even part")
         words = gf2.span(np.array(rows, dtype=np.uint64))
@@ -229,13 +228,13 @@ class DecomposedEngine:
     # -- whole-code delegations; perfbench/ still traces and calls them ----
 
     def weight_enumerator(self, tau):
-        return build_code(tau, self.xi_index, self.embed).weight_enumerator()
+        return build_code(tau, self.xi_index).weight_enumerator()
 
     def words_of_weights(self, tau):
-        return build_code(tau, self.xi_index, self.embed).low_weight_words()
+        return build_code(tau, self.xi_index).low_weight_words()
 
     def min_distance(self, tau):
-        return build_code(tau, self.xi_index, self.embed).min_distance()
+        return build_code(tau, self.xi_index).min_distance()
 
     # -- the coset filter --------------------------------------------------
 

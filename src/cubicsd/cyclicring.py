@@ -155,9 +155,6 @@ class PolyP:
     def is_zero(self):
         return self.mask == 0
 
-    def coeffs(self):
-        return [(self.mask >> i) & 1 for i in range(self.p)]
-
 
 def poly_zero(p):
     return PolyP(p, 0)

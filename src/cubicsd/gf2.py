@@ -91,10 +91,6 @@ class BinaryMatrix:
             format(r, "0%db" % self.n_cols)[::-1] for r in self.rows
         )
 
-    @property
-    def n_rows(self):
-        return len(self.rows)
-
     def rank(self):
         return len(rref(self.rows, self.n_cols)[0])
 

@@ -13,13 +13,15 @@ regardless of sharding or interruption: index i is row i % BLOCK_SIZE
 of block i // BLOCK_SIZE, and block b is drawn by one generator,
 ``np.random.default_rng([seed, b])``, shuffling every row of 0..15 on
 its own.  Shard i/m of a sample takes the blocks b = i mod m.  Both
-modes cut their candidates into blocks, filtered in one batch each,
-serially or on a fork pool.  A tau is a hit iff the code generated by
-(pi^-1(tau B); phi^-1(X_i)) has minimum distance 10.  The code depends
-only on the coset of tau, so sample draws are filtered raw and only the
-hits are reduced to their coset representative.  A hit is recorded as
-(X_i, representative) and nothing more; the checkpoint is an
-append-only log with one line per block.
+modes cut their candidates into blocks, filtered in one batch each by
+``ordered_map``: in this process, or on forked workers whose death
+raises ``BrokenProcessPool`` instead of stalling the scan.  A tau is a
+hit iff the code generated by (pi^-1(tau B); phi^-1(X_i)) has minimum
+distance 10.  The code depends only on the coset of tau, so sample
+draws are filtered raw and only the hits are reduced to their coset
+representative.  A hit is recorded as (X_i, representative) and
+nothing more; the checkpoint is an append-only log with one line per
+block.
 
 The post-pass (``classify_hits``).  Let H_i be the action of Aut(E_i)
 on the 16 cycles, E_i = phi^-1(X_i) the even part (``dataset.h_group``).
@@ -33,6 +35,7 @@ table codes through the shipped digest index.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -208,29 +211,55 @@ def code_digest(code):
 def register_engine_data(engine, tau):
     """Build the code of a tau for the engine's X_i and attach its
     refinement data, from one enumeration pass (``equiv.code_data``)."""
-    code = construct.build_code(tau, engine.xi_index, engine.embed)
+    code = construct.build_code(tau, engine.xi_index)
     equiv.code_data(code)
     return code
 
 
-_WORKER_ENGINES = {}
-
-
+@functools.cache
 def _worker_engine(xi_index):
-    eng = _WORKER_ENGINES.get(xi_index)
-    if eng is None:
-        eng = construct.DecomposedEngine(xi_index)
-        eng.m_table()
-        _WORKER_ENGINES[xi_index] = eng
+    """X_i's filter engine and distance table; forked workers inherit it."""
+    eng = construct.DecomposedEngine(xi_index)
+    eng.m_table()
     return eng
 
 
+def ordered_map(task, jobs, threads):
+    """Yield ``task(job)`` for each job, in order.
+
+    With ``threads`` > 1 the tasks run on a pool of forked workers, at
+    most two jobs per worker in flight, while this process produces jobs
+    and consumes results.  A worker that dies raises
+    ``BrokenProcessPool``.  When the caller stops early (an exception in
+    its loop, or closing the generator), jobs not yet started are
+    cancelled, and the pool is shut down once the running ones finish.
+    """
+    if threads == 1:
+        yield from map(task, jobs)
+        return
+    # Imported here: a serial run would pay ~20 ms and ~1.5 MB for them.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(threads, mp_context=get_context("fork"))
+    window = deque()
+    try:
+        for job in jobs:
+            window.append(pool.submit(task, job))
+            if len(window) >= 2 * threads:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _blocks(state):
-    """Yield (end, job) for every block from state.position: ``end`` is
-    the stream position after the block, and the job's block is a
-    (number, rows) pair of sample block and rows to use, or a (T, 16)
-    array of transversal image rows.  Sample shard i/m takes the blocks
-    numbered i mod m.
+    """Yield the job of every block from state.position: (xi, seed,
+    block, end), where ``end`` is the stream position after the block,
+    and the block is a (number, rows) pair of sample block and rows to
+    use, or a (T, 16) array of transversal image rows.  Sample shard i/m
+    takes the blocks numbered i mod m.
     """
     if state.mode == "sample":
         shard_idx, shard_cnt = state.shard
@@ -240,7 +269,7 @@ def _blocks(state):
             lo = number * BLOCK_SIZE
             rows = min(BLOCK_SIZE, state.sample - lo)
             end = min(lo + BLOCK_SIZE * shard_cnt, state.sample)
-            yield end, (state.xi_index, state.seed, (number, rows))
+            yield state.xi_index, state.seed, (number, rows), end
         return
     blocks = dataset.autb_group().transversal_blocks(
         state.shard, state.position, BLOCK_SIZE
@@ -248,45 +277,22 @@ def _blocks(state):
     end = state.position
     for images in blocks:
         end += len(images)
-        yield end, (state.xi_index, state.seed, images)
+        yield state.xi_index, state.seed, images, end
 
 
-def _filter_block(args):
-    """Pool task: filter one block, return the image rows of its hits.
+def _filter_block(job):
+    """Pool task: filter one block; returns (end, image rows of its hits).
 
     The block is a (number, rows) pair, whose sample block is drawn here
     and cut to its first rows, or a (T, 16) uint8 array of transversal
     images.
     """
-    xi_index, seed, block = args
+    xi_index, seed, block, end = job
     if isinstance(block, tuple):
         number, rows = block
         block = _sample_block(seed, number)[:rows]
     hits = _worker_engine(xi_index).filter_images(block)
-    return block[hits].tolist()
-
-
-def _drive(blocks, threads, finish):
-    """Filter every block and call finish(end, hits) in block order.
-    With threads > 1 a fork pool filters ahead, at most two blocks per
-    worker, while this process produces and finishes blocks.
-    """
-    if threads == 1:
-        for end, job in blocks:
-            finish(end, _filter_block(job))
-        return
-    from multiprocessing import get_context
-
-    # Forked workers inherit the engines and distance tables built here.
-    with get_context("fork").Pool(threads) as pool:
-        window = deque()
-        for end, job in blocks:
-            window.append((end, pool.apply_async(_filter_block, (job,))))
-            if len(window) >= 2 * threads:
-                end, pending = window.popleft()
-                finish(end, pending.get())
-        for end, pending in window:
-            finish(end, pending.get())
+    return end, block[hits].tolist()
 
 
 def run_search(
@@ -303,9 +309,11 @@ def run_search(
 
     ``extra_taus`` are injected ahead of the stream (not counted in the
     position), useful for spot checks with known permutations.  With
-    ``threads`` > 1 either mode filters its blocks in a process pool;
-    survivors, ``progress`` calls (one per block) and checkpoint lines
-    are still handled by this process only.  A missing checkpoint starts
+    ``threads`` > 1 either mode filters its blocks on forked workers
+    (``ordered_map``); survivors, ``progress`` calls (one per block) and
+    checkpoint lines are still handled by this process only, in block
+    order.  A dead worker raises ``BrokenProcessPool``; the checkpoint
+    then holds every block finished before it, so a rerun resumes.  A missing checkpoint starts
     a clean search; an existing one is resumed, dropping a torn last
     line.  Hits are recorded, not classified: see ``classify_hits``.
     """
@@ -356,7 +364,12 @@ def run_search(
             _append_checkpoint(checkpoint_path, state.position, hits)
             logged = now
 
-    def finish(end, hits):
+    engine = _worker_engine(xi_index)
+    for tau in extra_taus:
+        tau = dataset.autb_group().min_coset_rep(tau)
+        if engine.min_weight_at_least(tau):
+            keep(tau)
+    for end, hits in ordered_map(_filter_block, _blocks(state), threads):
         for row in hits:
             tau = perm.Permutation(tuple(row))
             if state.mode == "sample":
@@ -366,13 +379,6 @@ def run_search(
         record()
         if progress is not None:
             progress(state)
-
-    engine = _worker_engine(xi_index)
-    for tau in extra_taus:
-        tau = dataset.autb_group().min_coset_rep(tau)
-        if engine.min_weight_at_least(tau):
-            keep(tau)
-    _drive(_blocks(state), threads, finish)
     if state.mode == "sample":
         state.position = state.sample
     record()
