@@ -49,11 +49,11 @@ _DATA_ATTR = "_code_data"
 
 
 def _co_matrix(words, n):
+    # Bit i of a word is bit i % 8 of its little-endian byte i // 8.
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(octets.reshape(-1, 8), axis=1, bitorder="little")
     # float32 sums of 0/1 products are exact below 2^24 > _MAX_REFINE_WORDS.
-    bits = (
-        (words[:, None] >> np.arange(n, dtype=np.uint64)[None, :])
-        & np.uint64(1)
-    ).astype(np.float32)
+    bits = bits[:, :n].astype(np.float32)
     return (bits.T @ bits).astype(np.int64)
 
 
@@ -124,9 +124,9 @@ def _make_key(code, we, co_low, co_high, colors):
 
 
 def code_data(code):
-    """Refinement data for a code, attached on first use from one full
-    enumeration: the weight distribution and the words of the two lowest
-    nonzero weights (``gf2.BinaryCode.low_weight_words``)."""
+    """Refinement data for a code, attached on first use from one call
+    of ``gf2.BinaryCode.low_weight_words``: the weight distribution and
+    the words of the two lowest nonzero weights."""
     data = code.__dict__.get(_DATA_ATTR)
     if data is not None:
         return data

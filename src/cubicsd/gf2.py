@@ -7,11 +7,18 @@ form so that two equal codes always compare bit-identical.
 
 Each low-level job has one kernel here: ``span`` lists a row space,
 ``permute_word`` moves the bits of a word, and numpy's
-``np.bitwise_count`` counts them.  ``coset_words`` is the one codeword
-enumeration: it walks a code as cosets of a span of at most 16 rows, so
-no enumeration holds more than 65536 words at once, and returns the
-weight distribution with the words of the two lowest nonzero weights in
-that one pass.
+``np.bitwise_count`` counts them.  ``BinaryCode.low_weight_words`` is
+the one entry point for a code's weight distribution and its words of
+the two lowest nonzero weights, with two engines behind it:
+
+- a self-dual code takes ``information_set_words``: every word of weight
+  at most t = 2*floor(n/8) has at most t/2 ones on one of two disjoint
+  information sets (the Brouwer-Zimmermann idea), and Gleason's theorem
+  (``gleason_distribution``) fixes the rest of the distribution from
+  A_0..A_t;
+- every other code, and a self-dual one the first engine cannot settle,
+  takes ``coset_words``: exact enumeration as cosets of a span of at
+  most 16 rows, so it never holds more than 65536 words at once.
 """
 
 from __future__ import annotations
@@ -21,9 +28,15 @@ from functools import cached_property
 
 import numpy as np
 
-# Exhaustive enumeration is the only codeword engine here; 2^28 words is
-# the largest job we accept.
+# The largest dimension low_weight_words accepts: 2^28 words for the
+# exact engine, which every code may fall back to.
 MAX_ENUM_DIM = 28
+
+# The information-set engine runs only when its combinations are this
+# many times fewer than the 2^k words of exact enumeration.  Per word it
+# costs about twice as much (8 ns against 4 ns on a [48,24] code, 2-vCPU
+# x86), and it may still have to fall back.
+_INFO_SET_GAIN = 16
 
 
 def rref(rows, n_cols):
@@ -125,8 +138,7 @@ def coset_words(sub, leaders, n):
     the remaining rows.  Each coset keeps its nonzero words up to the
     second-lowest nonzero weight counted so far (all of them while fewer
     than two are counted); that cut only falls, so a last filter leaves
-    the two lowest classes.  A class the code lacks is empty.  The words
-    of a class come in leader order, each coset in ``sub`` order.
+    the two lowest classes.  A class the code lacks is empty.
     """
     counts = np.zeros(n + 1, dtype=np.int64)
     kept = []
@@ -143,6 +155,108 @@ def coset_words(sub, leaders, n):
     # Weight 0 stands in for a missing class: no kept word has it.
     low, high = [*np.flatnonzero(counts[1:])[:2] + 1, 0, 0][:2]
     return counts, words[wts == low], words[wts == high]
+
+
+def _self_dual(rows, n):
+    """Whether the independent uint64 ``rows`` span a self-dual code of
+    length n: k = n/2 and G G^T = 0."""
+    return 2 * len(rows) == n and not (
+        np.bitwise_count(rows[:, None] & rows) & np.uint64(1)
+    ).any()
+
+
+def information_sets(code):
+    """(P rows, Q rows, P mask) of a self-dual code: its generator rows
+    systematic on the RREF pivots P and those systematic on the other
+    columns Q, as uint64 arrays, and the bit mask of P.
+
+    With G = [I | A] on (P, Q), G G^T = 0 gives A A^T = I, so Q is an
+    information set too, and A^T G = [A^T | I] is systematic on it: the
+    row of a column q of Q is q plus the pivots of the RREF rows that
+    have q.  Those rows are codewords only when the code is self-dual,
+    so any other code raises ValueError.
+    """
+    reduced, pivots = rref(code.rows, code.n)
+    rows = np.array(reduced, dtype=np.uint64)
+    if not _self_dual(rows, code.n):
+        raise ValueError("information sets P and Q need a self-dual code")
+    p_mask = sum(1 << p for p in pivots)
+    q_rows = [
+        (1 << q) | sum(1 << p for r, p in zip(reduced, pivots) if r >> q & 1)
+        for q in range(code.n)
+        if not p_mask >> q & 1
+    ]
+    return rows, np.array(q_rows, dtype=np.uint64), p_mask
+
+
+def _light_combinations(rows, r, t):
+    """The XORs of at most r of ``rows`` that weigh at most t.
+
+    The rows are split into two halves; each pair (a, b) of row counts
+    with a + b <= r is one broadcast XOR of the a-row combinations of
+    the first half with the b-row ones of the second, filtered at once.
+    """
+    h = len(rows) // 2
+    halves = []
+    for half in (rows[:h], rows[h:]):
+        words = span(half)
+        size = np.bitwise_count(np.arange(len(words)))
+        halves.append([words[size == a] for a in range(r + 1)])
+    kept = []
+    for a, left in enumerate(halves[0]):
+        for right in halves[1][: r + 1 - a]:
+            block = (left[:, None] ^ right).ravel()
+            kept.append(block[np.bitwise_count(block) <= t])
+    return np.concatenate(kept)
+
+
+def information_set_words(code, t):
+    """Every word of weight at most t of a self-dual code, each once.
+
+    A word of weight at most t has at most r = t // 2 ones on P or on Q
+    (``information_sets``), so it is an XOR of at most r rows of the P-
+    or of the Q-systematic generator.  A word found on Q is kept only
+    when it has more than r ones on P, where the P pass cannot reach it.
+    """
+    p_rows, q_rows, p_mask = information_sets(code)
+    r = t // 2
+    on_q = _light_combinations(q_rows, r, t)
+    on_q = on_q[np.bitwise_count(on_q & np.uint64(p_mask)) > r]
+    return np.concatenate([_light_combinations(p_rows, r, t), on_q])
+
+
+def _binomials(m):
+    """[C(m, 0), ..., C(m, m)] as Python ints."""
+    row = [1]
+    for i in range(m):
+        row.append(row[-1] * (m - i) // (i + 1))
+    return row
+
+
+def gleason_distribution(head, n):
+    """The weight distribution A_0..A_n of a self-dual [n, n/2] code from
+    its A_0..A_t, t = 2*floor(n/8) (Gleason's theorem; J. H. Conway and
+    N. J. A. Sloane, IEEE-IT 36 (1990)).
+
+    The enumerator is sum_j a_j g_j over j <= n/8, with
+    g_j = (x^2+y^2)^(n/2-4j) (x^2 y^2 (x^2-y^2)^2)^j.  In u = y^2 and
+    x = 1, g_j = u^j (1+u)^(n/2-4j) (1-u)^(2j) starts at u^j with
+    coefficient 1, so a_j is A_2j less what g_0..g_(j-1) put there: a
+    unitriangular solve in exact integers.  The basis holds Type I and
+    Type II codes alike.
+    """
+    m = n // 2
+    total = [0] * (m + 1)
+    for j in range(n // 8 + 1):
+        a = int(head[2 * j]) - total[j]
+        plus = _binomials(m - 4 * j)
+        minus = [(-1) ** i * c for i, c in enumerate(_binomials(2 * j))]
+        for i, p in enumerate(plus):
+            for l, q in enumerate(minus):
+                total[j + i + l] += a * p * q
+    dist = np.zeros(n + 1, dtype=np.int64)
+    dist[::2] = total
+    return dist
 
 
 def permute_word(word, img):
@@ -227,17 +341,42 @@ class BinaryCode:
 
     def low_weight_words(self):
         """(weight distribution, words of the lowest nonzero weight,
-        words of the next one) by one full enumeration, as cosets of the
-        span of the first 16 RREF rows."""
+        words of the next one), each class sorted ascending; a class the
+        code lacks is empty.
+
+        A self-dual code takes ``information_set_words`` up to weight
+        t = 2*floor(n/8) and ``gleason_distribution``, when that needs
+        ``_INFO_SET_GAIN`` times fewer combinations than its 2^k words
+        and finds two nonzero weights up to t.  Any other code is
+        enumerated in full by ``coset_words``, as cosets of the span of
+        its first 16 RREF rows."""
         if self.k > MAX_ENUM_DIM:
             raise ValueError("enumeration budget exceeded")
         if self.n > 63:
             raise ValueError("codeword enumeration limited to n <= 63")
         rows = np.array(self.rows, dtype=np.uint64)
-        return coset_words(span(rows[:16]), span(rows[16:]), self.n)
+        t = 2 * (self.n // 8)
+        combinations = 2 * sum(_binomials(self.k)[: t // 2 + 1])
+        if (
+            _self_dual(rows, self.n)
+            and combinations * _INFO_SET_GAIN < 2**self.k
+        ):
+            words = information_set_words(self, t)
+            wts = np.bitwise_count(words)
+            head = np.bincount(wts, minlength=t + 1)
+            present = np.flatnonzero(head[1:])[:2] + 1
+            if len(present) == 2:
+                return (
+                    gleason_distribution(head, self.n),
+                    *(np.sort(words[wts == w]) for w in present),
+                )
+        counts, low, high = coset_words(
+            span(rows[:16]), span(rows[16:]), self.n
+        )
+        return counts, np.sort(low), np.sort(high)
 
     def weight_enumerator(self):
-        """Exact weight distribution (A_0, ..., A_n) by full enumeration."""
+        """Exact weight distribution (A_0, ..., A_n)."""
         return self.low_weight_words()[0]
 
     def min_distance(self):

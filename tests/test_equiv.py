@@ -167,34 +167,50 @@ def test_code_data_travels_with_pickled_code(monkeypatch):
     assert equiv.invariant(back) == expected
 
 
-def test_generic_code_data_is_small_and_matches_the_index():
-    # Full enumeration of a [48,24] code holds one 65536-word coset at a
-    # time, not all 2^24 words (~272 MB when it did).
-    index = 30
-    code = construct.build_table_code(dataset.table_entries()[index])
+def _peak_code_data_bytes(code):
     tracemalloc.start()
     try:
         equiv.code_data(code)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+
+
+def test_generic_code_data_is_small_and_matches_the_index():
+    # A self-dual [48,24] code takes the information-set kernel: ~9400
+    # words of weight <= 12, ~2 MB at the peak.
+    index = 30
+    code = construct.build_table_code(dataset.table_entries()[index])
+    assert _peak_code_data_bytes(code) < 4 * 2**20
     assert search.code_digest(code) == dataset.table_digests()[index]
+    # Full enumeration of a [48,24] code that is not self-dual holds one
+    # 65536-word coset at a time, not all 2^24 words (~272 MB when it
+    # did).
+    rnd = random.Random(8)
+    other = random_code(rnd, 48, 24)
+    assert other.k == 24 and not other.is_self_dual()
+    assert _peak_code_data_bytes(other) < 32 * 2**20
 
 
 def test_an_unknown_code_is_enumerated_once(monkeypatch):
     calls = []
-    walk = gf2.coset_words
 
-    def counted(*args):
-        calls.append(args)
-        return walk(*args)
+    def spy(owner, name):
+        inner = getattr(owner, name)
 
-    monkeypatch.setattr(gf2, "coset_words", counted)
+        def counted(*args):
+            calls.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(BinaryCode, "low_weight_words")
+    spy(gf2, "information_set_words")
+    spy(gf2, "coset_words")
     entry = dataset.table_entries()[0]
     equiv.code_data(construct.build_table_code(entry))
-    assert len(calls) == 1
+    assert calls == ["low_weight_words", "information_set_words"]
     calls.clear()
     engine = construct.DecomposedEngine(entry.table_id)
     search.register_engine_data(engine, entry.tau())
-    assert len(calls) == 1
+    assert calls == ["low_weight_words", "information_set_words"]

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cubicsd import gf2
+from cubicsd import cli, construct, dataset, gf2
 from cubicsd.gf2 import BinaryCode, BinaryMatrix
 
 
@@ -173,3 +173,154 @@ def test_enumeration_budget():
     big = BinaryCode(40, tuple(1 << i for i in range(gf2.MAX_ENUM_DIM + 1)))
     with pytest.raises(ValueError, match="budget"):
         big.weight_enumerator()
+
+
+# ---------------------------------------------------------------------------
+# Information sets and Gleason's theorem against exact enumeration
+
+
+def exact_words(code):
+    """The exact engine's answer, classes sorted."""
+    rows = np.array(code.rows, dtype=np.uint64)
+    counts, low, high = gf2.coset_words(
+        gf2.span(rows[:16]), gf2.span(rows[16:]), code.n
+    )
+    return counts, np.sort(low), np.sort(high)
+
+
+def extended_qr(p):
+    """The extended quadratic-residue code of a prime p = -1 mod 8: the
+    cyclic shifts of the residues' indicator with a parity bit, and the
+    all-ones word.  p = 7, 23 and 47 give the [8,4,4] Hamming code, the
+    [24,12,8] Golay code and the [48,24,12] code q48."""
+    residues = sum(1 << (x * x % p) for x in range(1, (p + 1) // 2))
+    full = (1 << p) - 1
+    rows = [(1 << (p + 1)) - 1]
+    for s in range(p):
+        word = (residues << s | residues >> (p - s)) & full
+        rows.append(word | (word.bit_count() & 1) << p)
+    return BinaryCode.from_rows(rows, p + 1)
+
+
+def kernel_spies(monkeypatch):
+    calls = {"information_set_words": 0, "coset_words": 0}
+    for name in calls:
+        kernel = getattr(gf2, name)
+
+        def counted(*args, _name=name, _kernel=kernel):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(gf2, name, counted)
+    return calls
+
+
+def test_information_sets_match_exact_enumeration_on_table_codes(monkeypatch):
+    entries = dataset.table_entries()
+    rnd = random.Random(23)
+    for index in rnd.sample(range(len(entries)), 20):
+        img = list(range(48))
+        rnd.shuffle(img)
+        code = construct.build_table_code(entries[index]).permuted(img)
+        calls = kernel_spies(monkeypatch)
+        got = code.low_weight_words()
+        assert calls == {"information_set_words": 1, "coset_words": 0}
+        monkeypatch.undo()
+        want = exact_words(code)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        assert [len(c) for c in got[1:]] == [768, 8592]
+
+
+def test_information_sets_on_a_code_full_of_light_words(monkeypatch):
+    # i2^24: C(24, j) words of weight 2j, all 190051 of weight <= 12 are
+    # reached from P alone.
+    code = BinaryCode.from_rows([3 << 2 * i for i in range(24)], 48)
+    calls = kernel_spies(monkeypatch)
+    got = code.low_weight_words()
+    assert calls == {"information_set_words": 1, "coset_words": 0}
+    monkeypatch.undo()
+    for g, w in zip(got, exact_words(code)):
+        assert np.array_equal(g, w)
+    assert [len(c) for c in got[1:]] == [24, 276]
+    assert len(gf2.information_set_words(code, 12)) == 190051
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        (7, {0: 1, 4: 14, 8: 1}),
+        (23, {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}),
+        (47, {0: 1, 12: 17296, 16: 535095, 20: 3995376, 24: 7681680,
+              28: 3995376, 32: 535095, 36: 17296, 48: 1}),
+    ],
+)
+def test_codes_the_information_sets_cannot_settle_are_enumerated(
+    monkeypatch, p, expected
+):
+    # [8,4,4] and [24,12,8] have too few words for the kernel to pay;
+    # q48 has no second nonzero weight up to 12, so its kernel pass is
+    # followed by exact enumeration.
+    code = extended_qr(p)
+    assert code.is_self_dual()
+    calls = kernel_spies(monkeypatch)
+    counts, low, high = code.low_weight_words()
+    assert calls == {"information_set_words": int(p == 47), "coset_words": 1}
+    assert {w: int(c) for w, c in enumerate(counts) if c} == expected
+    monkeypatch.undo()
+    want = exact_words(code)
+    assert np.array_equal(low, want[1]) and np.array_equal(high, want[2])
+
+
+def test_a_code_that_is_not_self_dual_is_enumerated(monkeypatch):
+    rnd = random.Random(9)
+    code = BinaryCode.from_rows(
+        [rnd.randrange(1 << 48) for _ in range(24)], 48
+    )
+    assert code.k == 24 and not code.is_self_dual()
+    calls = kernel_spies(monkeypatch)
+    counts, low, high = code.low_weight_words()
+    assert calls == {"information_set_words": 0, "coset_words": 1}
+    assert counts.sum() == 2**24
+    assert np.all(low[:-1] < low[1:]) and np.all(high[:-1] < high[1:])
+
+
+def test_information_sets_are_systematic_and_refuse_other_codes():
+    code = extended_qr(23)
+    p_rows, q_rows, p_mask = gf2.information_sets(code)
+    q_mask = ((1 << 24) - 1) ^ p_mask
+    assert p_mask.bit_count() == 12
+    for rows, mask in ((p_rows, p_mask), (q_rows, q_mask)):
+        on_set = sorted(int(r) & mask for r in rows)
+        assert on_set == sorted(1 << b for b in range(24) if mask >> b & 1)
+        assert all(code.contains(int(r)) for r in rows)
+    # Self-orthogonal but too small, and of dimension n/2 but not
+    # self-orthogonal: either would yield rows outside the code.
+    half = BinaryCode.from_rows(list(code.rows)[:11], 24)
+    rnd = random.Random(10)
+    other = BinaryCode.from_rows(
+        [rnd.randrange(1 << 24) for _ in range(12)], 24
+    )
+    assert other.k == 12
+    for bad in (half, other):
+        with pytest.raises(ValueError, match="self-dual"):
+            gf2.information_sets(bad)
+        with pytest.raises(ValueError, match="self-dual"):
+            gf2.information_set_words(bad, 6)
+
+
+def test_gleason_distribution():
+    low = [0] * 13
+    low[0], low[10], low[12] = 1, 768, 8592
+    dist = gf2.gleason_distribution(low, 48)
+    assert all(dist[w] == v for w, v in cli.EXPECTED_WE.items())
+    assert dist.sum() == 2**24 and dist.dtype == np.int64
+    golay = gf2.gleason_distribution([1, 0, 0, 0, 0, 0, 0], 24)
+    assert {w: int(c) for w, c in enumerate(golay) if c} == {
+        0: 1, 8: 759, 12: 2576, 16: 759, 24: 1
+    }
+    low = [0] * 13
+    low[0], low[12] = 1, 17296
+    q48 = gf2.gleason_distribution(low, 48)
+    assert (q48[12], q48[16], q48[20]) == (17296, 535095, 3995376)
