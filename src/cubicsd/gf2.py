@@ -32,12 +32,6 @@ import numpy as np
 # exact engine, which every code may fall back to.
 MAX_ENUM_DIM = 28
 
-# The information-set engine runs only when its combinations are this
-# many times fewer than the 2^k words of exact enumeration.  Per word it
-# costs about twice as much (8 ns against 4 ns on a [48,24] code, 2-vCPU
-# x86), and it may still have to fall back.
-_INFO_SET_GAIN = 16
-
 
 def rref(rows, n_cols):
     """Reduced row-echelon form over GF(2).
@@ -157,36 +151,24 @@ def coset_words(sub, leaders, n):
     return counts, words[wts == low], words[wts == high]
 
 
-def _self_dual(rows, n):
-    """Whether the independent uint64 ``rows`` span a self-dual code of
-    length n: k = n/2 and G G^T = 0."""
-    return 2 * len(rows) == n and not (
-        np.bitwise_count(rows[:, None] & rows) & np.uint64(1)
-    ).any()
-
-
 def information_sets(code):
     """(P rows, Q rows, P mask) of a self-dual code: its generator rows
     systematic on the RREF pivots P and those systematic on the other
     columns Q, as uint64 arrays, and the bit mask of P.
 
     With G = [I | A] on (P, Q), G G^T = 0 gives A A^T = I, so Q is an
-    information set too, and A^T G = [A^T | I] is systematic on it: the
-    row of a column q of Q is q plus the pivots of the RREF rows that
-    have q.  Those rows are codewords only when the code is self-dual,
-    so any other code raises ValueError.
+    information set too, and A^T G = [A^T | I] is systematic on it.
+    Its rows are ``BinaryCode.free_column_rows``, the dual's generator,
+    so they are codewords only when the code is self-dual; any other
+    code raises ValueError.
     """
-    reduced, pivots = rref(code.rows, code.n)
-    rows = np.array(reduced, dtype=np.uint64)
-    if not _self_dual(rows, code.n):
+    if not code.is_self_dual():
         raise ValueError("information sets P and Q need a self-dual code")
-    p_mask = sum(1 << p for p in pivots)
-    q_rows = [
-        (1 << q) | sum(1 << p for r, p in zip(reduced, pivots) if r >> q & 1)
-        for q in range(code.n)
-        if not p_mask >> q & 1
-    ]
-    return rows, np.array(q_rows, dtype=np.uint64), p_mask
+    return (
+        np.array(code.rows, dtype=np.uint64),
+        np.array(code.free_column_rows(), dtype=np.uint64),
+        sum(1 << p for p in code.pivots),
+    )
 
 
 def _light_combinations(rows, r, t):
@@ -225,14 +207,6 @@ def information_set_words(code, t):
     return np.concatenate([_light_combinations(p_rows, r, t), on_q])
 
 
-def _binomials(m):
-    """[C(m, 0), ..., C(m, m)] as Python ints."""
-    row = [1]
-    for i in range(m):
-        row.append(row[-1] * (m - i) // (i + 1))
-    return row
-
-
 def gleason_distribution(head, n):
     """The weight distribution A_0..A_n of a self-dual [n, n/2] code from
     its A_0..A_t, t = 2*floor(n/8) (Gleason's theorem; J. H. Conway and
@@ -245,12 +219,14 @@ def gleason_distribution(head, n):
     unitriangular solve in exact integers.  The basis holds Type I and
     Type II codes alike.
     """
+    from math import comb
+
     m = n // 2
     total = [0] * (m + 1)
     for j in range(n // 8 + 1):
         a = int(head[2 * j]) - total[j]
-        plus = _binomials(m - 4 * j)
-        minus = [(-1) ** i * c for i, c in enumerate(_binomials(2 * j))]
+        plus = [comb(m - 4 * j, i) for i in range(m - 4 * j + 1)]
+        minus = [(-1) ** i * comb(2 * j, i) for i in range(2 * j + 1)]
         for i, p in enumerate(plus):
             for l, q in enumerate(minus):
                 total[j + i + l] += a * p * q
@@ -300,7 +276,8 @@ class BinaryCode:
 
     @cached_property
     def pivots(self):
-        return rref(self.rows, self.n)[1]
+        # The pivot of an RREF row is its lowest set bit.
+        return [(r & -r).bit_length() - 1 for r in self.rows]
 
     @property
     def gen(self):
@@ -316,22 +293,28 @@ class BinaryCode:
                 w ^= row
         return w == 0
 
+    def free_column_rows(self):
+        """For each column f off the pivots, bit f plus the pivots of the
+        rows that have f: a generator of the dual code, systematic on
+        those columns."""
+        p_mask = sum(1 << p for p in self.pivots)
+        return [
+            (1 << f)
+            | sum(1 << p for r, p in zip(self.rows, self.pivots) if r >> f & 1)
+            for f in range(self.n)
+            if not p_mask >> f & 1
+        ]
+
     def dual(self):
         """The [n, n-k] dual code."""
-        pivset = set(self.pivots)
-        free = [c for c in range(self.n) if c not in pivset]
-        dual_rows = []
-        for f in free:
-            v = 1 << f
-            fmask = 1 << f
-            for row, piv in zip(self.rows, self.pivots):
-                if row & fmask:
-                    v |= 1 << piv
-            dual_rows.append(v)
-        return BinaryCode.from_rows(dual_rows, self.n)
+        return BinaryCode.from_rows(self.free_column_rows(), self.n)
 
     def is_self_dual(self):
-        return 2 * self.k == self.n and self.dual() == self
+        """k = n/2 and G G^T = 0: every two rows meet in an even number
+        of ones."""
+        return 2 * self.k == self.n and not any(
+            (a & b).bit_count() & 1 for a in self.rows for b in self.rows
+        )
 
     def permuted(self, img):
         """The code with coordinate i moved to img[i]."""
@@ -345,23 +328,20 @@ class BinaryCode:
         code lacks is empty.
 
         A self-dual code takes ``information_set_words`` up to weight
-        t = 2*floor(n/8) and ``gleason_distribution``, when that needs
-        ``_INFO_SET_GAIN`` times fewer combinations than its 2^k words
-        and finds two nonzero weights up to t.  Any other code is
-        enumerated in full by ``coset_words``, as cosets of the span of
-        its first 16 RREF rows."""
+        t = 2*floor(n/8) and ``gleason_distribution``, when it finds two
+        nonzero weights up to t.  Any other code is enumerated in full
+        by ``coset_words``, as cosets of the span of its first 16 RREF
+        rows."""
         if self.k > MAX_ENUM_DIM:
             raise ValueError("enumeration budget exceeded")
         if self.n > 63:
             raise ValueError("codeword enumeration limited to n <= 63")
-        rows = np.array(self.rows, dtype=np.uint64)
         t = 2 * (self.n // 8)
-        combinations = 2 * sum(_binomials(self.k)[: t // 2 + 1])
-        if (
-            _self_dual(rows, self.n)
-            and combinations * _INFO_SET_GAIN < 2**self.k
-        ):
+        try:
             words = information_set_words(self, t)
+        except ValueError:  # the code is not self-dual
+            pass
+        else:
             wts = np.bitwise_count(words)
             head = np.bincount(wts, minlength=t + 1)
             present = np.flatnonzero(head[1:])[:2] + 1
@@ -370,6 +350,7 @@ class BinaryCode:
                     gleason_distribution(head, self.n),
                     *(np.sort(words[wts == w]) for w in present),
                 )
+        rows = np.array(self.rows, dtype=np.uint64)
         counts, low, high = coset_words(
             span(rows[:16]), span(rows[16:]), self.n
         )

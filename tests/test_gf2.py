@@ -203,13 +203,17 @@ def extended_qr(p):
 
 
 def kernel_spies(monkeypatch):
+    """Count the calls of each kernel that return words; a call that
+    raises (information_set_words on a code that is not self-dual) is
+    not counted."""
     calls = {"information_set_words": 0, "coset_words": 0}
     for name in calls:
         kernel = getattr(gf2, name)
 
         def counted(*args, _name=name, _kernel=kernel):
+            out = _kernel(*args)
             calls[_name] += 1
-            return _kernel(*args)
+            return out
 
         monkeypatch.setattr(gf2, name, counted)
     return calls
@@ -259,14 +263,14 @@ def test_information_sets_on_a_code_full_of_light_words(monkeypatch):
 def test_codes_the_information_sets_cannot_settle_are_enumerated(
     monkeypatch, p, expected
 ):
-    # [8,4,4] and [24,12,8] have too few words for the kernel to pay;
-    # q48 has no second nonzero weight up to 12, so its kernel pass is
-    # followed by exact enumeration.
+    # None of them has a second nonzero weight up to t = 2*floor(n/8)
+    # (none at all below d for [8,4,4] and [24,12,8], only 12 for q48),
+    # so the kernel pass is followed by exact enumeration.
     code = extended_qr(p)
     assert code.is_self_dual()
     calls = kernel_spies(monkeypatch)
     counts, low, high = code.low_weight_words()
-    assert calls == {"information_set_words": int(p == 47), "coset_words": 1}
+    assert calls == {"information_set_words": 1, "coset_words": 1}
     assert {w: int(c) for w, c in enumerate(counts) if c} == expected
     monkeypatch.undo()
     want = exact_words(code)
