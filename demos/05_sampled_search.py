@@ -4,8 +4,8 @@ Candidates are drawn uniformly from S16, canonicalized to coset
 representatives, and kept when the constructed code reaches distance
 10.  Known good permutations from the published tables are injected to
 show the filter accepting them.  The hits are then classified: grouped
-into orbits under the automorphisms of the even part, one code per
-orbit, and matched against the table codes by equivalence.
+into orbits under the automorphisms of the even part, one class per
+orbit, and matched to the table rows whose coset lies in the orbit.
 """
 
 from cubicsd import classify_hits, dataset, run_search
@@ -18,7 +18,7 @@ print("hits: %d" % len(state.survivors))
 for s in state.survivors:
     print("  %s" % s.perm_text)
 
-report = classify_hits(state.survivors, against_tables=True)
+report = classify_hits(state.survivors)
 for x in report["xi"]:
     print(
         "\nX_%d: %d hits in %d orbits, %d classes"

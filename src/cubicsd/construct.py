@@ -126,9 +126,9 @@ def phi_inverse_rows(vec, layout):
     return rows
 
 
-def gf4_row_to_pvector(row, embed=cyclicring.gf4_embed):
+def gf4_row_to_pvector(row):
     """Embed a GF(4) row as a vector over P (p = 3)."""
-    return tuple(embed(v) for v in row)
+    return tuple(cyclicring.gf4_embed(v) for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +144,18 @@ def permuted_base_rows(tau, gb=None):
     return gf2.rref(rows, gb.n_cols)[0]
 
 
-def even_part_rows(xi_index, embed=cyclicring.gf4_embed):
+def even_part_rows(xi_index):
     """The 16 binary rows spanning E_i = phi^-1(X_i), the [48,16] even
     part shared by every code built from X_i."""
     rows = []
     for grow in dataset.x_generator(xi_index):
         rows.extend(
-            phi_inverse_rows(gf4_row_to_pvector(grow, embed), STANDARD_3_16_0)
+            phi_inverse_rows(gf4_row_to_pvector(grow), STANDARD_3_16_0)
         )
     return rows
 
 
-def build_code(tau, xi_index, embed=cyclicring.gf4_embed):
+def build_code(tau, xi_index):
     """The [48,24] code generated by the lifted tau-permuted base code and
     the embedded GF(4) code (I | X_i).
 
@@ -164,7 +164,7 @@ def build_code(tau, xi_index, embed=cyclicring.gf4_embed):
     """
     layout = STANDARD_3_16_0
     rows = [pi_inverse(r, layout) for r in permuted_base_rows(tau)]
-    rows.extend(even_part_rows(xi_index, embed))
+    rows.extend(even_part_rows(xi_index))
     code = gf2.BinaryCode.from_rows(rows, layout.n)
     if code.k != 24:
         raise RuntimeError("construction produced rank %d != 24" % code.k)

@@ -1,7 +1,6 @@
 """Embedded dataset: the [16,8] base code, its automorphism group, the
 four GF(4) matrices, the generators of the automorphism groups of their
-even parts, the 264 published table entries and the digest index of
-their codes.
+even parts, and the 264 published table entries.
 
 Everything is shipped as plain-text files under ``data/`` so the ground
 truth stays diffable.
@@ -42,11 +41,6 @@ class TableEntry:
 def gb_matrix():
     """Generator matrix of the base singly-even self-dual [16,8,4] code."""
     return gf2.BinaryMatrix.parse(_read("gb.txt"))
-
-
-@lru_cache(maxsize=None)
-def gb_code():
-    return gf2.BinaryCode.from_matrix(gb_matrix())
 
 
 @lru_cache(maxsize=None)
@@ -143,20 +137,6 @@ def table_entries(table_id=None):
     if table_id is not None:
         out = [e for e in out if e.table_id == table_id]
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def table_digests():
-    """``search.code_digest`` of each table entry's code, in table order.
-
-    Equivalent codes share a digest, so this index tells which entries
-    a code can match without building them.  ``verify-tables`` checks
-    every digest against a freshly built code.
-    """
-    digests = tuple(_read("table_digests.txt").split())
-    if len(digests) != len(table_entries()):
-        raise ValueError("table_digests.txt does not match tables.txt")
-    return digests
 
 
 def citations_text():

@@ -26,17 +26,19 @@ block.
 The post-pass (``classify_hits``).  Let H_i be the action of Aut(E_i)
 on the 16 cycles, E_i = phi^-1(X_i) the even part (``dataset.h_group``).
 For h in H_i, tau and tau * h build equivalent codes, so the hits of
-one double coset Aut(B) tau H_i form an H_i-orbit of cosets and one
-registered code per orbit classifies them all (Yorgov's method for
-Huffman's decomposition C = F + E).  The orbit representatives are
-partitioned by code equivalence and matched against the published
-table codes through the shipped digest index.
+one double coset Aut(B) tau H_i form an H_i-orbit of cosets (Yorgov's
+method for Huffman's decomposition C = F + E).  An orbit is one class,
+keyed by its lex-least member, and a published table row matches the
+orbit that holds its coset representative.  Orbit sizes certify the
+classes without building a code: each |Aut(E_i)| is divisible by 9 and
+not by 27, so when 3 divides an orbit's size, <sigma> is a Sylow
+3-subgroup of Aut(C), an equivalence between two such codes can be
+taken to normalize <sigma>, and distinct orbits are distinct classes.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import tempfile
@@ -200,12 +202,6 @@ def sampled_tau(seed, index):
     number, row = divmod(index, BLOCK_SIZE)
     tau = perm.Permutation(tuple(_sample_block(seed, number)[row].tolist()))
     return dataset.autb_group().min_coset_rep(tau)
-
-
-def code_digest(code):
-    """A short stable fingerprint of the equivalence invariant."""
-    key = repr(equiv.invariant(code))
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 def register_engine_data(engine, tau):
@@ -433,61 +429,56 @@ def hit_orbits(xi_index, taus):
     return orbits
 
 
-def classify_hits(survivors, against_tables=True):
-    """Classify search hits, one registered code per H_i-orbit.
+def classify_hits(survivors):
+    """Classify search hits: one class per H_i-orbit.
 
     For each X_i in the input, the hits are grouped into H_i-orbits
-    (``hit_orbits``), the lex-min member of each orbit is registered,
-    and the representatives are partitioned into equivalence classes.
-    When checked against the published tables, only the table entries
-    whose shipped digest (``dataset.table_digests()``) equals one
-    computed here are built and compared.  Returns, per X_i, the counts
-    of hits, orbits, orbit members and classes, and per class its hits,
-    representative, orbit size and matching table entry (None for a code
-    in no table).
+    (``hit_orbits``).  A class is one orbit, represented by its lex-least
+    member, and matches the table row of X_i whose coset representative
+    lies in the orbit.  Raises RuntimeError if an orbit's size is not
+    divisible by 3, which the Sylow certificate (module docstring) needs.
+    No code is built.  Returns, per X_i, the counts of hits, orbits,
+    orbit members and classes, and per class its hits, representative,
+    orbit size and matching table entry (None for a code in no table).
     """
     by_xi = {}
     for s in survivors:
         by_xi.setdefault(s.xi_index, []).append(s.perm_text)
+    group = dataset.autb_group()
     entries = dataset.table_entries()
     report = {"num_hits": 0, "xi": []}
     for xi_index in sorted(by_xi):
         taus = [perm.parse_cycles(t, 16) for t in by_xi[xi_index]]
         orbits = hit_orbits(xi_index, taus)
-        engine = _worker_engine(xi_index)
-        reps = [min(members, key=lambda t: t.img) for members, _ in orbits]
-        codes = [register_engine_data(engine, tau) for tau in reps]
-        labels = [("orbit", k) for k in range(len(orbits))]
-        if against_tables:
-            digests = {code_digest(code) for code in codes}
-            for idx, digest in enumerate(dataset.table_digests()):
-                if digest in digests:
-                    table_engine = _worker_engine(entries[idx].table_id)
-                    codes.append(
-                        register_engine_data(table_engine, entries[idx].tau())
-                    )
-                    labels.append(("table", idx))
+        rows = {
+            idx: group.min_coset_rep(entry.tau())
+            for idx, entry in enumerate(entries)
+            if entry.table_id == xi_index
+        }
         classes = []
-        for members in equiv.partition_classes(codes):
-            tagged = [labels[m] for m in members]
-            ks = [k for kind, k in tagged if kind == "orbit"]
-            if not ks:
-                continue
-            matches = [i for kind, i in tagged if kind == "table"]
+        for members, hits in orbits:
+            if len(members) % 3:
+                raise RuntimeError(
+                    "the H_%d-orbit of %s has %d members, not a multiple "
+                    "of 3: the Sylow certificate does not apply"
+                    % (xi_index, hits[0], len(members))
+                )
             classes.append(
                 {
-                    "representative": str(reps[ks[0]]),
-                    "hits": [str(tau) for k in ks for tau in orbits[k][1]],
-                    "orbit_size": sum(len(orbits[k][0]) for k in ks),
-                    "table_match": matches[0] if matches else None,
+                    "representative": str(min(members, key=lambda t: t.img)),
+                    "hits": [str(tau) for tau in hits],
+                    "orbit_size": len(members),
+                    "table_match": next(
+                        (i for i, rep in rows.items() if rep in members), None
+                    ),
                 }
             )
-        hits = sum(len(h) for _, h in orbits)
-        report["num_hits"] += hits
+        num_hits = sum(len(h) for _, h in orbits)
+        report["num_hits"] += num_hits
         report["xi"].append(
             {
                 "xi_index": xi_index,
-                "hits": hits,
+                "hits": num_hits,
                 "orbits": len(orbits),
                 "orbit_members": sum(len(m) for m, _ in orbits),
                 "classes": classes,

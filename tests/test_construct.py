@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cubicsd import construct, cyclicring, dataset, equiv, gf2, search
+from cubicsd import construct, dataset, equiv, gf2, search
 from cubicsd.construct import STANDARD_3_16_0, DecomposedEngine
 from cubicsd.cyclicring import PolyP
 from cubicsd.perm import Permutation, parse_cycles
@@ -236,13 +236,13 @@ def test_filter_images_rejects_non_permutations(images):
         DecomposedEngine(1).filter_images(images)
 
 
-def test_alternate_embedding_gives_equivalent_code():
+def test_alternate_embedding_gives_equivalent_code(build_code_alt):
     # swapping omega and omega^2 in the cycle embedding changes the
     # generator matrix but only by a coordinate relabeling
     entry = dataset.table_entries(1)[0]
-    tau = entry.tau()
-    a = construct.build_code(tau, 1, embed=cyclicring.gf4_embed)
-    b = construct.build_code(tau, 1, embed=cyclicring.gf4_embed_alt)
+    a = construct.build_table_code(entry)
+    b = build_code_alt(entry.tau(), 1)
+    assert b.k == 24 and b.is_self_dual()
     assert a != b
     assert equiv.are_equivalent(a, b)
 
@@ -273,7 +273,7 @@ def test_build_code_embeds_base_code():
     entry = dataset.table_entries(1)[1]
     tau = entry.tau()
     code = construct.build_table_code(entry)
-    base = dataset.gb_code()
+    base = gf2.BinaryCode.from_matrix(dataset.gb_matrix())
     lifted = [construct.pi_inverse(r, STANDARD_3_16_0) for r in base.permuted(tau.img).rows]
     for word in lifted:
         assert code.contains(word)

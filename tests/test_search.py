@@ -4,7 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from cubicsd import construct, dataset, equiv, perm, search
+from cubicsd import construct, dataset, equiv, gf2, perm, search
 
 
 def table1_taus():
@@ -352,15 +352,19 @@ def test_search_total():
     assert search.SearchState(1, 0, 300, (1, 3)).total == 300
 
 
-def _count_registrations(monkeypatch):
+def _spy_code_builds(monkeypatch):
+    """Record every code built or registered; classification needs none."""
     calls = []
-    register = search.register_engine_data
+    for owner, name in (
+        (construct, "build_code"),
+        (equiv, "register_code_data"),
+    ):
 
-    def counted(engine, tau):
-        calls.append(tau)
-        return register(engine, tau)
+        def counted(*args, inner=getattr(owner, name), name=name):
+            calls.append(name)
+            return inner(*args)
 
-    monkeypatch.setattr(search, "register_engine_data", counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -382,13 +386,11 @@ def test_scan_registers_nothing(monkeypatch):
 
 def test_dedup_against_tables(monkeypatch):
     taus = table1_taus()
-    calls = _count_registrations(monkeypatch)
+    calls = _spy_code_builds(monkeypatch)
     state = search.run_search(1, sample=0, extra_taus=taus)
+    report = search.classify_hits(state.survivors)
+    # The 5 taus lie in 5 orbits, one table row each; no code is built.
     assert calls == []
-    report = search.classify_hits(state.survivors, against_tables=True)
-    # One code per orbit (the 5 taus lie in 5 orbits), then only the 5
-    # table entries sharing a digest.
-    assert len(calls) == 10
     assert report["num_hits"] == 5
     (x1,) = report["xi"]
     assert (x1["xi_index"], x1["hits"], x1["orbits"]) == (1, 5, 5)
@@ -396,10 +398,13 @@ def test_dedup_against_tables(monkeypatch):
     assert report["all_matched"]
 
 
-def test_dedup_without_tables():
+def test_dedup_without_tables(monkeypatch):
+    # The classes do not depend on the published tables: without them
+    # the same orbits are found, and none is matched.
     taus = table1_taus()[:2]
     state = search.run_search(1, sample=0, extra_taus=taus)
-    report = search.classify_hits(state.survivors, against_tables=False)
+    monkeypatch.setattr(dataset, "table_entries", lambda *args: ())
+    report = search.classify_hits(state.survivors)
     classes = report["xi"][0]["classes"]
     assert len(classes) == 2
     assert all(c["table_match"] is None for c in classes)
@@ -407,7 +412,8 @@ def test_dedup_without_tables():
 
 
 def test_orbits_share_one_registration(monkeypatch):
-    # Two taus of one H_1-orbit: tau and min_coset_rep(tau * h).
+    # Two taus of one H_1-orbit: tau and min_coset_rep(tau * h).  They
+    # share one class, and no code is registered for it.
     group = dataset.autb_group()
     tau = group.min_coset_rep(table1_taus()[0])
     h = dataset.h_group(1).generators[0]
@@ -416,12 +422,47 @@ def test_orbits_share_one_registration(monkeypatch):
     hits = [
         search.Survivor(1, t.to_cycle_text() or "()") for t in (tau, other)
     ]
-    calls = _count_registrations(monkeypatch)
-    report = search.classify_hits(hits, against_tables=False)
-    assert len(calls) == 1
+    calls = _spy_code_builds(monkeypatch)
+    report = search.classify_hits(hits)
+    assert calls == []
     (cls,) = report["xi"][0]["classes"]
     assert cls["hits"] == [s.perm_text for s in hits]
     assert cls["orbit_size"] == 1920
+
+
+def test_table_rows_lie_in_distinct_certified_orbits(monkeypatch):
+    """Each X_i's table rows lie in distinct H_i-orbits, one row each,
+    every orbit size divisible by 3: the Sylow certificate holds on the
+    published codes."""
+    members = {1: 5760, 2: 4320, 3: 9138, 4: 63924}
+    entries = dataset.table_entries()
+    survivors = [search.Survivor(e.table_id, e.perm_text) for e in entries]
+    calls = _spy_code_builds(monkeypatch)
+    report = search.classify_hits(survivors)
+    assert calls == []
+    assert report["num_hits"] == 264 and report["all_matched"]
+    for x in report["xi"]:
+        xi = x["xi_index"]
+        # |Aut(E_i)| = 3 |H_i| is divisible by 9 and not by 27.
+        order = dataset.h_group(xi).order()
+        assert order % 3 == 0 and order % 9
+        rows = [i for i, e in enumerate(entries) if e.table_id == xi]
+        assert x["hits"] == x["orbits"] == len(x["classes"]) == len(rows)
+        assert [c["table_match"] for c in x["classes"]] == rows
+        assert all(len(c["hits"]) == 1 for c in x["classes"])
+        assert all(c["orbit_size"] % 3 == 0 for c in x["classes"])
+        assert x["orbit_members"] == members[xi]
+
+
+def test_uncertified_orbit_raises(monkeypatch):
+    # Under the trivial group every orbit has one member, which the
+    # Sylow argument cannot certify.
+    monkeypatch.setattr(dataset, "h_group", lambda i: perm.PermGroup([], 16))
+    calls = _spy_code_builds(monkeypatch)
+    tau = table1_taus()[0].to_cycle_text()
+    with pytest.raises(RuntimeError, match="not a multiple of 3"):
+        search.classify_hits([search.Survivor(1, tau)])
+    assert calls == []
 
 
 def test_hit_orbits_reject_wrong_h_data(monkeypatch):
@@ -434,24 +475,35 @@ def test_hit_orbits_reject_wrong_h_data(monkeypatch):
         search.hit_orbits(1, table1_taus()[:1])
 
 
-def test_unmatched_class_is_a_finding():
+def test_unmatched_class_is_a_finding(monkeypatch, build_code_alt):
     """The X_2 class found by the full scan and in no published table."""
     tau = "(8,12,11,10,9)(13,15)"
+    calls = _spy_code_builds(monkeypatch)
     report = search.classify_hits([search.Survivor(2, tau)])
+    assert calls == []
     (cls,) = report["xi"][0]["classes"]
     assert cls["representative"] == tau
     assert cls["orbit_size"] == 240
     assert cls["table_match"] is None
     assert not report["all_matched"]
     code = construct.build_code(perm.parse_cycles(tau, 16), 2)
-    digest = search.code_digest(code)
-    assert digest == "902c618401fa354e"
-    assert digest not in dataset.table_digests()
+    assert code.is_self_dual()
+    # Exact enumeration of all 2^24 words, not the information sets.
+    rows = np.array(code.rows, dtype=np.uint64)
+    counts = gf2.coset_words(gf2.span(rows[:16]), gf2.span(rows[16:]), 48)[0]
+    assert int(np.flatnonzero(counts[1:])[0]) + 1 == 10
+    assert (counts[10], counts[12]) == (768, 8592)
+    sigma = construct.STANDARD_3_16_0.sigma()
+    assert code.permuted(sigma.img) == code
     assert equiv.automorphism_group(code).order() == 3
+    other = build_code_alt(perm.parse_cycles(tau, 16), 2)
+    assert other != code and equiv.are_equivalent(code, other)
 
 
 def test_hit_orbits_on_first_2m_positions():
-    """Hits and H_i-orbits of the first 2,000,000 stream positions."""
+    """Hits and H_i-orbits of the first 2,000,000 stream positions.  The
+    IR equivalence search, kept as an independent check of the Sylow
+    certificate, puts the orbit representatives in one class each."""
     expected = {1: (27, 5), 2: (84, 16), 3: (81, 48), 4: (470, 112)}
     for xi, (hits, orbits) in expected.items():
         seen = []
@@ -466,3 +518,9 @@ def test_hit_orbits_on_first_2m_positions():
         found = search.hit_orbits(xi, taus)
         assert (len(state.survivors), len(found)) == (hits, orbits), xi
         assert sum(len(h) for _, h in found) == hits
+        engine = search._worker_engine(xi)
+        codes = [
+            search.register_engine_data(engine, min(m, key=lambda t: t.img))
+            for m, _ in found
+        ]
+        assert equiv.partition_classes(codes) == [[k] for k in range(orbits)]
