@@ -1,8 +1,10 @@
 """Code equivalence and automorphism groups.
 
-Equivalence is decided by individualization-refinement over the
-incidence structure of the low-weight codewords; every reported witness
-is verified against the full codes, so the answer is exact.
+Each code gets one canonical-labelling traversal: a pruned
+individualization-refinement walk over the incidence structure of its
+low-weight codewords.  Equal canonical forms mean equivalent codes, the
+two canonical labellings compose into a witness, and the automorphisms
+found along the way generate the whole group, so the answers are exact.
 """
 
 import random

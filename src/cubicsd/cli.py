@@ -25,7 +25,7 @@ EXPECTED_WE = {10: 768, 12: 8592, 14: 57600, 16: 267831}
 
 def _verify_entry(index):
     """Check one table entry; returns its report row and its code, with
-    refinement data attached for the later class partition."""
+    its canonical form attached for the later class partition."""
     entry = dataset.table_entries()[index]
     row = {"index": index, "table_id": entry.table_id, "perm": entry.perm_text}
     try:

@@ -1,19 +1,20 @@
 """Code equivalence, equivalence-class partitioning, and automorphism
-groups of binary codes.
+groups of binary codes, from one canonical-labelling traversal per code.
 
-Equivalence means coordinate permutation.  The decision engine is
-individualization-refinement over the incidence structure of low-weight
-codewords: coordinates are colored, colors are refined by the multiset
-of (color, co-coverage) pairs against every other coordinate, and the
-backtrack branches on the images of one individualized coordinate.
-Every candidate produced by a discrete coloring is verified against the
-full code (RREF equality) before it is accepted, so refinement strength
-affects only speed, never correctness.
+Equivalence means coordinate permutation.  The traversal walks the
+individualization-refinement tree of the code (B. D. McKay, Congr.
+Numer. 30 (1981); McKay and A. Piperno, J. Symbolic Comput. 60 (2014)):
+coordinates are colored by the co-coverage of the low-weight codewords,
+and a leaf labels the coordinates.  Two leaves whose labelled RREFs are
+equal give an automorphism, and a child in the orbit of an explored
+sibling is skipped.  The least labelled RREF is the canonical form, a
+complete invariant, and the orbit sizes along the first path multiply
+to |Aut|, which certifies the automorphisms found.
 
-The refinement data of a code (:class:`CodeData`) is stored on the code
-object itself, so it is freed with the code and travels with it when
-the code is pickled, e.g. back from a pool worker.  There is no
-process-wide store of per-code data.
+The results (:class:`CodeData`) are stored on the code object itself,
+so they are freed with the code and travel with it when the code is
+pickled, e.g. back from a pool worker.  There is no process-wide store
+of per-code data.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ _MAX_REFINE_WORDS = 200_000
 
 @dataclass
 class CodeData:
-    """Permutation-invariant refinement data attached to one code."""
+    """What one canonical-labelling traversal learns about a code."""
 
     we: tuple  # full weight distribution
-    co_low: np.ndarray  # co-coverage counts from the lowest weight class
-    co_high: np.ndarray  # ... plus the next weight class
-    invariant_key: tuple
+    canon: gf2.BinaryCode  # the least labelled RREF over the leaves
+    labelling: Permutation  # code.permuted(labelling.img) == canon
+    generators: tuple  # the automorphisms the traversal found
+    aut_order: int  # orbit-stabilizer product along the first path
 
 
 # Instance attribute holding a code's CodeData.  BinaryCode is a frozen
@@ -57,76 +59,124 @@ def _co_matrix(words, n):
     return (bits.T @ bits).astype(np.int64)
 
 
-def _signature_rows(mats, colors):
-    """One row-signature per coordinate: own color followed by the sorted
-    multiset of (color, co-counts) pairs packed into int64 keys."""
-    n = len(colors)
+def _signatures(mats, colors):
+    """One signature per coordinate: own color followed by the sorted
+    multiset of (color, co-counts) pairs packed into int64 keys, as one
+    big-endian byte string, which sorts like the row of integers."""
     c = np.asarray(colors, dtype=np.int64)
-    packed = (
-        (np.broadcast_to(c, (n, n)).copy() << 32)
-        | (mats[0] << 16)
-        | mats[1]
-    )
+    packed = (c << 32) | (mats[0] << 16) | mats[1]
     packed.sort(axis=1)
-    return np.concatenate([c[:, None], packed], axis=1)
+    rows = np.concatenate([c[:, None], packed], axis=1).astype(">i8")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
 
 
-def _refine(mats_a, mats_b, ca, cb):
-    """Refine the colorings of two codes together until both are stable.
-
-    Both sides share one canonical color numbering; returns the refined
-    (ca, cb), or None as soon as their color multisets differ.  On a
-    code against itself this is its stable coloring.
-    """
-    n = len(ca)
+def _refine(mats, colors):
+    """Refine an ordered partition of one code's coordinates until it is
+    stable.  The color of a coordinate is the first position of its cell,
+    so a cell splits within its own positions, in signature order."""
     while True:
-        rows_a = _signature_rows(mats_a, ca)
-        rows_b = _signature_rows(mats_b, cb)
-        _, inv = np.unique(
-            np.concatenate([rows_a, rows_b]), axis=0, return_inverse=True
+        _, inv, sizes = np.unique(
+            _signatures(mats, colors), return_inverse=True, return_counts=True
         )
-        na, nb = inv[:n], inv[n:]
-        if not np.array_equal(np.sort(na), np.sort(nb)):
-            return None
-        na, nb = na.tolist(), nb.tolist()
-        if na == ca and nb == cb:
-            return ca, cb
-        ca, cb = na, nb
+        refined = (np.cumsum(sizes) - sizes)[inv.ravel()].tolist()
+        if refined == colors:
+            return colors
+        colors = refined
+
+
+def _orbit(point, gens, fixed):
+    """The orbit of a point under the generators fixing ``fixed``."""
+    gens = [g for g in gens if all(g.img[p] == p for p in fixed)]
+    orbit, queue = {point}, [point]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = g.img[x]
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return orbit
+
+
+def _traverse(code, mats):
+    """(canonical form, canonical labelling, automorphisms found, |Aut|).
+
+    A point is individualized in place: it keeps its cell's color and
+    its cellmates move just after it, so an automorphism between two
+    leaves maps path to path and the first path's product is exact.
+    """
+    n = code.n
+    first = best = None  # (certificate, path, labelling)
+    gens = []
+
+    def leaf(lab, path):
+        # Returns the depth at which the search resumes.
+        nonlocal first, best
+        cert = code.permuted(lab).rows
+        if first is None:
+            first = best = (cert, path, lab)
+            return len(path)
+        for ref_cert, ref_path, ref_lab in (first, best):
+            if cert == ref_cert:
+                to_leaf = Permutation(tuple(lab)).inverse()
+                gens.append(Permutation(tuple(ref_lab)) * to_leaf)
+                # The rest of this branch mirrors the reference's.
+                return next(
+                    j for j, (x, y) in enumerate(zip(path, ref_path)) if x != y
+                )
+        if cert < best[0]:
+            best = (cert, path, lab)
+        return len(path)
+
+    def visit(colors, path):
+        colors = _refine(mats, colors)
+        cells = {}
+        for x, c in enumerate(colors):
+            cells.setdefault(c, []).append(x)
+        split = [(len(cell), c) for c, cell in cells.items() if len(cell) > 1]
+        if not split:
+            return leaf(colors, path)
+        depth, tried = len(path), []
+        target = min(split)[1]
+        for x in cells[target]:
+            if not _orbit(x, gens, path).isdisjoint(tried):
+                continue
+            tried.append(x)
+            child = [
+                target + 1 if c == target and y != x else c
+                for y, c in enumerate(colors)
+            ]
+            back = visit(child, path + [x])
+            if back < depth:
+                return back
+        return depth
+
+    visit([0] * n, [])
+    path = first[1]
+    order = 1
+    for i, v in enumerate(path):
+        order *= len(_orbit(v, gens, path[:i]))
+    canon, labelling = gf2.BinaryCode(n, best[0]), Permutation(tuple(best[2]))
+    return canon, labelling, tuple(gens), order
 
 
 def register_code_data(code, we, words_low, words_high):
-    """Attach refinement data built from a code's weight distribution and
-    its words of the two lowest nonzero weights to the code."""
+    """Attach the traversal's results to a code, given its weight
+    distribution and its words of the two lowest nonzero weights."""
     n = code.n
     co_low = _co_matrix(np.asarray(words_low, dtype=np.uint64), n)
     co_high = co_low + _co_matrix(np.asarray(words_high, dtype=np.uint64), n)
-    mats = [co_low, co_high]
-    colors = _refine(mats, mats, [0] * n, [0] * n)[0]
-    key = _make_key(code, we, co_low, co_high, colors)
-    data = CodeData(tuple(int(x) for x in we), co_low, co_high, key)
+    data = CodeData(
+        tuple(int(x) for x in we), *_traverse(code, [co_low, co_high])
+    )
     code.__dict__[_DATA_ATTR] = data
     return data
 
 
-def _make_key(code, we, co_low, co_high, colors):
-    pair_sig = sorted(
-        (*sorted((colors[i], colors[j])), int(co_low[i, j]), int(co_high[i, j]))
-        for i in range(code.n)
-        for j in range(i + 1, code.n)
-    )
-    return (
-        code.n,
-        code.k,
-        tuple(int(x) for x in we[: min(code.n, 16) + 1]),
-        tuple(sorted(colors)),
-        tuple(pair_sig),
-    )
-
-
 def code_data(code):
-    """Refinement data for a code, attached on first use from one call
-    of ``gf2.BinaryCode.low_weight_words``: the weight distribution and
-    the words of the two lowest nonzero weights."""
+    """The traversal's results for a code, attached on first use from
+    one call of ``gf2.BinaryCode.low_weight_words``: the weight
+    distribution and the words of the two lowest nonzero weights."""
     data = code.__dict__.get(_DATA_ATTR)
     if data is not None:
         return data
@@ -137,55 +187,19 @@ def code_data(code):
 
 
 def invariant(code):
-    """A permutation-invariant fingerprint; equal for equivalent codes."""
-    return code_data(code).invariant_key
-
-
-# ---------------------------------------------------------------------------
-# Individualization-refinement search
-
-def _isomorphisms(a, b, mats_a, mats_b, ca, cb):
-    """Yield every verified permutation g with g(a) = b in the search
-    tree below the colorings (ca, cb) of a and b."""
-    refined = _refine(mats_a, mats_b, ca, cb)
-    if refined is None:
-        return
-    ca, cb = refined
-    cells = {}
-    for i, c in enumerate(ca):
-        cells.setdefault(c, []).append(i)
-    # Branch on the smallest non-singleton cell, lowest color first.
-    split = [(len(cell), c) for c, cell in cells.items() if len(cell) > 1]
-    if not split:
-        # Discrete coloring: read off the candidate and verify it.
-        pos_b = {c: i for i, c in enumerate(cb)}
-        img = [pos_b[c] for c in ca]
-        if a.permuted(img) == b:
-            yield Permutation(tuple(img))
-        return
-    target = min(split)[1]
-    ia = cells[target][0]
-    fresh = a.n + 1  # unused color id
-    for ib in [j for j, c in enumerate(cb) if c == target]:
-        na, nb = list(ca), list(cb)
-        na[ia] = nb[ib] = fresh
-        yield from _isomorphisms(a, b, mats_a, mats_b, na, nb)
+    """The canonical form: equal exactly for equivalent codes."""
+    return code_data(code).canon
 
 
 def find_isomorphism(a, b):
-    """A coordinate permutation g with g(a) = b, or None.
-
-    Fast-rejects on the permutation-invariant fingerprint, then runs the
-    verified individualization-refinement backtrack.
-    """
+    """A coordinate permutation g with g(a) = b, or None: the canonical
+    labelling of a followed by the inverse of b's."""
     if a.n != b.n or a.k != b.k:
         return None
     da, db = code_data(a), code_data(b)
-    if da.invariant_key != db.invariant_key:
+    if da.canon != db.canon:
         return None
-    mats_a, mats_b = [da.co_low, da.co_high], [db.co_low, db.co_high]
-    start = [0] * a.n
-    return next(_isomorphisms(a, b, mats_a, mats_b, start, start), None)
+    return da.labelling * db.labelling.inverse()
 
 
 def are_equivalent(a, b):
@@ -193,20 +207,18 @@ def are_equivalent(a, b):
 
 
 def automorphism_group(a):
-    """The group of all coordinate permutations preserving the code.
+    """The group of all coordinate permutations preserving the code,
+    generated by the automorphisms its traversal found.
 
-    The search tree is exhausted with a = b, every verified leaf is an
-    automorphism, and distinct leaves are distinct, so the harvested
-    elements are exactly the group.
+    Raises RuntimeError if they generate a group of another order than
+    the orbit-stabilizer product along the traversal's first path.
     """
     if a.k < 1:
         raise ValueError("empty code")
-    da = code_data(a)
-    mats, start = [da.co_low, da.co_high], [0] * a.n
-    found = list(_isomorphisms(a, a, mats, mats, start, start))
-    group = PermGroup(found, a.n)
-    if group.order() != len(found):
-        raise RuntimeError("automorphism harvest inconsistent with BSGS")
+    data = code_data(a)
+    group = PermGroup(data.generators, a.n)
+    if group.order() != data.aut_order:
+        raise RuntimeError("found automorphisms miss part of the group")
     return group
 
 
@@ -223,27 +235,14 @@ def brute_force_isomorphism(a, b):
 
 
 def partition_classes(codes):
-    """Partition a list of codes into equivalence classes.
+    """Partition a list of codes into equivalence classes by canonical
+    form.
 
     Returns a list of lists of input indices; classes are ordered by the
     index of their first representative, and the result is independent
     of the input order.
     """
-    buckets = {}
+    classes = {}
     for idx, code in enumerate(codes):
-        buckets.setdefault(invariant(code), []).append(idx)
-    classes = []
-    for key in buckets:
-        reps = []  # (first index, [members])
-        for idx in sorted(buckets[key]):
-            for rep in reps:
-                if codes[idx] == codes[rep[0]] or find_isomorphism(
-                    codes[rep[0]], codes[idx]
-                ):
-                    rep[1].append(idx)
-                    break
-            else:
-                reps.append((idx, [idx]))
-        classes.extend(members for _, members in reps)
-    classes.sort(key=lambda members: members[0])
-    return classes
+        classes.setdefault(invariant(code), []).append(idx)
+    return list(classes.values())

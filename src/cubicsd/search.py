@@ -206,7 +206,7 @@ def sampled_tau(seed, index):
 
 def register_engine_data(engine, tau):
     """Build the code of a tau for the engine's X_i and attach its
-    refinement data, from one enumeration pass (``equiv.code_data``)."""
+    canonical form, from one enumeration pass (``equiv.code_data``)."""
     code = construct.build_code(tau, engine.xi_index)
     equiv.code_data(code)
     return code

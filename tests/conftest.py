@@ -14,7 +14,7 @@ def full_verification():
     """Rebuild and check all 264 table codes once per test session.
 
     Returns the verify-tables report together with the code objects,
-    each carrying its refinement data (registered once, in the pool
+    each carrying its canonical form (registered once, in the pool
     worker that built it), keyed for reuse by the acceptance tests.
     Dedup tests do not depend on this fixture having run: they classify
     survivors by H_i-orbit and build no code.

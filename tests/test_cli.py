@@ -65,6 +65,12 @@ def test_autgroup(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["order"] == 3
     assert obj["generators"]
+    # The [9,1] repetition code: |Aut| = 9!.
+    path = tmp_path / "rep9.txt"
+    path.write_text("111111111\n")
+    code, out = run_cli(capsys, "autgroup", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["order"] == 362880
 
 
 def test_verify_tables_table1(capsys, tmp_path):

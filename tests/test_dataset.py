@@ -1,6 +1,6 @@
 import pytest
 
-from cubicsd import construct, dataset, gf2, perm
+from cubicsd import construct, dataset, equiv, gf2, perm
 
 
 def test_table_entry_counts():
@@ -53,6 +53,7 @@ def test_even_part_automorphisms():
                     g.img[3 * j] // 3
                 }
         assert perm.PermGroup(gens, 48).order() == order48
+        assert equiv.automorphism_group(even).order() == order48
         assert dataset.h_group(i).order() == order16
 
 

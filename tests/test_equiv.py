@@ -1,8 +1,10 @@
+import dataclasses
 import gc
 import random
 import tracemalloc
 import weakref
 from itertools import permutations
+from math import factorial
 from multiprocessing import get_context
 
 import pytest
@@ -74,6 +76,8 @@ def test_agreement_with_brute_force():
         bf = equiv.brute_force_isomorphism(a, b)
         ir = equiv.find_isomorphism(a, b)
         assert (bf is None) == (ir is None)
+        # The canonical form is a complete invariant.
+        assert (equiv.invariant(a) == equiv.invariant(b)) == (bf is not None)
         if ir is not None:
             assert a.permuted(list(ir.img)) == b
         agree += 1
@@ -105,6 +109,29 @@ def test_automorphism_group_vs_brute():
         )
 
 
+def test_repetition_code_automorphisms():
+    # |Aut| = n!: a walk over every leaf of the search tree took minutes
+    # at n = 9; the pruned traversal finds n - 1 generators.
+    for n in range(5, 10):
+        code = BinaryCode.from_rows([(1 << n) - 1], n)
+        group = equiv.automorphism_group(code)
+        assert group.order() == factorial(n)
+        assert all(
+            code.permuted(list(g.img)) == code for g in group.generators
+        )
+
+
+def test_incomplete_generators_raise(monkeypatch):
+    code = BinaryCode.from_rows([0b11111], 5)
+    data = equiv.code_data(code)
+    assert equiv.automorphism_group(code).order() == data.aut_order == 120
+    # Each of the found transpositions is needed to generate S_5.
+    short = dataclasses.replace(data, generators=data.generators[1:])
+    monkeypatch.setitem(code.__dict__, equiv._DATA_ATTR, short)
+    with pytest.raises(RuntimeError):
+        equiv.automorphism_group(code)
+
+
 def test_automorphism_group_empty_code():
     with pytest.raises(ValueError):
         equiv.automorphism_group(BinaryCode(4, ()))
@@ -134,6 +161,17 @@ def test_partition_classes_order_independent():
         sorted(order[i] for i in members) for members in shuffled_classes
     )
     assert regrouped == sorted(sorted(m) for m in classes)
+
+
+def test_table_codes_have_distinct_canonical_forms(full_verification):
+    codes = full_verification["codes"]
+    assert len({equiv.invariant(code) for code in codes}) == 264
+    rnd = random.Random(9)
+    for code in codes[::11]:
+        other = random_shuffle(rnd, code)
+        assert equiv.invariant(other) == equiv.invariant(code)
+        iso = equiv.find_isomorphism(code, other)
+        assert code.permuted(list(iso.img)) == other
 
 
 def test_code_data_is_freed_with_the_code():
