@@ -20,10 +20,11 @@ taus, and checks all 255 nonzero base words only for those.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import cyclicring, dataset, gf2, perm
+from . import cyclicring, dataset, equiv, gf2, perm
 from .cyclicring import PolyP
 
 
@@ -153,6 +154,37 @@ def even_part_rows(xi_index):
             phi_inverse_rows(gf4_row_to_pvector(grow), STANDARD_3_16_0)
         )
     return rows
+
+
+@lru_cache(maxsize=None)
+def h_group(xi_index):
+    """H_i, the action of Aut(E_i) on the 16 cycles {3j, 3j+1, 3j+2}, as
+    a degree-16 group.  For h in H_i, tau and tau * h build equivalent
+    codes from X_i.
+
+    The generators are those of ``equiv.automorphism_group(E_i)``,
+    projected onto the cycles.  Identity projections are dropped, and so
+    is each generator the others generate the group without, since
+    ``search.hit_orbits`` pays per generator.
+    """
+    aut = equiv.automorphism_group(
+        gf2.BinaryCode.from_rows(even_part_rows(xi_index), 48)
+    )
+    gens = []
+    for g in aut.generators:
+        img = tuple(g.img[3 * j] // 3 for j in range(16))
+        if any(g.img[p] // 3 != img[p // 3] for p in range(48)):
+            raise ValueError(
+                "an automorphism of E_%d splits a cycle" % xi_index
+            )
+        if img != tuple(range(16)):
+            gens.append(perm.Permutation(img))
+    order = perm.PermGroup(gens, 16).order()
+    for g in list(gens):
+        rest = [h for h in gens if h is not g]
+        if perm.PermGroup(rest, 16).order() == order:
+            gens = rest
+    return perm.PermGroup(gens, 16)
 
 
 def build_code(tau, xi_index):

@@ -1,8 +1,8 @@
-"""Embedded dataset: the [16,8] base code, its automorphism group, the
-four GF(4) matrices, the generators of the automorphism groups of their
-even parts, and the 264 published table entries.
+"""Embedded dataset: the [16,8] base code, the four GF(4) matrices and
+the 264 published table entries, and the base code's automorphism
+group, computed from its generator matrix.
 
-Everything is shipped as plain-text files under ``data/`` so the ground
+The data is shipped as plain-text files under ``data/`` so the ground
 truth stays diffable.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
 
-from . import cyclicring, gf2, perm
+from . import cyclicring, equiv, gf2, perm
 
 # The printed order of the automorphism group of the base code.  It is
 # impossible (the factor 23 does not divide 16!), see autb_order_report().
@@ -44,17 +44,10 @@ def gb_matrix():
 
 
 @lru_cache(maxsize=None)
-def autb_generators():
-    return tuple(
-        perm.parse_cycles(ln.strip(), 16)
-        for ln in _read("autb.txt").splitlines()
-        if ln.strip()
-    )
-
-
-@lru_cache(maxsize=None)
 def autb_group():
-    return perm.PermGroup(list(autb_generators()), 16)
+    """Aut(B), the automorphism group of the base code, from the
+    certified traversal of ``equiv.automorphism_group``."""
+    return equiv.automorphism_group(gf2.BinaryCode.from_matrix(gb_matrix()))
 
 
 def autb_order_report():
@@ -78,35 +71,6 @@ def x_matrix(i):
     return tuple(
         tuple(row) for row in cyclicring.parse_gf4_matrix(_read("x%d.txt" % i))
     )
-
-
-@lru_cache(maxsize=None)
-def aute_generators(i):
-    """48-point generators of Aut(E_i), E_i = phi^-1(X_i) the [48,16]
-    even part of every code built from X_i (``data/aute.txt``, lines
-    ``i;<cycles>``)."""
-    x_matrix(i)  # validate i
-    gens = []
-    for ln in _read("aute.txt").splitlines():
-        if ln.strip():
-            tid, text = ln.split(";")
-            if int(tid) == i:
-                gens.append(perm.parse_cycles(text, 48))
-    return tuple(gens)
-
-
-@lru_cache(maxsize=None)
-def h_group(i):
-    """H_i, the action of Aut(E_i) on the 16 cycles {3j, 3j+1, 3j+2}, as
-    a degree-16 group.  For h in H_i, tau and tau * h build equivalent
-    codes from X_i."""
-    gens = []
-    for g in aute_generators(i):
-        img = tuple(g.img[3 * j] // 3 for j in range(16))
-        if any(g.img[p] // 3 != img[p // 3] for p in range(48)):
-            raise ValueError("aute.txt: a generator splits a cycle")
-        gens.append(perm.Permutation(img))
-    return perm.PermGroup(gens, 16)
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,6 @@ of per-code data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -220,18 +219,6 @@ def automorphism_group(a):
     if group.order() != data.aut_order:
         raise RuntimeError("found automorphisms miss part of the group")
     return group
-
-
-def brute_force_isomorphism(a, b):
-    """Exhaustive ground-truth oracle over all n! permutations (n <= 8)."""
-    if a.n > 8 or b.n > 8:
-        raise ValueError("brute force limited to n <= 8")
-    if a.n != b.n or a.k != b.k:
-        return None
-    for img in permutations(range(a.n)):
-        if a.permuted(img) == b:
-            return Permutation(img)
-    return None
 
 
 def partition_classes(codes):

@@ -24,9 +24,10 @@ nothing more; the checkpoint is an append-only log with one line per
 block.
 
 The post-pass (``classify_hits``).  Let H_i be the action of Aut(E_i)
-on the 16 cycles, E_i = phi^-1(X_i) the even part (``dataset.h_group``).
-For h in H_i, tau and tau * h build equivalent codes, so the hits of
-one double coset Aut(B) tau H_i form an H_i-orbit of cosets (Yorgov's
+on the 16 cycles, E_i = phi^-1(X_i) the even part, computed from E_i's
+automorphism group (``construct.h_group``).  For h in H_i, tau and
+tau * h build equivalent codes, so the hits of one double coset
+Aut(B) tau H_i form an H_i-orbit of cosets (Yorgov's
 method for Huffman's decomposition C = F + E).  An orbit is one class,
 keyed by its lex-least member, and a published table row matches the
 orbit that holds its coset representative.  Orbit sizes certify the
@@ -389,11 +390,11 @@ def hit_orbits(xi_index, taus):
     h in H_i, found by breadth-first search over the generators of H_i,
     and ``hits`` the input taus that lie in it.  Each orbit is expanded
     once, and every member of every orbit is run through the filter: a
-    member that fails means the H_i data or the product order is wrong,
-    and raises RuntimeError.
+    member that fails means H_i or the product order is wrong, and
+    raises RuntimeError.
     """
     group = dataset.autb_group()
-    gens = dataset.h_group(xi_index).generators
+    gens = construct.h_group(xi_index).generators
     orbit_of = {}
     orbits = []
     seen = set()
@@ -423,8 +424,8 @@ def hit_orbits(xi_index, taus):
         images = np.array([tau.img for tau in orbit_of], dtype=np.uint8)
         if not _worker_engine(xi_index).filter_images(images).all():
             raise RuntimeError(
-                "an H_%d-orbit member fails the filter: the H_i data or "
-                "the product order is wrong" % xi_index
+                "an H_%d-orbit member fails the filter: H_i or the "
+                "product order is wrong" % xi_index
             )
     return orbits
 

@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from cubicsd import cli, equiv, search
+from cubicsd import cli, dataset, equiv, search
 
 
 def run_cli(capsys, *argv):
@@ -325,6 +325,8 @@ def test_error_exit_codes(capsys, tmp_path):
 
 
 def test_verify_tables_registers_each_code_once(monkeypatch):
+    # Aut(B), which the report includes, registers B once per process.
+    dataset.autb_group()
     calls = []
     register = equiv.register_code_data
 

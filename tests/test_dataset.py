@@ -1,6 +1,7 @@
 import pytest
 
 from cubicsd import construct, dataset, equiv, gf2, perm
+from reference import PAPER_AUTB_GENERATORS
 
 
 def test_table_entry_counts():
@@ -36,25 +37,39 @@ def test_base_code_parameters():
 
 
 def test_base_generators_preserve_code():
+    # The paper's two printed generators preserve B and generate the
+    # computed Aut(B), of order 73728.
     code = gf2.BinaryCode.from_matrix(dataset.gb_matrix())
-    for g in dataset.autb_generators():
+    for g in PAPER_AUTB_GENERATORS:
         assert code.permuted(g.img) == code
+    group = dataset.autb_group()
+    printed = perm.PermGroup(PAPER_AUTB_GENERATORS, 16)
+    assert printed.order() == group.order() == 73728
+    assert all(g in printed for g in group.generators)
+    assert all(code.permuted(g.img) == code for g in group.generators)
 
 
 def test_even_part_automorphisms():
+    # H_i is the action on the 16 cycles of all of Aut(E_i), whose
+    # kernel is <sigma>: |Aut(E_i)| = 3 |H_i|.
     orders = {1: (5760, 1920), 2: (720, 240), 3: (288, 96), 4: (2016, 672)}
+    sigma = construct.STANDARD_3_16_0.sigma()
     for i, (order48, order16) in orders.items():
         even = gf2.BinaryCode.from_rows(construct.even_part_rows(i), 48)
-        gens = dataset.aute_generators(i)
-        for g in gens:
-            assert even.permuted(g.img) == even
-            for j in range(16):
-                assert {g.img[3 * j + k] // 3 for k in range(3)} == {
-                    g.img[3 * j] // 3
-                }
-        assert perm.PermGroup(gens, 48).order() == order48
-        assert equiv.automorphism_group(even).order() == order48
-        assert dataset.h_group(i).order() == order16
+        aut = equiv.automorphism_group(even)
+        assert aut.order() == order48
+        assert sigma in aut
+        projected = perm.PermGroup(
+            [
+                perm.Permutation(tuple(g.img[3 * j] // 3 for j in range(16)))
+                for g in aut.generators
+            ],
+            16,
+        )
+        h = construct.h_group(i)
+        assert h.order() == projected.order() == order16
+        assert all(g in projected for g in h.generators)
+        assert not any(g.is_identity for g in h.generators)
 
 
 def test_x_matrices_shape():

@@ -11,6 +11,7 @@ import pytest
 
 from cubicsd import construct, dataset, equiv, gf2, search
 from cubicsd.gf2 import BinaryCode
+from reference import brute_force_isomorphism
 
 
 def random_code(rnd, n, k):
@@ -73,7 +74,7 @@ def test_agreement_with_brute_force():
             b = random_code(rnd, n, k)
             if b.k != a.k:
                 continue
-        bf = equiv.brute_force_isomorphism(a, b)
+        bf = brute_force_isomorphism(a, b)
         ir = equiv.find_isomorphism(a, b)
         assert (bf is None) == (ir is None)
         # The canonical form is a complete invariant.
@@ -84,10 +85,31 @@ def test_agreement_with_brute_force():
     assert agree >= 200
 
 
+def test_brute_force_matches_plain_loop():
+    # The vectorised oracle returns the first permutation in
+    # itertools.permutations order, as a loop over permuted codes does.
+    rnd = random.Random(5)
+    for _ in range(40):
+        n = rnd.randint(3, 6)
+        a = random_code(rnd, n, rnd.randint(1, 3))
+        if rnd.random() < 0.5:
+            b = random_shuffle(rnd, a)
+        else:
+            b = random_code(rnd, n, a.k)
+        loop = next(
+            (img for img in permutations(range(n)) if a.permuted(img) == b),
+            None,
+        )
+        bf = brute_force_isomorphism(a, b)
+        assert (bf is None) == (loop is None)
+        if bf is not None:
+            assert bf.img == loop
+
+
 def test_brute_force_limits():
     big = BinaryCode.from_rows([1], 9)
     with pytest.raises(ValueError):
-        equiv.brute_force_isomorphism(big, big)
+        brute_force_isomorphism(big, big)
 
 
 def test_automorphism_group_vs_brute():

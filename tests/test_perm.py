@@ -157,7 +157,7 @@ def test_elements_and_random_element():
 
 
 def test_base_code_group_order():
-    # the two shipped generators produce a group of order 2^13 * 3^2;
+    # the group computed from the base code has order 2^13 * 3^2;
     # the printed value 76728 has the impossible factor 23
     group = dataset.autb_group()
     assert group.order() == 73728

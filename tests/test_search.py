@@ -353,7 +353,12 @@ def test_search_total():
 
 
 def _spy_code_builds(monkeypatch):
-    """Record every code built or registered; classification needs none."""
+    """Record every code built or registered; classification needs none.
+    Aut(B) and H_1..H_4, computed once per process from B and the E_i,
+    are computed before the spy starts."""
+    dataset.autb_group()
+    for i in range(1, 5):
+        construct.h_group(i)
     calls = []
     for owner, name in (
         (construct, "build_code"),
@@ -416,7 +421,7 @@ def test_orbits_share_one_registration(monkeypatch):
     # share one class, and no code is registered for it.
     group = dataset.autb_group()
     tau = group.min_coset_rep(table1_taus()[0])
-    h = dataset.h_group(1).generators[0]
+    h = construct.h_group(1).generators[0]
     other = group.min_coset_rep(tau * h)
     assert other != tau
     hits = [
@@ -441,10 +446,11 @@ def test_table_rows_lie_in_distinct_certified_orbits(monkeypatch):
     report = search.classify_hits(survivors)
     assert calls == []
     assert report["num_hits"] == 264 and report["all_matched"]
+    ratios = {}
     for x in report["xi"]:
         xi = x["xi_index"]
         # |Aut(E_i)| = 3 |H_i| is divisible by 9 and not by 27.
-        order = dataset.h_group(xi).order()
+        order = construct.h_group(xi).order()
         assert order % 3 == 0 and order % 9
         rows = [i for i, e in enumerate(entries) if e.table_id == xi]
         assert x["hits"] == x["orbits"] == len(x["classes"]) == len(rows)
@@ -452,12 +458,27 @@ def test_table_rows_lie_in_distinct_certified_orbits(monkeypatch):
         assert all(len(c["hits"]) == 1 for c in x["classes"])
         assert all(c["orbit_size"] % 3 == 0 for c in x["classes"])
         assert x["orbit_members"] == members[xi]
+        # Orbit-stabilizer: |orbit| |N_Aut(C)(<sigma>)| = |Aut(E_i)|, and
+        # the normalizer is all of Aut(C) when <sigma> is its only Sylow
+        # 3-subgroup.
+        for c in x["classes"]:
+            row = c["table_match"]
+            product = c["orbit_size"] * entries[row].expected_aut_order
+            assert product % (3 * order) == 0
+            ratios[row] = product // (3 * order)
+    # Two X_3 rows, |Aut| 12 and 24, have four Sylow 3-subgroups.
+    other = {row: r for row, r in ratios.items() if r != 1}
+    assert len(ratios) == 264 and sorted(other.values()) == [4, 4]
+    assert sorted(entries[row].expected_aut_order for row in other) == [12, 24]
+    assert all(entries[row].table_id == 3 for row in other)
 
 
 def test_uncertified_orbit_raises(monkeypatch):
     # Under the trivial group every orbit has one member, which the
     # Sylow argument cannot certify.
-    monkeypatch.setattr(dataset, "h_group", lambda i: perm.PermGroup([], 16))
+    monkeypatch.setattr(
+        construct, "h_group", lambda i: perm.PermGroup([], 16)
+    )
     calls = _spy_code_builds(monkeypatch)
     tau = table1_taus()[0].to_cycle_text()
     with pytest.raises(RuntimeError, match="not a multiple of 3"):
@@ -469,7 +490,7 @@ def test_hit_orbits_reject_wrong_h_data(monkeypatch):
     # A 16-cycle is not in H_1: its orbit leaves the hits at once.
     shift = perm.Permutation(tuple((j + 1) % 16 for j in range(16)))
     monkeypatch.setattr(
-        dataset, "h_group", lambda i: perm.PermGroup([shift], 16)
+        construct, "h_group", lambda i: perm.PermGroup([shift], 16)
     )
     with pytest.raises(RuntimeError, match="fails the filter"):
         search.hit_orbits(1, table1_taus()[:1])
@@ -496,6 +517,9 @@ def test_unmatched_class_is_a_finding(monkeypatch, build_code_alt):
     sigma = construct.STANDARD_3_16_0.sigma()
     assert code.permuted(sigma.img) == code
     assert equiv.automorphism_group(code).order() == 3
+    # Evidence without H_i: no table-2 code has its canonical form.
+    table2 = [construct.build_table_code(e) for e in dataset.table_entries(2)]
+    assert equiv.invariant(code) not in {equiv.invariant(c) for c in table2}
     other = build_code_alt(perm.parse_cycles(tau, 16), 2)
     assert other != code and equiv.are_equivalent(code, other)
 
