@@ -9,7 +9,10 @@ which is exactly the set of tau giving one and the same permuted code.
 ``PermGroup.transversal_blocks`` emits the lex-minimal right-coset
 representatives as numpy image arrays, expanding the tree of valid image
 prefixes in bounded chunks, so a search filters whole blocks and builds
-a ``Permutation`` only for its hits.
+a ``Permutation`` only for its hits.  Shards split that tree at a fixed
+prefix depth, and ``PermGroup.leaf_counts`` counts the representatives
+below a prefix from the stabilizer chain alone: it gives each shard's
+exact size and lets a resume skip whole prefixes.
 """
 
 from __future__ import annotations
@@ -17,17 +20,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
 from . import gf2
 
 # Transversal blocks: prefixes expanded per step (on Aut(B), 1024 is as
-# fast as 4096 and holds ~3 MB less at peak), and the number of last
-# positions filled at once from the orderings of the values left.
+# fast as 4096 and holds ~3 MB less at peak), the number of last
+# positions filled at once from the orderings of the values left, and the
+# prefix length whose nodes the shards split (at most n - SUFFIX).  The
+# prefix length fixes which cosets a sharded position names, so changing
+# it needs a checkpoint version bump.
 EXPAND_ROWS = 1024
 SUFFIX = 4
+PREFIX_DEPTH = 7
 
 
 @dataclass(frozen=True)
@@ -159,12 +166,16 @@ def _min_moved(p):
     return None
 
 
-def _column_max(img, cols):
-    """Row-wise maximum of the given columns of an image array."""
-    low = img[:, cols[0]]
-    for c in cols[1:]:
-        low = np.maximum(low, img[:, c])
-    return low
+def _split_depths(n):
+    """(K, cut): the prefix length the shards split and the length
+    whose prefixes are completed by the orderings of the last values."""
+    cut = n - min(SUFFIX, n)
+    return min(PREFIX_DEPTH, cut), cut
+
+
+def _root(n):
+    """The empty prefix: (images, used-value bitmasks, length)."""
+    return np.zeros((1, n), np.uint8), np.zeros(1, np.int64), 0
 
 
 def _rechunk(runs, size):
@@ -216,6 +227,15 @@ class PermGroup:
             if m is not None:
                 self._gens_by_level[m].append(g)
         self._schreier_sims()
+        # _parent[x]: the largest chain level j < x whose orbit holds x, or
+        # -1.  Chain orbits are nested or disjoint, so this is a forest,
+        # and the levels j < x whose orbit holds x are the ancestors of x.
+        self._parent = [-1] * n
+        for j, level in enumerate(self._levels):
+            for x in level.orbit:
+                if x != j:
+                    self._parent[x] = j
+        self._shard_sizes = {}
 
     # -- construction ------------------------------------------------------
 
@@ -295,24 +315,6 @@ class PermGroup:
         residue, _ = self._strip(p)
         return residue.is_identity
 
-    def elements(self, limit=1 << 20):
-        """All group elements (small groups only)."""
-        if self.order() > limit:
-            raise ValueError("group too large to materialize")
-        out = [Permutation.identity(self.n)]
-        for level in reversed(self._levels):
-            if len(level.orbit) == 1:
-                continue
-            out = [e * u for u in level.orbit.values() for e in out]
-        return out
-
-    def random_element(self, rng):
-        p = Permutation.identity(self.n)
-        for level in reversed(self._levels):
-            reps = list(level.orbit.values())
-            p = p * reps[rng.randrange(len(reps))]
-        return p
-
     # -- cosets ------------------------------------------------------------
 
     def min_coset_rep(self, r):
@@ -357,16 +359,21 @@ class PermGroup:
 
         A representative r is minimal iff for every chain level j the
         value r[j] is minimal over the fundamental orbit of j, i.e. r[x]
-        exceeds r[j] for every level j < x whose orbit holds x.  The tree
-        of valid image prefixes is expanded one position at a time, at
-        most ``EXPAND_ROWS`` prefixes per step; the last ``SUFFIX``
-        positions are filled at once from the orderings of the values
-        left, so only the leaves a shard keeps are materialized.
+        exceeds r[j] for every level j < x whose orbit holds x; as those
+        levels are the ancestors of x in the constraint forest, r[x] need
+        only exceed r[parent(x)].  The tree of valid image prefixes is
+        expanded one position at a time, at most ``EXPAND_ROWS`` prefixes
+        per step; the last ``SUFFIX`` positions are filled at once from
+        the orderings of the values left.
 
-        ``shard=(i, m)`` keeps only stream indices congruent to i modulo
-        m; the m shards partition the stream.  The first ``start`` kept
-        representatives are dropped, and every block but the last has
-        exactly ``size`` rows.
+        ``shard=(i, m)`` splits the tree at depth K = ``PREFIX_DEPTH``
+        (at most n - ``SUFFIX``): the depth-K prefixes are numbered in
+        stream order, and shard i/m expands only those numbered i modulo
+        m, so the m shards partition the stream and each keeps its
+        order.  The first ``start`` representatives of the shard are
+        dropped, whole prefixes at a time by their ``leaf_counts``, so
+        only the leaves of the prefix holding ``start`` are walked.
+        Every block but the last has exactly ``size`` rows.
         """
         shard_idx, shard_cnt = shard
         if not 0 <= shard_idx < shard_cnt:
@@ -379,60 +386,128 @@ class PermGroup:
             raise ValueError("transversal blocks need degree at most 63")
         return _rechunk(self._kept_leaves(shard_idx, shard_cnt, start), size)
 
-    def _kept_leaves(self, shard_idx, shard_cnt, skip):
-        """Yield runs of the representatives shard_idx/shard_cnt keeps,
-        in stream order, after dropping the first ``skip`` of them."""
-        n = self.n
-        # constraints[x]: chain levels j < x whose orbit contains x.
-        constraints = [[] for _ in range(n)]
-        for j, level in enumerate(self._levels):
-            for x in level.orbit:
-                if x != j:
-                    constraints[x].append(j)
-        tail = min(SUFFIX, n)
-        cut = n - tail
-        orders = np.array(list(permutations(range(tail))), dtype=np.intp)
-        values = np.arange(n, dtype=np.uint8)
+    def leaf_counts(self, prefixes):
+        """The number of minimal representatives below each of the valid
+        image prefixes in the (N, d) array ``prefixes`` (the images of
+        points 0..d-1).
+
+        The points d..n-1 left form whole subtrees of the constraint
+        forest, each below a placed point of value v (v = -1 for a
+        root).  Taken in descending order of v, a subtree T places its
+        |T| values among the free values above v that earlier subtrees
+        left: a falling factorial of ways.  Each subtree's values must
+        increase down its paths, which leaves one placement in |orbit|
+        per point, so the product is divided by the order of the
+        pointwise stabilizer of 0..d-1.
+        """
+        prefixes = np.asarray(prefixes, dtype=np.int64)
+        count, d = prefixes.shape
+        roots = [x for x in range(d, self.n) if self._parent[x] < d]
+        sizes = [len(self._levels[x].orbit) for x in roots]
+        # v per row and subtree: parent -1 picks the appended column of -1.
+        low = np.hstack([prefixes, np.full((count, 1), -1)])
+        low = low[:, [self._parent[x] for x in roots]]
+        # Free values above v, less those taken by the subtrees before:
+        # those of larger v and, for one parent, of an earlier root.
+        left = self.n - 1 - low
+        for k in range(d):
+            left -= prefixes[:, k, None] > low
+        key = low * self.n - np.arange(len(roots))
+        for b, size in enumerate(sizes):
+            left -= size * (key[:, b, None] > key)
+        left = np.maximum(left, 0)
+        counts = np.ones(count, dtype=np.int64 if self.n <= 20 else object)
+        for a, size in enumerate(sizes):
+            for k in range(size):
+                counts *= left[:, a] - k
+        return counts // prod(len(level.orbit) for level in self._levels[d:])
+
+    def shard_sizes(self, shard_cnt):
+        """The number of representatives in each shard i/shard_cnt of
+        ``transversal_blocks``, i = 0..shard_cnt-1, from the leaf counts
+        of the depth-K prefixes (~0.15 s on Aut(B); kept per shard
+        count, as the group does not change)."""
+        if shard_cnt not in self._shard_sizes:
+            depth, _ = _split_depths(self.n)
+            sizes = np.zeros(shard_cnt, dtype=object)
+            number = 0
+            for img, _ in self._expand(*_root(self.n), depth):
+                shards = (number + np.arange(len(img))) % shard_cnt
+                np.add.at(sizes, shards, self.leaf_counts(img[:, :depth]))
+                number += len(img)
+            self._shard_sizes[shard_cnt] = tuple(sizes.tolist())
+        return list(self._shard_sizes[shard_cnt])
+
+    def _expand(self, img, used, depth, stop):
+        """Yield, in stream order, (images, used-value bitmasks) chunks of
+        at most ``EXPAND_ROWS`` valid prefixes of length ``stop``: the
+        descendants of the given prefixes of length ``depth``."""
+        values = np.arange(self.n, dtype=np.uint8)
         bits = np.left_shift(1, values, dtype=np.int64)
-        counter = 0  # stream index of the next leaf
         # Pending (images, used-value bitmasks, depth), deepest on top.
-        stack = [(np.zeros((1, n), np.uint8), np.zeros(1, np.int64), 0)]
+        stack = [(img, used, depth)]
         while stack:
             img, used, depth = stack.pop()
             if len(img) > EXPAND_ROWS:
                 stack.append((img[EXPAND_ROWS:], used[EXPAND_ROWS:], depth))
                 img, used = img[:EXPAND_ROWS], used[:EXPAND_ROWS]
+            if not len(img):
+                continue
+            if depth == stop:
+                yield img, used
+                continue
             free = (used[:, None] & bits) == 0
-            if depth < cut:
-                if constraints[depth]:
-                    low = _column_max(img, constraints[depth])
-                    free &= values > low[:, None]
-                rows, vals = np.nonzero(free)
-                child = img[rows]
-                child[:, depth] = vals
-                stack.append((child, used[rows] | bits[vals], depth + 1))
-                continue
-            # Every ordering of the values left, lowest first, per prefix.
-            tails = np.nonzero(free)[1].astype(np.uint8).reshape(-1, tail)
-            tails = tails[:, orders]
-            ok = np.ones(tails.shape[:2], dtype=bool)
-            for t in range(tail):
-                before = [j for j in constraints[cut + t] if j < cut]
-                if before:
-                    ok &= tails[:, :, t] > _column_max(img, before)[:, None]
-                for j in constraints[cut + t][len(before) :]:
-                    ok &= tails[:, :, t] > tails[:, :, j - cut]
-            total = int(np.count_nonzero(ok))
-            first = (shard_idx - counter) % shard_cnt
-            counter += total
-            kept = len(range(first, total, shard_cnt))
-            if skip >= kept:
-                skip -= kept
-                continue
-            rows, which = np.nonzero(ok)
-            pick = slice(first + skip * shard_cnt, None, shard_cnt)
-            skip = 0
-            rows, which = rows[pick], which[pick]
-            leaves = img[rows]
-            leaves[:, cut:] = tails[rows, which]
-            yield leaves
+            parent = self._parent[depth]
+            if parent >= 0:
+                free &= values > img[:, parent, None]
+            rows, vals = np.nonzero(free)
+            child = img[rows]
+            child[:, depth] = vals
+            stack.append((child, used[rows] | bits[vals], depth + 1))
+
+    def _leaves(self, img, used, orders):
+        """Every representative below a chunk of prefixes of length
+        n - tail, in stream order: each prefix completed by the orderings
+        ``orders`` of its free values, lowest first, that are valid."""
+        tail = orders.shape[1]
+        cut = self.n - tail
+        bits = np.left_shift(1, np.arange(self.n), dtype=np.int64)
+        free = (used[:, None] & bits) == 0
+        tails = np.nonzero(free)[1].astype(np.uint8).reshape(-1, tail)
+        tails = tails[:, orders]
+        ok = np.ones(tails.shape[:2], dtype=bool)
+        for t in range(tail):
+            parent = self._parent[cut + t]
+            if parent >= cut:
+                ok &= tails[:, :, t] > tails[:, :, parent - cut]
+            elif parent >= 0:
+                ok &= tails[:, :, t] > img[:, parent, None]
+        rows, which = np.nonzero(ok)
+        leaves = img[rows]
+        leaves[:, cut:] = tails[rows, which]
+        return leaves
+
+    def _kept_leaves(self, shard_idx, shard_cnt, skip):
+        """Yield runs of the representatives shard_idx/shard_cnt keeps,
+        in stream order, after dropping the first ``skip`` of them."""
+        depth, cut = _split_depths(self.n)
+        orders = permutations(range(self.n - cut))
+        orders = np.array(list(orders), dtype=np.intp)
+        number = 0  # stream number of the next depth-K prefix
+        for img, used in self._expand(*_root(self.n), depth):
+            first = (shard_idx - number) % shard_cnt
+            number += len(img)
+            img, used = img[first::shard_cnt], used[first::shard_cnt]
+            if skip:
+                passed = np.cumsum(self.leaf_counts(img[:, :depth]))
+                whole = int(np.searchsorted(passed, skip, side="right"))
+                if whole:
+                    skip -= int(passed[whole - 1])
+                img, used = img[whole:], used[whole:]
+            for prefixes, free in self._expand(img, used, depth, cut):
+                leaves = self._leaves(prefixes, free, orders)
+                if skip >= len(leaves):
+                    skip -= len(leaves)
+                    continue
+                yield leaves[skip:]
+                skip = 0

@@ -6,11 +6,14 @@ The scan (``run_search``).  Two iteration modes share one driver.  Full
 mode streams the exact lexicographically-minimal representative of
 every right coset (about 2.8e8 per X matrix, a long-running job,
 shardable): its blocks are the (10000, 16) image arrays of
-``PermGroup.transversal_blocks``, and a resumed run starts that
-generator at its checkpoint position.  Sample mode draws seeded uniform
-permutations, so a fixed (seed, index) pair always names the same coset
-regardless of sharding or interruption: index i is row i % BLOCK_SIZE
-of block i // BLOCK_SIZE, and block b is drawn by one generator,
+``PermGroup.transversal_blocks``.  Shard i/m expands only the subtrees
+of the depth-7 prefixes numbered i mod m, its total is the exact sum of
+their leaf counts, and a resumed run starts the generator at its
+checkpoint position, skipping whole prefixes by their counts.  Sample
+mode draws seeded uniform permutations, so a fixed (seed, index) pair
+always names the same coset regardless of sharding or interruption:
+index i is row i % BLOCK_SIZE of block i // BLOCK_SIZE, and block b is
+drawn by one generator,
 ``np.random.default_rng([seed, b])``, shuffling every row of 0..15 on
 its own.  Shard i/m of a sample takes the blocks b = i mod m.  Both
 modes cut their candidates into blocks, filtered in one batch each by
@@ -56,7 +59,9 @@ from . import construct, dataset, equiv, perm
 BLOCK_SIZE = 10000
 
 # Checkpoint format: JSON lines, a header and then one line per block.
-CHECKPOINT_VERSION = 3
+# Format 4: a full-mode shard takes every m-th depth-7 prefix, where
+# format 3 took every m-th coset.
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,12 @@ class SearchState:
 
     @property
     def total(self):
-        """Positions in this search: the sample size, or the shard's
-        share of the right cosets of Aut(B) in S16."""
+        """Positions in this search: the sample size, or the number of
+        right cosets of Aut(B) in S16 that the shard holds."""
         if self.mode == "sample":
             return self.sample
         shard_idx, shard_cnt = self.shard
-        cosets = dataset.autb_group().num_right_cosets()
-        return (cosets - shard_idx + shard_cnt - 1) // shard_cnt
+        return dataset.autb_group().shard_sizes(shard_cnt)[shard_idx]
 
 
 def _start_checkpoint(path, state):
@@ -137,7 +141,9 @@ def _replay_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             "%s is not a format-%d checkpoint (JSON lines with a version "
-            "header); a format-1 or format-2 checkpoint cannot be resumed"
+            "header); a format-1 to format-3 checkpoint cannot be resumed: "
+            "formats 1 and 2 are laid out differently, and in format 3 a "
+            "full-mode shard took every m-th coset, not every m-th prefix"
             % (path, CHECKPOINT_VERSION)
         )
     keys = ("xi", "seed", "sample", "shard")

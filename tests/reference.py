@@ -18,6 +18,29 @@ PAPER_AUTB_GENERATORS = tuple(
 )
 
 
+def group_elements(group, limit=1 << 20):
+    """All elements of a small PermGroup, as products of one coset
+    representative per stabilizer-chain level."""
+    if group.order() > limit:
+        raise ValueError("group too large to materialize")
+    out = [perm.Permutation.identity(group.n)]
+    for level in reversed(group._levels):
+        if len(level.orbit) == 1:
+            continue
+        out = [e * u for u in level.orbit.values() for e in out]
+    return out
+
+
+def random_element(group, rng):
+    """A uniform element of a PermGroup: one random coset representative
+    per stabilizer-chain level, multiplied up the chain."""
+    p = perm.Permutation.identity(group.n)
+    for level in reversed(group._levels):
+        reps = list(level.orbit.values())
+        p = p * reps[rng.randrange(len(reps))]
+    return p
+
+
 @lru_cache(maxsize=None)
 def _all_permutations(n):
     """All n! images, one row each, in ``itertools.permutations`` order."""

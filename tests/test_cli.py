@@ -130,9 +130,10 @@ def test_search_reports_total(capsys, monkeypatch):
     obj = json.loads(out)
     assert obj["mode"] == "full"
     assert obj["position"] == search.BLOCK_SIZE
-    assert obj["total"] == 35472938  # ceil((283783500 - 3) / 8)
+    # The leaves of the depth-7 prefixes numbered 3 mod 8.
+    assert obj["total"] == 35294550
     code, out = run_cli(capsys, *argv)
-    assert "full position 10000 of 35472938," in out
+    assert "full position 10000 of 35294550," in out
 
 
 def test_search_exits_1_on_unmatched_class(capsys, monkeypatch):
@@ -192,7 +193,10 @@ def _class_set(report):
 
 
 def test_classify_merges_shard_logs(capsys, monkeypatch, tmp_path):
-    # Shards 0/2 and 1/2 cut at 2 blocks cover the first 4 blocks of 0/1.
+    # Shard i/2 takes the depth-7 prefixes numbered i mod 2, and the first
+    # four hold 15120 leaves each.  With blocks of 15120 positions, shards
+    # 0/2 and 1/2 cut at 2 blocks cover the first 4 blocks of 0/1.
+    monkeypatch.setattr(search, "BLOCK_SIZE", 15120)
     logs = []
     for i in range(2):
         logs.append(str(tmp_path / ("shard%d.jsonl" % i)))
@@ -204,12 +208,12 @@ def test_classify_merges_shard_logs(capsys, monkeypatch, tmp_path):
     code, merged = run_cli(capsys, "classify", *logs, "--json")
     assert code == 1
     merged = json.loads(merged)
-    assert [s["position"] for s in merged["shards"]] == [20000, 20000]
+    assert [s["position"] for s in merged["shards"]] == [30240, 30240]
     assert _class_set(merged["classify"]) == _class_set(whole["classify"])
     assert merged["classify"]["xi"][0]["hits"] == len(whole["hits"]) == 5
     assert "missing" not in merged["classify"]
     code, out = run_cli(capsys, "classify", *logs)
-    assert "shard 1/2 position 20000 of 141891750" in out
+    assert "shard 1/2 position 30240 of 141156630" in out
     assert "xi=2: 5 hits in " in out
     assert "(8,12,11,10,9)(13,15): 1 hits, orbit 240 -> NEW" in out
 
@@ -223,6 +227,29 @@ def test_classify_checks_complete_runs(capsys, monkeypatch, tmp_path):
     code, out = run_cli(capsys, "classify", str(log), "--json")
     assert code == 1
     assert json.loads(out)["classify"]["missing"] == 1920 - 1
+
+
+def test_classify_needs_every_shard_at_its_exact_total(capsys, tmp_path):
+    # Shards 1/4 and 3/4 hold fewer than a quarter of the cosets, 0/4 and
+    # 2/4 more: a stopped log one block short of its total is not done.
+    totals = dataset.autb_group().shard_sizes(4)
+    assert min(totals) < dataset.autb_group().num_right_cosets() / 4
+    for short in (None, 0, 1):
+        logs = []
+        for i, total in enumerate(totals):
+            logs.append(str(tmp_path / ("shard%d.jsonl" % i)))
+            search._start_checkpoint(
+                logs[-1], search.SearchState(1, 0, None, (i, 4))
+            )
+            end = total - search.BLOCK_SIZE if i == short else total
+            hits = ["(7,8)(12,14)"] if i == 0 else []
+            search._append_checkpoint(logs[-1], end, hits)
+        code, out = run_cli(capsys, "classify", *logs, "--json")
+        report = json.loads(out)["classify"]
+        if short is None:
+            assert (code, report["missing"]) == (1, 1920 - 1)
+        else:
+            assert code == 0 and "missing" not in report
 
 
 def test_classify_rejects_bad_logs(capsys, tmp_path):
@@ -250,18 +277,19 @@ def test_classify_rejects_bad_logs(capsys, tmp_path):
         ["search", "--xi", "1", "--sample", "50", "--checkpoint", str(old)],
     ):
         assert cli.main(argv) == 2
-        assert "not a format-3 checkpoint" in capsys.readouterr().err
+        assert "not a format-4 checkpoint" in capsys.readouterr().err
 
 
-_GOOD_HEADER = {"version": 3, "xi": 1, "seed": 0, "sample": 50, "shard": [0, 1]}
+_GOOD_HEADER = {"version": 4, "xi": 1, "seed": 0, "sample": 50, "shard": [0, 1]}
 _BAD_BLOCK = "line 2 is not a checkpoint block"
 
 
 @pytest.mark.parametrize(
     "lines, message",
     [
-        ([dict(_GOOD_HEADER, version=2, mode="sample")], "not a format-3"),
-        ([{"version": 3}], "header needs"),
+        ([dict(_GOOD_HEADER, version=2, mode="sample")], "not a format-4"),
+        ([dict(_GOOD_HEADER, version=3)], "not a format-4"),
+        ([{"version": 4}], "header needs"),
         ([dict(_GOOD_HEADER, xi=9)], "header needs"),
         ([dict(_GOOD_HEADER, xi=0)], "header needs"),
         ([dict(_GOOD_HEADER, xi="1")], "header needs"),
@@ -279,6 +307,7 @@ _BAD_BLOCK = "line 2 is not a checkpoint block"
     ],
     ids=[
         "format-2",
+        "format-3",
         "no-keys",
         "xi-9",
         "xi-0",

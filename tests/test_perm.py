@@ -2,37 +2,59 @@ import random
 from itertools import islice, permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
 from cubicsd import dataset
-from cubicsd.perm import Permutation, PermGroup, parse_cycles
+from cubicsd.perm import (
+    PREFIX_DEPTH,
+    SUFFIX,
+    Permutation,
+    PermGroup,
+    parse_cycles,
+)
+from reference import group_elements, random_element
 
 
-def _reference_transversal(group, shard=None):
-    """The image-by-image backtracking the block generator replaced,
-    kept as its reference: a representative r is minimal iff r[x] exceeds
-    r[j] for every chain level j < x whose orbit contains x."""
-    n = group.n
-    if shard is not None:
-        shard_idx, shard_cnt = shard
-        if not 0 <= shard_idx < shard_cnt:
-            raise ValueError("invalid shard")
-    constraints = [[] for _ in range(n)]
+def _constraints(group):
+    """constraints[x]: the chain levels j < x whose orbit contains x."""
+    constraints = [[] for _ in range(group.n)]
     for j, level in enumerate(group._levels):
         for x in level.orbit:
             if x != j:
                 constraints[x].append(j)
+    return constraints
+
+
+def _prefix_depth(n):
+    """The depth whose nodes the shards split, clamped as in ``perm``."""
+    return min(PREFIX_DEPTH, n - min(SUFFIX, n))
+
+
+def _reference_transversal(group, shard=(0, 1)):
+    """The image-by-image backtracking the block generator replaced,
+    kept as its reference: a representative r is minimal iff r[x] exceeds
+    r[j] for every chain level j < x whose orbit contains x.  Shard i/m
+    numbers the depth-K nodes in stream order and descends only into
+    those numbered i modulo m."""
+    n = group.n
+    shard_idx, shard_cnt = shard
+    if not 0 <= shard_idx < shard_cnt:
+        raise ValueError("invalid shard")
+    constraints = _constraints(group)
+    depth = _prefix_depth(n)
     img = [0] * n
     used = [False] * n
-    counter = 0
+    number = 0
 
     def dfs(pos):
-        nonlocal counter
+        nonlocal number
+        if pos == depth:
+            number += 1
+            if (number - 1) % shard_cnt != shard_idx:
+                return
         if pos == n:
-            take = shard is None or counter % shard_cnt == shard_idx
-            counter += 1
-            if take:
-                yield tuple(img)
+            yield tuple(img)
             return
         for v in range(n):
             if used[v]:
@@ -47,6 +69,30 @@ def _reference_transversal(group, shard=None):
     yield from dfs(0)
 
 
+def _reference_leaf_counts(group):
+    """{prefix: number of minimal representatives below it} for every
+    valid image prefix, by exhaustive backtracking."""
+    n = group.n
+    constraints = _constraints(group)
+    counts = {}
+
+    def dfs(prefix):
+        if len(prefix) == n:
+            total = 1
+        else:
+            total = sum(
+                dfs(prefix + (v,))
+                for v in range(n)
+                if v not in prefix
+                and all(v > prefix[j] for j in constraints[len(prefix)])
+            )
+        counts[prefix] = total
+        return total
+
+    dfs(())
+    return counts
+
+
 def _joined(blocks, size):
     rows = []
     for block in blocks:
@@ -56,9 +102,13 @@ def _joined(blocks, size):
     return rows
 
 
+# Degrees 4 and 5 split the tree at the root or at depth 1, so every
+# shard but 0 is empty; the degree-9 group (order 120, 3024 leaves)
+# splits at depth 5 and gives every shard of m = 3 and 4 leaves.
 SMALL_GROUPS = (
     (4, ["(1,2,3)", "(2,3,4)"]),
     (5, ["(1,2,3,4,5)", "(2,5)(3,4)"]),
+    (9, ["(1,2,3)", "(4,5)(6,7)", "(1,8)(2,9)"]),
 )
 
 
@@ -147,13 +197,13 @@ def test_elements_and_random_element():
     d5 = PermGroup(
         [parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(2,5)(3,4)", 5)], 5
     )
-    elems = d5.elements()
+    elems = group_elements(d5)
     assert len(elems) == 10
     assert len({e.img for e in elems}) == 10
     assert all(d5.contains(e) for e in elems)
     rnd = random.Random(2)
     for _ in range(20):
-        assert d5.contains(d5.random_element(rnd))
+        assert d5.contains(random_element(d5, rnd))
 
 
 def test_base_code_group_order():
@@ -172,7 +222,7 @@ def test_min_coset_rep_matches_brute():
     a4 = PermGroup(
         [parse_cycles("(1,2,3)", 4), parse_cycles("(2,3,4)", 4)], 4
     )
-    elems = a4.elements()
+    elems = group_elements(a4)
     for _ in range(40):
         r = random_perm(rnd, 4)
         best = min(((h * r).img for h in elems))
@@ -216,8 +266,12 @@ def test_transversal_blocks_match_reference():
     for n, gens in SMALL_GROUPS:
         g = PermGroup([parse_cycles(t, n) for t in gens], n)
         for m in (1, 3, 4):
+            sizes = g.shard_sizes(m)
             for i in range(m):
                 ref = list(_reference_transversal(g, shard=(i, m)))
+                assert sizes[i] == len(ref)
+                if n == 9:
+                    assert ref
                 stream = g.right_transversal(shard=(i, m))
                 assert [r.img for r in stream] == ref
                 size = rnd.randint(1, 4)
@@ -230,19 +284,78 @@ def test_transversal_blocks_match_reference():
                     assert [r.img for r in resumed] == ref[start:]
 
 
+def test_leaf_counts_match_reference():
+    for n, gens in SMALL_GROUPS:
+        g = PermGroup([parse_cycles(t, n) for t in gens], n)
+        ref = _reference_leaf_counts(g)
+        for d in range(n + 1):
+            prefixes = sorted(p for p in ref if len(p) == d)
+            rows = np.array(prefixes, dtype=np.uint8).reshape(len(prefixes), d)
+            got = g.leaf_counts(rows)
+            assert got.tolist() == [ref[p] for p in prefixes]
+            assert sum(got.tolist()) == g.num_right_cosets()
+
+
+def _materialised(monkeypatch):
+    """Record every leaf array the transversal generator builds."""
+    built = []
+    leaves = PermGroup._leaves
+
+    def spy(self, *args):
+        built.append(leaves(self, *args))
+        return built[-1]
+
+    monkeypatch.setattr(PermGroup, "_leaves", spy)
+    return built
+
+
+def _prefix_keys(rows, depth):
+    """Integers ordered as the rows' depth-``depth`` prefixes."""
+    return rows[:, :depth].astype(np.int64) @ 16 ** np.arange(depth)[::-1]
+
+
 def test_transversal_blocks_match_reference_on_autb():
-    # The first 200k positions of shards 0/4 and 3/4: 800k stream leaves.
+    # The first 200k positions of shards 0/4 and 3/4, and a seeded
+    # resume inside them; the reference walks only the shard's subtrees.
     group = dataset.autb_group()
-    ref = list(islice(_reference_transversal(group), 800000))
     size = 7919
     for i in (0, 3):
+        ref = list(islice(_reference_transversal(group, (i, 4)), 200000))
         blocks = group.transversal_blocks((i, 4), size=size)
         got = _joined(islice(blocks, -(-200000 // size)), size)
-        assert got[:200000] == ref[i::4]
+        assert got[:200000] == ref
     start = random.Random(12).randrange(100000)
     blocks = group.transversal_blocks((3, 4), start, size)
     got = _joined(islice(blocks, 3), size)
-    assert got == ref[3::4][start : start + 3 * size]
+    assert got == ref[start : start + 3 * size]
+
+
+def test_shards_expand_only_their_prefixes(monkeypatch):
+    # A depth-7 prefix of Aut(B) holds at most 9!/4! = 15120 leaves; a
+    # shard that filtered whole-tree leaves would build ~4N for N.
+    group = dataset.autb_group()
+    built = _materialised(monkeypatch)
+    for i in range(4):
+        built.clear()
+        blocks = group.transversal_blocks((i, 4), size=10000)
+        assert len(_joined(islice(blocks, 10), 10000)) == 100000
+        assert sum(map(len, built)) <= 100000 + 15120
+
+
+def test_resume_skips_whole_prefixes(monkeypatch):
+    group = dataset.autb_group()
+    start, size = 1234567, 10000
+    depth = _prefix_depth(group.n)
+    stream = group.transversal_blocks((1, 4), size=size)
+    head = np.concatenate(list(islice(stream, start // size + 2)))
+    built = _materialised(monkeypatch)
+    got = next(group.transversal_blocks((1, 4), start, size))
+    assert np.array_equal(got, head[start : start + size])
+    # Every leaf built lies under the prefix holding ``start`` or after.
+    built = np.concatenate(built)
+    assert len(built) <= size + 15120
+    first = _prefix_keys(got[:1], depth)[0]
+    assert (_prefix_keys(built, depth) >= first).all()
 
 
 def test_transversal_blocks_reject_bad_input():

@@ -213,7 +213,7 @@ def test_state_json_roundtrip(tmp_path):
     with open(cp) as fh:
         lines = [json.loads(line) for line in fh]
     assert lines[0] == {
-        "version": 3,
+        "version": 4,
         "xi": 3,
         "seed": 11,
         "sample": 500,
@@ -265,11 +265,19 @@ def test_checkpoint_rejects_format_1(tmp_path):
         "survivors": [[1, "(7,8)(12,14)", "0123456789abcdef"]],
     }
     cp.write_text(json.dumps(old, indent=1))
-    with pytest.raises(ValueError, match="not a format-3 checkpoint"):
+    message = "not a format-4 checkpoint.*format-1 to format-3"
+    with pytest.raises(ValueError, match=message):
         search.load_checkpoint(str(cp))
-    with pytest.raises(ValueError, match="not a format-3 checkpoint"):
+    with pytest.raises(ValueError, match=message):
         search.run_search(1, sample=50, checkpoint_path=str(cp))
     assert json.loads(cp.read_text()) == old
+    # A format-3 log: its full-mode shard positions name other cosets.
+    state = search.SearchState(1, 0, None, (1, 4))
+    search._start_checkpoint(str(cp), state)
+    header, = cp.read_text().splitlines()
+    cp.write_text(header.replace('"version": 4', '"version": 3') + "\n")
+    with pytest.raises(ValueError, match=message):
+        search.run_search(1, shard=(1, 4), checkpoint_path=str(cp))
 
 
 def test_pooled_matches_serial():
@@ -342,13 +350,15 @@ def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
 
 
 def test_search_total():
+    # A full-mode shard holds the leaves of every m-th depth-7 prefix.
     cosets = dataset.autb_group().num_right_cosets()
-    totals = [
-        search.SearchState(1, 0, None, (i, 8)).total for i in range(8)
-    ]
-    assert sum(totals) == cosets
-    # 283783500 = 8 * 35472937 + 4: the first 4 shards take one more.
-    assert totals == [35472938] * 4 + [35472937] * 4
+    for m in (2, 4, 8):
+        totals = [
+            search.SearchState(1, 0, None, (i, m)).total for i in range(m)
+        ]
+        assert sum(totals) == cosets
+        if m == 2:
+            assert totals == [142626870, 141156630]
     assert search.SearchState(1, 0, 300, (1, 3)).total == 300
 
 
