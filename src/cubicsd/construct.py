@@ -14,7 +14,9 @@ polynomial ring P.  ``AutType`` is both the type and this layout:
 2a + 3b - 4s.  It enumerates no codewords; a built code's weights come
 from ``gf2.BinaryCode.low_weight_words``.  The filter rejects a tau on
 the images of the 12 weight-4 base words first, which leaves ~0.2-3% of
-taus, and checks all 255 nonzero base words only for those.
+taus, and checks all 255 nonzero base words only for those.  The same
+first-stage test on the words placed by an image prefix
+(``keep_prefixes``) lets the transversal walk skip whole subtrees.
 """
 
 from __future__ import annotations
@@ -256,6 +258,11 @@ class DecomposedEngine:
         bit_of = light[:, None] >> np.arange(16, dtype=np.uint16) & 1
         self._light_support = np.nonzero(bit_of)[1].reshape(len(light), -1)
         self._even_min = int(np.bitwise_count(words[1:]).min())
+        # The depth at which ``keep_prefixes`` prunes the transversal tree:
+        # the deepest end of a lightest word's support that comes before
+        # the last perm.SUFFIX positions (9 for B).
+        ends = self._light_support.max(axis=1) + 1
+        self.prune_depth = int(ends[ends <= 16 - perm.SUFFIX].max())
 
     # -- whole-code delegations; perfbench/ still traces and calls them ----
 
@@ -298,11 +305,7 @@ class DecomposedEngine:
             raise ValueError("every tau image row must permute 0..15")
         bits = bits.astype(np.uint16, copy=False)
         table = self.m_table()
-        light = bits[:, self._light_support].sum(axis=2, dtype=np.uint16)
-        light_weight3 = 3 * self._light_support.shape[1]
-        alive = np.flatnonzero(
-            np.take(table, light).min(axis=1) + light_weight3 >= MIN_DISTANCE
-        )
+        alive = np.flatnonzero(self._light_pass(bits, self._light_support))
         hits = np.zeros(len(bits), dtype=bool)
         for lo in range(0, len(alive), FILTER_CHUNK):
             rows = alive[lo : lo + FILTER_CHUNK]
@@ -310,6 +313,27 @@ class DecomposedEngine:
             weights = np.take(table, fixed) + self._fixed_weight3
             hits[rows] = weights.min(axis=1) >= MIN_DISTANCE
         return hits & (self._even_min >= MIN_DISTANCE)
+
+    def keep_prefixes(self, prefixes):
+        """Which of the (N, d) image prefixes (the images of points
+        0..d-1) may still lie below a hit: False where a lightest base
+        word with support inside 0..d-1 already fails the first stage of
+        ``filter_images``, which then rejects every tau below the prefix.
+        ``PermGroup.transversal_windows`` takes (``prune_depth``, this)
+        as its ``keep`` test."""
+        prefixes = np.asarray(prefixes)
+        placed = self._light_support.max(axis=1) < prefixes.shape[1]
+        bits = np.left_shift(np.uint16(1), prefixes.astype(np.uint16))
+        return self._light_pass(bits, self._light_support[placed])
+
+    def _light_pass(self, bits, support):
+        """Whether, per row of the uint16 bit images ``bits``, each base
+        word whose bit positions are a row of ``support`` maps to a fixed
+        part u with m_table[u] + 3 wt(u) >= MIN_DISTANCE."""
+        light = bits[:, support].sum(axis=2, dtype=np.uint16)
+        least = np.take(self.m_table(), light)
+        least = least.min(axis=1, initial=MIN_DISTANCE)
+        return least + 3 * support.shape[1] >= MIN_DISTANCE
 
     def min_weight_at_least(self, tau):
         """True iff the constructed code has minimum distance >= MIN_DISTANCE."""

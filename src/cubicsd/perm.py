@@ -6,13 +6,16 @@ right: ``(a * b)(x) = b(a(x))``, i.e. apply ``a`` first.  With this
 convention a right coset H*g consists of the permutations "h then g",
 which is exactly the set of tau giving one and the same permuted code.
 
-``PermGroup.transversal_blocks`` emits the lex-minimal right-coset
-representatives as numpy image arrays, expanding the tree of valid image
-prefixes in bounded chunks, so a search filters whole blocks and builds
-a ``Permutation`` only for its hits.  Shards split that tree at a fixed
-prefix depth, and ``PermGroup.leaf_counts`` counts the representatives
-below a prefix from the stabilizer chain alone: it gives each shard's
-exact size and lets a resume skip whole prefixes.
+``PermGroup.transversal_windows`` walks the lex-minimal right-coset
+representatives as numpy image arrays, one window of stream positions
+at a time, expanding the tree of valid image prefixes in bounded chunks,
+so a search filters whole blocks and builds a ``Permutation`` only for
+its hits; ``transversal_blocks`` and ``right_transversal`` are views of
+it.  Shards split that tree at a fixed prefix depth, and
+``PermGroup.leaf_counts`` counts the representatives below a prefix from
+the stabilizer chain alone: it gives each shard's exact size, lets a
+resume skip whole prefixes, and lets a caller's test on deeper prefixes
+prune their subtrees while every position keeps naming the same coset.
 """
 
 from __future__ import annotations
@@ -178,23 +181,6 @@ def _root(n):
     return np.zeros((1, n), np.uint8), np.zeros(1, np.int64), 0
 
 
-def _rechunk(runs, size):
-    """Re-cut a stream of row arrays into arrays of exactly ``size`` rows
-    (the last one shorter)."""
-    pending, count = [], 0
-    for run in runs:
-        pending.append(run)
-        count += len(run)
-        if count >= size:
-            joined = np.concatenate(pending)
-            whole = count - count % size
-            for lo in range(0, whole, size):
-                yield joined[lo : lo + size]
-            pending, count = [joined[whole:]], count - whole
-    if count:
-        yield np.concatenate(pending)
-
-
 class _Level:
     __slots__ = ("point", "orbit")
 
@@ -355,7 +341,19 @@ class PermGroup:
 
     def transversal_blocks(self, shard=(0, 1), start=0, size=10000):
         """Yield the lex-minimal coset representatives as (B, n) uint8
-        image arrays, in lexicographic ("stream") order.
+        image arrays, in lexicographic ("stream") order: the rows of
+        ``transversal_windows`` with no ``keep`` test.  Every block but
+        the last has exactly ``size`` rows."""
+        windows = self.transversal_windows(shard, start, size)
+        return (rows for _, rows in windows)
+
+    def transversal_windows(
+        self, shard=(0, 1), start=0, size=10000, keep=None
+    ):
+        """Yield (end, rows) for each window of ``size`` stream positions
+        from ``start``: ``end`` is the position after the window and
+        ``rows`` the (B, n) uint8 images of its representatives that
+        ``keep`` spares, in stream order.
 
         A representative r is minimal iff for every chain level j the
         value r[j] is minimal over the fundamental orbit of j, i.e. r[x]
@@ -370,10 +368,18 @@ class PermGroup:
         (at most n - ``SUFFIX``): the depth-K prefixes are numbered in
         stream order, and shard i/m expands only those numbered i modulo
         m, so the m shards partition the stream and each keeps its
-        order.  The first ``start`` representatives of the shard are
-        dropped, whole prefixes at a time by their ``leaf_counts``, so
-        only the leaves of the prefix holding ``start`` are walked.
-        Every block but the last has exactly ``size`` rows.
+        order.  Positions count the shard's representatives, and the
+        first ``start`` are dropped, whole prefixes at a time by their
+        ``leaf_counts``, so only the leaves of the prefix holding
+        ``start`` are walked.
+
+        ``keep`` is None or a pair (d, test) with K <= d <= n - ``SUFFIX``
+        (7..12 on Aut(B)): ``test`` maps an (N, d) array of image prefixes
+        to a boolean mask, False only where no representative below the
+        prefix is wanted.  Such a prefix is never expanded, but its leaves
+        still count as positions, so every position names the same coset
+        with or without ``keep``, and a window whose prefixes all fail
+        still yields its ``end``.
         """
         shard_idx, shard_cnt = shard
         if not 0 <= shard_idx < shard_cnt:
@@ -384,7 +390,13 @@ class PermGroup:
             raise ValueError("need start >= 0 and size >= 1")
         if self.n > 63:
             raise ValueError("transversal blocks need degree at most 63")
-        return _rechunk(self._kept_leaves(shard_idx, shard_cnt, start), size)
+        depth, cut = _split_depths(self.n)
+        if keep is not None and not depth <= keep[0] <= cut:
+            raise ValueError(
+                "a keep test needs a depth in %d..%d, got %d"
+                % (depth, cut, keep[0])
+            )
+        return self._kept_leaves(shard_idx, shard_cnt, start, size, keep)
 
     def leaf_counts(self, prefixes):
         """The number of minimal representatives below each of the valid
@@ -487,27 +499,92 @@ class PermGroup:
         leaves[:, cut:] = tails[rows, which]
         return leaves
 
-    def _kept_leaves(self, shard_idx, shard_cnt, skip):
-        """Yield runs of the representatives shard_idx/shard_cnt keeps,
-        in stream order, after dropping the first ``skip`` of them."""
+    def _node_leaves(self, nodes, used, depth, firsts, counts, orders):
+        """Yield runs of the leaves below a chunk of depth-``depth``
+        nodes, in stream order, with their positions: node k holds
+        ``counts[k]`` leaves at consecutive positions from ``firsts[k]``."""
+        ends = np.cumsum(counts)  # leaves of the nodes up to k
+        offsets = firsts - ends + counts
+        done = 0
+        cut = self.n - orders.shape[1]
+        for img, free in self._expand(nodes, used, depth, cut):
+            leaves = self._leaves(img, free, orders)
+            if not len(leaves):
+                continue
+            ranks = done + np.arange(len(leaves))
+            done += len(leaves)
+            node = np.searchsorted(ends, ranks, side="right")
+            yield leaves, ranks + offsets[node]
+
+    def _kept_leaves(self, shard_idx, shard_cnt, start, size, keep):
+        """The walk of ``transversal_windows``.  The depth-K prefixes of
+        the shard are expanded to the test depth d (K without ``keep``),
+        and each chunk of depth-d nodes gets its leaf counts, so each
+        node's first position; nodes that hold no leaf, end before
+        ``start`` or fail the test are dropped.  The nodes that start
+        before the current window's end are expanded when it comes, and a
+        window is yielded once a leaf past its end is built, or the next
+        kept node starts past it."""
         depth, cut = _split_depths(self.n)
+        test_depth, test = keep or (depth, None)
         orders = permutations(range(self.n - cut))
         orders = np.array(list(orders), dtype=np.intp)
         number = 0  # stream number of the next depth-K prefix
+        at = 0  # position of the next node's first leaf
+        end = start + size  # end of the current window
+        # Runs of leaves built and not yet yielded, and their positions.
+        held, held_at = [np.zeros((0, self.n), np.uint8)], [np.zeros(0, int)]
+
+        def flush(upto):
+            """Yield the windows that end by position ``upto``."""
+            nonlocal end, held, held_at
+            while end <= upto:
+                rows, places = np.concatenate(held), np.concatenate(held_at)
+                k = int(np.searchsorted(places, end))
+                yield end, rows[:k]
+                held, held_at = [rows[k:]], [places[k:]]
+                end += size
+
         for img, used in self._expand(*_root(self.n), depth):
             first = (shard_idx - number) % shard_cnt
             number += len(img)
             img, used = img[first::shard_cnt], used[first::shard_cnt]
-            if skip:
-                passed = np.cumsum(self.leaf_counts(img[:, :depth]))
-                whole = int(np.searchsorted(passed, skip, side="right"))
+            if at < start:
+                passed = at + np.cumsum(self.leaf_counts(img[:, :depth]))
+                whole = int(np.searchsorted(passed, start, side="right"))
                 if whole:
-                    skip -= int(passed[whole - 1])
+                    at = int(passed[whole - 1])
                 img, used = img[whole:], used[whole:]
-            for prefixes, free in self._expand(img, used, depth, cut):
-                leaves = self._leaves(prefixes, free, orders)
-                if skip >= len(leaves):
-                    skip -= len(leaves)
-                    continue
-                yield leaves[skip:]
-                skip = 0
+            for nodes, free in self._expand(img, used, depth, test_depth):
+                counts = self.leaf_counts(nodes[:, :test_depth])
+                firsts = at + np.cumsum(counts) - counts
+                at = int(firsts[-1] + counts[-1])
+                live = (counts > 0) & (firsts + counts > start)
+                if test is not None:
+                    live[live] = test(nodes[live, :test_depth])
+                firsts, counts = firsts[live], counts[live]
+                nodes, free = nodes[live], free[live]
+                lo = 0
+                while lo < len(nodes):
+                    yield from flush(firsts[lo])
+                    hi = int(np.searchsorted(firsts, end))
+                    runs = self._node_leaves(
+                        nodes[lo:hi],
+                        free[lo:hi],
+                        test_depth,
+                        firsts[lo:hi],
+                        counts[lo:hi],
+                        orders,
+                    )
+                    for leaves, places in runs:
+                        last = places[-1]
+                        if places[0] < start:
+                            fresh = places >= start
+                            leaves, places = leaves[fresh], places[fresh]
+                        held.append(leaves)
+                        held_at.append(places)
+                        yield from flush(last)
+                    lo = hi
+        yield from flush(at)
+        if end - size < at:
+            yield at, np.concatenate(held)

@@ -5,19 +5,22 @@ hits, then a post-pass that classifies them.
 The scan (``run_search``).  Two iteration modes share one driver.  Full
 mode streams the exact lexicographically-minimal representative of
 every right coset (about 2.8e8 per X matrix, a long-running job,
-shardable): its blocks are the (10000, 16) image arrays of
-``PermGroup.transversal_blocks``.  Shard i/m expands only the subtrees
+shardable): its blocks are the windows of 10000 positions of
+``PermGroup.transversal_windows``.  Shard i/m expands only the subtrees
 of the depth-7 prefixes numbered i mod m, its total is the exact sum of
-their leaf counts, and a resumed run starts the generator at its
-checkpoint position, skipping whole prefixes by their counts.  Sample
-mode draws seeded uniform permutations, so a fixed (seed, index) pair
-always names the same coset regardless of sharding or interruption:
-index i is row i % BLOCK_SIZE of block i // BLOCK_SIZE, and block b is
-drawn by one generator,
-``np.random.default_rng([seed, b])``, shuffling every row of 0..15 on
-its own.  Shard i/m of a sample takes the blocks b = i mod m.  Both
-modes cut their candidates into blocks, filtered in one batch each by
-``ordered_map``: in this process, or on forked workers whose death
+their leaf counts, and a resumed run starts the walk at its checkpoint
+position, skipping whole prefixes by their counts.  The walk drops, at
+depth 9, every prefix below which an early weight-4 base word already
+fails the filter's first stage (``DecomposedEngine.keep_prefixes``), so
+a block holds only the image rows that can still be hits, while its end
+still counts every coset of the window.  Sample mode draws seeded
+uniform permutations, so a fixed (seed, index) pair always names the
+same coset regardless of sharding or interruption: index i is row
+i % BLOCK_SIZE of block i // BLOCK_SIZE, and block b is drawn by one
+generator, ``np.random.default_rng([seed, b])``, shuffling every row of
+0..15 on its own.  Shard i/m of a sample takes the blocks b = i mod m.
+Both modes cut their candidates into blocks, filtered in one batch each
+by ``ordered_map``: in this process, or on forked workers whose death
 raises ``BrokenProcessPool`` instead of stalling the scan.  A tau is a
 hit iff the code generated by (pi^-1(tau B); phi^-1(X_i)) has minimum
 distance 10.  The code depends only on the coset of tau, so sample
@@ -262,7 +265,10 @@ def _blocks(state):
     block, end), where ``end`` is the stream position after the block,
     and the block is a (number, rows) pair of sample block and rows to
     use, or a (T, 16) array of transversal image rows.  Sample shard i/m
-    takes the blocks numbered i mod m.
+    takes the blocks numbered i mod m.  A full-mode block is a window of
+    BLOCK_SIZE positions, and its rows are only those below the prefixes
+    that pass the engine's ``keep_prefixes``; the others would fail the
+    filter's first stage.
     """
     if state.mode == "sample":
         shard_idx, shard_cnt = state.shard
@@ -274,12 +280,14 @@ def _blocks(state):
             end = min(lo + BLOCK_SIZE * shard_cnt, state.sample)
             yield state.xi_index, state.seed, (number, rows), end
         return
-    blocks = dataset.autb_group().transversal_blocks(
-        state.shard, state.position, BLOCK_SIZE
+    engine = _worker_engine(state.xi_index)
+    windows = dataset.autb_group().transversal_windows(
+        state.shard,
+        state.position,
+        BLOCK_SIZE,
+        keep=(engine.prune_depth, engine.keep_prefixes),
     )
-    end = state.position
-    for images in blocks:
-        end += len(images)
+    for end, images in windows:
         yield state.xi_index, state.seed, images, end
 
 

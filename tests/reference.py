@@ -72,3 +72,9 @@ def brute_force_isomorphism(a, b):
     if not len(hits):
         return None
     return perm.Permutation(tuple(imgs[hits[0]].tolist()))
+
+
+def prefix_keys(rows, depth):
+    """Integers ordered as the depth-``depth`` prefixes of the (N, 16)
+    image rows ``rows``."""
+    return rows[:, :depth].astype(np.int64) @ 16 ** np.arange(depth)[::-1]

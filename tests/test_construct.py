@@ -221,6 +221,11 @@ def test_first_stage_words_are_the_weight_4_words():
     support = eng._light_support
     assert support.shape == (12, 4)
     assert sorted(sum(1 << int(i) for i in row) for row in support) == weight4
+    # {4,5,6,7}, {3,4,7,8} and {3,5,6,8} are placed by depth 9; the other
+    # nine end inside the last perm.SUFFIX = 4 coordinates.
+    early = sorted(row.tolist() for row in support if row.max() < 12)
+    assert early == [[3, 4, 7, 8], [3, 5, 6, 8], [4, 5, 6, 7]]
+    assert eng.prune_depth == 9
 
 
 @pytest.mark.parametrize(

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from cubicsd import dataset
+from cubicsd.construct import DecomposedEngine
 from cubicsd.perm import (
+    EXPAND_ROWS,
     PREFIX_DEPTH,
     SUFFIX,
     Permutation,
     PermGroup,
     parse_cycles,
 )
-from reference import group_elements, random_element
+from reference import group_elements, prefix_keys, random_element
 
 
 def _constraints(group):
@@ -284,6 +286,64 @@ def test_transversal_blocks_match_reference():
                     assert [r.img for r in resumed] == ref[start:]
 
 
+def _prefix_test(depth):
+    """A keep test for ``transversal_windows``: a fixed hash of the
+    depth-``depth`` prefix, which keeps about two nodes in three."""
+    weights = np.arange(1, depth + 1) ** 2
+
+    def test(prefixes):
+        assert prefixes.shape[1] == depth
+        return (prefixes.astype(np.int64) @ weights) % 3 != 1
+
+    return test
+
+
+def test_transversal_windows_keep_matches_reference():
+    # Every window of the kept walk holds the reference leaves of its
+    # positions whose prefix passes the test, and ends where the blocks
+    # of the whole walk end, also when it holds none.
+    rnd = random.Random(13)
+    empty = 0
+    for n, gens in SMALL_GROUPS:
+        g = PermGroup([parse_cycles(t, n) for t in gens], n)
+        depth = _prefix_depth(n)
+        test = _prefix_test(depth)
+        for m in (1, 3):
+            for i in range(m):
+                ref = list(_reference_transversal(g, shard=(i, m)))
+                rows = np.array(ref, dtype=np.uint8).reshape(len(ref), n)
+                passes = test(rows[:, :depth])
+                size = rnd.randint(1, 6)
+                starts = {0, size // 2, len(ref), len(ref) + 3}
+                starts.add(rnd.randrange(len(ref) + 1))
+                for start in sorted(starts):
+                    got = list(
+                        g.transversal_windows(
+                            (i, m), start, size, keep=(depth, test)
+                        )
+                    )
+                    ends = range(start + size, len(ref) + size, size)
+                    assert [end for end, _ in got] == [
+                        min(end, len(ref)) for end in ends
+                    ]
+                    lo = start
+                    for end, rows in got:
+                        kept = passes[lo:end]
+                        want = [r for r, ok in zip(ref[lo:end], kept) if ok]
+                        assert rows.dtype == "uint8"
+                        assert [tuple(r) for r in rows.tolist()] == want
+                        empty += not want
+                        lo = end
+    assert empty
+
+
+def test_transversal_windows_reject_keep_outside_the_split_depths():
+    g = dataset.autb_group()
+    for depth in (6, 13):
+        with pytest.raises(ValueError):
+            g.transversal_windows(keep=(depth, _prefix_test(depth)))
+
+
 def test_leaf_counts_match_reference():
     for n, gens in SMALL_GROUPS:
         g = PermGroup([parse_cycles(t, n) for t in gens], n)
@@ -309,25 +369,24 @@ def _materialised(monkeypatch):
     return built
 
 
-def _prefix_keys(rows, depth):
-    """Integers ordered as the rows' depth-``depth`` prefixes."""
-    return rows[:, :depth].astype(np.int64) @ 16 ** np.arange(depth)[::-1]
-
-
 def test_transversal_blocks_match_reference_on_autb():
-    # The first 200k positions of shards 0/4 and 3/4, and a seeded
-    # resume inside them; the reference walks only the shard's subtrees.
+    # The first 200k positions of shards 0/4 and 3/4, and resumes inside
+    # them: a seeded one, and one in the first prefix past the two runs
+    # of leaves that hold its first 10290; the reference walks only the
+    # shard's subtrees.
     group = dataset.autb_group()
     size = 7919
+    refs = {}
     for i in (0, 3):
         ref = list(islice(_reference_transversal(group, (i, 4)), 200000))
         blocks = group.transversal_blocks((i, 4), size=size)
         got = _joined(islice(blocks, -(-200000 // size)), size)
         assert got[:200000] == ref
-    start = random.Random(12).randrange(100000)
-    blocks = group.transversal_blocks((3, 4), start, size)
-    got = _joined(islice(blocks, 3), size)
-    assert got == ref[start : start + 3 * size]
+        refs[i] = ref
+    for i, start in ((3, random.Random(12).randrange(100000)), (0, 12345)):
+        blocks = group.transversal_blocks((i, 4), start, size)
+        got = _joined(islice(blocks, 3), size)
+        assert got == refs[i][start : start + 3 * size]
 
 
 def test_shards_expand_only_their_prefixes(monkeypatch):
@@ -343,19 +402,57 @@ def test_shards_expand_only_their_prefixes(monkeypatch):
 
 
 def test_resume_skips_whole_prefixes(monkeypatch):
+    # Unpruned, a resume walks the leaves of one depth-7 prefix (at most
+    # 9!/4! = 15120) besides its window; pruned by X_4's engine, those of
+    # one depth-9 prefix (at most 7! = 5040), although six kept depth-9
+    # prefixes precede ``start`` inside its depth-7 prefix.
     group = dataset.autb_group()
+    engine = DecomposedEngine(4)
     start, size = 1234567, 10000
-    depth = _prefix_depth(group.n)
     stream = group.transversal_blocks((1, 4), size=size)
     head = np.concatenate(list(islice(stream, start // size + 2)))
+    window = head[start : start + size]
     built = _materialised(monkeypatch)
-    got = next(group.transversal_blocks((1, 4), start, size))
-    assert np.array_equal(got, head[start : start + size])
-    # Every leaf built lies under the prefix holding ``start`` or after.
-    built = np.concatenate(built)
-    assert len(built) <= size + 15120
-    first = _prefix_keys(got[:1], depth)[0]
-    assert (_prefix_keys(built, depth) >= first).all()
+    counted = []
+    leaf_counts = PermGroup.leaf_counts
+
+    def spy(self, prefixes):
+        counted.append(prefixes.shape)
+        return leaf_counts(self, prefixes)
+
+    monkeypatch.setattr(PermGroup, "leaf_counts", spy)
+    for keep, depth, bound in (
+        (None, _prefix_depth(group.n), 15120),
+        ((engine.prune_depth, engine.keep_prefixes), 9, 5040),
+    ):
+        built.clear()
+        end, got = next(group.transversal_windows((1, 4), start, size, keep))
+        assert end == start + size
+        want = window if keep is None else window[keep[1](window[:, :depth])]
+        assert len(want) and np.array_equal(got, want)
+        # Every leaf built lies under the prefix holding ``start`` or after.
+        leaves = np.concatenate(built)
+        assert len(leaves) <= size + bound
+        first = prefix_keys(window[:1], depth)[0]
+        assert (prefix_keys(leaves, depth) >= first).all()
+    # The depth-7 skip comes first: the pruned walk counts the depth-9
+    # prefixes of one chunk, not those of every earlier depth-7 prefix.
+    assert sum(rows for rows, d in counted if d == 9) <= EXPAND_ROWS
+
+
+def test_pruned_window_past_a_run_without_leaves():
+    # In this window of X_1's pruned walk, one expansion step of a kept
+    # depth-9 node gives 10 depth-12 prefixes none of which completes to a
+    # representative; the walk must pass over that empty run.
+    group = dataset.autb_group()
+    engine = DecomposedEngine(1)
+    keep = (engine.prune_depth, engine.keep_prefixes)
+    start = 157160000
+    window = next(group.transversal_blocks((0, 1), start, 10000))
+    end, got = next(group.transversal_windows((0, 1), start, 10000, keep))
+    assert end == start + 10000
+    want = window[engine.keep_prefixes(window[:, : engine.prune_depth])]
+    assert len(want) and np.array_equal(got, want)
 
 
 def test_transversal_blocks_reject_bad_input():

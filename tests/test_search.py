@@ -1,10 +1,13 @@
 import json
 import multiprocessing
+import random
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from cubicsd import construct, dataset, equiv, gf2, perm, search
+from reference import prefix_keys
 
 
 def table1_taus():
@@ -349,6 +352,88 @@ def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
     assert len(whole.survivors) > len(stopped.survivors)
 
 
+@pytest.mark.parametrize("xi_index", [1, 2, 3, 4])
+def test_pruned_windows_match_filtered_blocks(xi_index):
+    """ROADMAP item 1's gate: the full-mode walk, pruned by the engine's
+    tree test, gives the hits of the unpruned blocks, in order, with the
+    same end on every window, from the start of a shard and from a
+    seeded position inside a kept depth-9 node."""
+    group = dataset.autb_group()
+    engine = search._worker_engine(xi_index)
+    keep = (engine.prune_depth, engine.keep_prefixes)
+    size, count = 7919, 16
+    pruned = rejected = 0
+    for shard in ((0, 1), (1, 4), (3, 4)):
+        head = np.concatenate(
+            list(islice(group.transversal_blocks(shard, size=size), count))
+        )
+        # The prefixes between the first and the last are whole depth-7
+        # subtrees: they hold all their leaves.
+        _, firsts, counts = np.unique(
+            prefix_keys(head, 7), return_index=True, return_counts=True
+        )
+        inside = head[firsts[1:-1], :7]
+        assert len(inside) >= 2
+        assert counts[1:-1].tolist() == group.leaf_counts(inside).tolist()
+        same = prefix_keys(head[1:], 9) == prefix_keys(head[:-1], 9)
+        inner = np.flatnonzero(same & engine.keep_prefixes(head[1:, :9])) + 1
+        inner = inner[inner < len(head) - 3 * size]
+        mid = int(random.Random(xi_index).choice(inner))
+        for start, windows in ((0, count), (mid, 3)):
+            got = group.transversal_windows(shard, start, size, keep)
+            got = list(islice(got, windows))
+            ends = start + size * np.arange(1, windows + 1)
+            assert [end for end, _ in got] == ends.tolist()
+            for end, rows in got:
+                block = head[end - size : end]
+                hits = engine.filter_images(rows)
+                want = block[engine.filter_images(block)]
+                assert np.array_equal(rows[hits], want)
+                pruned += len(block) - len(rows)
+                rejected += int((~hits).sum())
+    # Not vacuous: the tree test drops leaves, and the filter rejects
+    # some of the candidates it keeps.
+    assert pruned and rejected
+
+
+def test_window_without_candidates_advances_and_logs(tmp_path, monkeypatch):
+    # With 97-position blocks, most windows of X_4's shard 1/4 have no
+    # prefix left by the tree test: each still moves the position, calls
+    # progress and writes its checkpoint line.
+    monkeypatch.setattr(search, "BLOCK_SIZE", 97)
+    jobs = []
+    filter_block = search._filter_block
+
+    def counted(job):
+        jobs.append(len(job[2]))
+        return filter_block(job)
+
+    monkeypatch.setattr(search, "_filter_block", counted)
+    cp = tmp_path / "cp.jsonl"
+    seen = []
+
+    def progress(state):
+        seen.append(state.position)
+        if state.position >= 60 * 97:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        search.run_search(
+            4, shard=(1, 4), checkpoint_path=str(cp), progress=progress
+        )
+    ends = [97 * k for k in range(1, 61)]
+    assert seen == ends
+    assert 0 in jobs and len(jobs) == 60
+    lines = [json.loads(line) for line in cp.read_text().splitlines()[1:]]
+    assert [line["position"] for line in lines] == ends
+    group = dataset.autb_group()
+    head = next(group.transversal_blocks((1, 4), size=60 * 97))
+    hits = head[search._worker_engine(4).filter_images(head)]
+    texts = [str(perm.Permutation(tuple(row))) for row in hits.tolist()]
+    assert len(texts) == 2
+    assert [t for line in lines for t in line["hits"]] == texts
+
+
 def test_search_total():
     # A full-mode shard holds the leaves of every m-th depth-7 prefix.
     cosets = dataset.autb_group().num_right_cosets()
@@ -532,6 +617,20 @@ def test_unmatched_class_is_a_finding(monkeypatch, build_code_alt):
     assert equiv.invariant(code) not in {equiv.invariant(c) for c in table2}
     other = build_code_alt(perm.parse_cycles(tau, 16), 2)
     assert other != code and equiv.are_equivalent(code, other)
+
+
+def test_complete_x1_pass():
+    """ROADMAP item 1's whole-pipeline gate: all 283,783,500 cosets of
+    X_1 (~30 s on one core), whose 5760 hits form 5 H_1-orbits, one per
+    table-1 row, with every orbit member a hit."""
+    state = search.run_search(1)
+    cosets = dataset.autb_group().num_right_cosets()
+    assert state.position == state.total == cosets
+    (x1,) = search.classify_hits(state.survivors)["xi"]
+    assert (x1["hits"], x1["orbits"], x1["orbit_members"]) == (5760, 5, 5760)
+    entries = dataset.table_entries()
+    rows = [i for i, entry in enumerate(entries) if entry.table_id == 1]
+    assert sorted(c["table_match"] for c in x1["classes"]) == rows
 
 
 def test_hit_orbits_on_first_2m_positions():
