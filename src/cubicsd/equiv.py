@@ -49,13 +49,59 @@ class CodeData:
 _DATA_ATTR = "_code_data"
 
 
+# uint64s of each column per slab of _co_matrix.  Its two (n(n+1)/2,
+# _SLAB) temporaries are ~150 KB each at n = 48, small enough for the
+# allocator to reuse instead of mapping fresh pages for every call, and
+# a pair counts at most 64 * _SLAB words per slab, which fits in uint16.
+_SLAB = 16
+
+# (shift, mask) of the three swaps that transpose the 8x8 bit matrix in
+# a uint64 whose byte r is row r (H. S. Warren, Hacker's Delight, 7-3).
+_TRANSPOSE_8X8 = (
+    (np.uint64(7), np.uint64(0x00AA00AA00AA00AA)),
+    (np.uint64(14), np.uint64(0x0000CCCC0000CCCC)),
+    (np.uint64(28), np.uint64(0x00000000F0F0F0F0)),
+)
+
+
+def _columns(words, n):
+    """Each coordinate's column as a bitset over the words: row i of an
+    (n, ceil(len(words) / 64)) uint64 array, whose bit p of entry m says
+    whether word 64m + p has coordinate i."""
+    padded = np.zeros(-len(words) // 64 * -64, dtype="<u8")
+    padded[: len(words)] = words
+    # Byte r of block [g, b] is byte b of word 8g + r, whose bit c is
+    # coordinate 8b + c.  Transposed, its byte c holds that coordinate.
+    blocks = padded.view(np.uint8).reshape(-1, 8, 8).transpose(0, 2, 1)
+    x = np.ascontiguousarray(blocks).view("<u8")
+    for shift, mask in _TRANSPOSE_8X8:
+        swap = (x ^ (x >> shift)) & mask
+        x = x ^ swap ^ (swap << shift)
+    rows = x.view(np.uint8).reshape(-1, 64).T[:n]
+    return np.ascontiguousarray(rows).view(np.uint64)
+
+
 def _co_matrix(words, n):
-    # Bit i of a word is bit i % 8 of its little-endian byte i // 8.
-    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(octets.reshape(-1, 8), axis=1, bitorder="little")
-    # float32 sums of 0/1 products are exact below 2^24 > _MAX_REFINE_WORDS.
-    bits = bits[:, :n].astype(np.float32)
-    return (bits.T @ bits).astype(np.int64)
+    """The (n, n) int64 matrix of how many of the words have both
+    coordinates i and j.
+
+    A count is the popcount of two columns (``_columns``) ANDed.  There
+    is no float product ``bits.T @ bits``: it would be the package's one
+    BLAS call, and OpenBLAS leaves a thread busy-waiting after each
+    call, which in a forked pool worker takes a core from the other
+    workers.
+    """
+    cols = _columns(words, n)
+    i, j = np.triu_indices(n)
+    pairs = np.zeros(len(i), dtype=np.int64)
+    for lo in range(0, cols.shape[1], _SLAB):
+        slab = cols[:, lo : lo + _SLAB]
+        both = slab[i]
+        both &= slab[j]
+        pairs += np.bitwise_count(both).sum(axis=1, dtype=np.uint16)
+    co = np.empty((n, n), dtype=np.int64)
+    co[i, j] = co[j, i] = pairs
+    return co
 
 
 def _signatures(mats, colors):

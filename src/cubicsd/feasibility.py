@@ -294,11 +294,19 @@ def external_eliminations():
 def full_pipeline(n=48, d=10):
     """Bounds, congruences, then external facts; the complete verdict list.
 
-    For (48, 10) exactly one type survives: 3-(16,0).
+    For (48, 10) exactly one type survives: 3-(16,0).  The congruences
+    use the A_10 of [48,24,10] codes and the citations settle those
+    codes only, so any other (n, d) raises ValueError.
     """
+    bounds = feasible_types(n, d)
+    if (n, d) != (48, 10):
+        raise ValueError(
+            "the congruences and citations hold only for (n, d) = (48, 10),"
+            " not (%d, %d)" % (n, d)
+        )
     reports = []
     external = {str(r.type): r for r in external_eliminations()}
-    for t, rep in feasible_types(n, d):
+    for t, rep in bounds:
         if rep.eliminated:
             reports.append(rep)
             continue

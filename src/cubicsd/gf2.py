@@ -12,8 +12,10 @@ the one entry point for a code's weight distribution and its words of
 the two lowest nonzero weights, with two engines behind it:
 
 - a self-dual code takes ``information_set_words``: every word of weight
-  at most t = 2*floor(n/8) has at most t/2 ones on one of two disjoint
-  information sets (the Brouwer-Zimmermann idea), and Gleason's theorem
+  at most t = 2*floor(n/8) has at most r = t/2 ones on one of two
+  disjoint information sets P and Q (the Brouwer-Zimmermann idea), so
+  the pass on Q needs only the words with more than r ones on P, which
+  have at most t - r - 1 ones on Q; Gleason's theorem
   (``gleason_distribution``) fixes the rest of the distribution from
   A_0..A_t;
 - every other code, and a self-dual one the first engine cannot settle,
@@ -184,7 +186,7 @@ def _light_combinations(rows, r, t):
         words = span(half)
         size = np.bitwise_count(np.arange(len(words)))
         halves.append([words[size == a] for a in range(r + 1)])
-    kept = []
+    kept = [rows[:0]]  # r < 0 combines no rows
     for a, left in enumerate(halves[0]):
         for right in halves[1][: r + 1 - a]:
             block = (left[:, None] ^ right).ravel()
@@ -197,12 +199,14 @@ def information_set_words(code, t):
 
     A word of weight at most t has at most r = t // 2 ones on P or on Q
     (``information_sets``), so it is an XOR of at most r rows of the P-
-    or of the Q-systematic generator.  A word found on Q is kept only
-    when it has more than r ones on P, where the P pass cannot reach it.
+    or of the Q-systematic generator.  The Q pass adds only the words
+    with more than r ones on P, which the P pass cannot reach; such a
+    word has at most t - r - 1 ones on Q, so that pass combines at most
+    t - r - 1 rows (none when that is negative).
     """
     p_rows, q_rows, p_mask = information_sets(code)
     r = t // 2
-    on_q = _light_combinations(q_rows, r, t)
+    on_q = _light_combinations(q_rows, t - r - 1, t)
     on_q = on_q[np.bitwise_count(on_q & np.uint64(p_mask)) > r]
     return np.concatenate([_light_combinations(p_rows, r, t), on_q])
 

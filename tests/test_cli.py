@@ -351,6 +351,11 @@ def test_error_exit_codes(capsys, tmp_path):
         code = cli.main(["feasible", n, "10"])
         assert code == 2
         assert "need n >= 2" in capsys.readouterr().err
+    for d in ("12", "11"):
+        # Both used to print "final survivors: 3-(16,0)" and exit 0.
+        code = cli.main(["feasible", "48", d])
+        assert code == 2
+        assert "(48, 10)" in capsys.readouterr().err
 
 
 def test_verify_tables_registers_each_code_once(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import os
 import random
 import tracemalloc
 import weakref
@@ -7,6 +8,7 @@ from itertools import permutations
 from math import factorial
 from multiprocessing import get_context
 
+import numpy as np
 import pytest
 
 from cubicsd import construct, dataset, equiv, gf2, search
@@ -273,3 +275,33 @@ def test_an_unknown_code_is_enumerated_once(monkeypatch):
     engine = construct.DecomposedEngine(entry.table_id)
     search.register_engine_data(engine, entry.tau())
     assert calls == ["low_weight_words", "information_set_words"]
+
+
+@pytest.mark.parametrize("n", [16, 48, 63])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 9000])
+def test_co_matrix_counts_pairs_of_coordinates(n, count):
+    rng = np.random.default_rng([n, count])
+    words = rng.integers(0, 1 << n, size=count, dtype=np.uint64)
+    bits = (words[:, None] >> np.arange(n, dtype=np.uint64) & 1).astype(
+        np.int64
+    )
+    got = equiv._co_matrix(words, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, bits.T @ bits)
+
+
+def _threads_after_code_data(index):
+    code = construct.build_table_code(dataset.table_entries()[index])
+    equiv.code_data(code)
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+def test_pool_workers_register_codes_on_one_thread():
+    # A float matmul in the co-coverage count left an OpenBLAS thread
+    # busy-waiting in each forked worker after every registration.
+    jobs = range(20, 24)
+    counts = list(search.ordered_map(_threads_after_code_data, jobs, 2))
+    assert counts == [1, 1, 1, 1]

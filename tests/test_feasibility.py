@@ -111,6 +111,16 @@ def test_full_pipeline_single_survivor():
             assert r.detail
 
 
+@pytest.mark.parametrize("d", [12, 11])
+def test_full_pipeline_refuses_other_parameters(d):
+    # q48, a [48,24,12] code, has automorphisms of types 47-(1,1) and
+    # 23-(2,2), which the [48,24,10] congruences would eliminate.
+    assert "47-(1,1)" in {str(t) for t in fs.surviving_types(48, d)}
+    for pipeline in (fs.full_pipeline, fs.final_survivors):
+        with pytest.raises(ValueError, match=r"\(48, 10\)"):
+            pipeline(48, d)
+
+
 def test_report_invariants():
     with pytest.raises(ValueError):
         fs.EliminationReport(AutType(3, 16, 0), "bogus", "x")

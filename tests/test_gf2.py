@@ -251,6 +251,37 @@ def test_information_sets_on_a_code_full_of_light_words(monkeypatch):
     assert len(gf2.information_set_words(code, 12)) == 190051
 
 
+def random_self_dual(rnd, n):
+    """A direct sum of [8,4,4] and [2,1,2] codes of length n, in random
+    order, with the coordinates shuffled."""
+    rows, at = [], 0
+    while at < n:
+        block, size = ((0b11,), 2)
+        if n - at >= 8 and rnd.random() < 0.5:
+            block, size = extended_qr(7).rows, 8
+        rows += [r << at for r in block]
+        at += size
+    img = list(range(n))
+    rnd.shuffle(img)
+    return BinaryCode.from_rows(rows, n).permuted(img)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16, 18, 24])
+def test_short_q_pass_matches_exact_enumeration(n):
+    # t = 2*floor(n/8) and r = t/2: the Q pass combines at most t - r - 1
+    # rows, so there is none below n = 8 (t = 0), it has 0 rows for
+    # n = 8..14 (t = 2), 1 row for n = 16, 18 (t = 4) and 2 for n = 24.
+    rnd = random.Random(n)
+    t = 2 * (n // 8)
+    for _ in range(4):
+        code = random_self_dual(rnd, n)
+        assert code.is_self_dual()
+        words = gf2.information_set_words(code, t)
+        span = gf2.span(np.array(code.rows, dtype=np.uint64))
+        want = np.sort(span[np.bitwise_count(span) <= t])
+        assert np.array_equal(np.sort(words), want)
+
+
 @pytest.mark.parametrize(
     "p, expected",
     [
