@@ -129,11 +129,6 @@ def phi_inverse_rows(vec, layout):
     return rows
 
 
-def gf4_row_to_pvector(row):
-    """Embed a GF(4) row as a vector over P (p = 3)."""
-    return tuple(cyclicring.gf4_embed(v) for v in row)
-
-
 # ---------------------------------------------------------------------------
 # The code builder for type 3-(16,0)
 
@@ -147,14 +142,27 @@ def permuted_base_rows(tau, gb=None):
     return gf2.rref(rows, gb.n_cols)[0]
 
 
+# _SHIFT_MASKS[t][g]: the 3-bit mask of x^t times the embedding of the
+# GF(4) scalar g in P, for the two shifts phi_inverse_rows takes at p = 3.
+_SHIFT_MASKS = tuple(
+    tuple(
+        cyclicring.poly_shift(cyclicring.gf4_embed(g), t).mask
+        for g in range(4)
+    )
+    for t in range(2)
+)
+
+
 def even_part_rows(xi_index):
     """The 16 binary rows spanning E_i = phi^-1(X_i), the [48,16] even
-    part shared by every code built from X_i."""
+    part shared by every code built from X_i: ``phi_inverse_rows`` of
+    each embedded row of (I | X_i), read from ``_SHIFT_MASKS``."""
     rows = []
     for grow in dataset.x_generator(xi_index):
-        rows.extend(
-            phi_inverse_rows(gf4_row_to_pvector(grow), STANDARD_3_16_0)
-        )
+        for masks in _SHIFT_MASKS:
+            row = sum(masks[g] << (3 * j) for j, g in enumerate(grow))
+            if row:
+                rows.append(row)
     return rows
 
 

@@ -26,9 +26,10 @@ import numpy as np
 from . import gf2
 from .perm import Permutation, PermGroup
 
-# Refinement data uses minimum-weight words first and the next weight
-# class as well; for the [48,24,10] instances these are the 768 weight-10
-# and 8592 weight-12 words.
+# The most words of the two lowest weights code_data refines on.  It
+# counts both classes even where register_code_data refines on the
+# lowest alone, so q48 (17296 + 535095 words) is still refused: its
+# words hold 5-designs, and its traversal would not finish.
 _MAX_REFINE_WORDS = 200_000
 
 
@@ -104,24 +105,24 @@ def _co_matrix(words, n):
     return co
 
 
-def _signatures(mats, colors):
+def _signatures(co, colors):
     """One signature per coordinate: own color followed by the sorted
-    multiset of (color, co-counts) pairs packed into int64 keys, as one
+    multiset of (color, co-count) pairs packed into int64 keys, as one
     big-endian byte string, which sorts like the row of integers."""
     c = np.asarray(colors, dtype=np.int64)
-    packed = (c << 32) | (mats[0] << 16) | mats[1]
+    packed = (c << 32) | co
     packed.sort(axis=1)
     rows = np.concatenate([c[:, None], packed], axis=1).astype(">i8")
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
 
 
-def _refine(mats, colors):
+def _refine(co, colors):
     """Refine an ordered partition of one code's coordinates until it is
     stable.  The color of a coordinate is the first position of its cell,
     so a cell splits within its own positions, in signature order."""
     while True:
         _, inv, sizes = np.unique(
-            _signatures(mats, colors), return_inverse=True, return_counts=True
+            _signatures(co, colors), return_inverse=True, return_counts=True
         )
         refined = (np.cumsum(sizes) - sizes)[inv.ravel()].tolist()
         if refined == colors:
@@ -143,7 +144,7 @@ def _orbit(point, gens, fixed):
     return orbit
 
 
-def _traverse(code, mats):
+def _traverse(code, co):
     """(canonical form, canonical labelling, automorphisms found, |Aut|).
 
     A point is individualized in place: it keeps its cell's color and
@@ -174,7 +175,7 @@ def _traverse(code, mats):
         return len(path)
 
     def visit(colors, path):
-        colors = _refine(mats, colors)
+        colors = _refine(co, colors)
         cells = {}
         for x, c in enumerate(colors):
             cells.setdefault(c, []).append(x)
@@ -207,13 +208,22 @@ def _traverse(code, mats):
 
 def register_code_data(code, we, words_low, words_high):
     """Attach the traversal's results to a code, given its weight
-    distribution and its words of the two lowest nonzero weights."""
+    distribution and its words of the two lowest nonzero weights.
+
+    The refinement counts pairs in the lowest class alone when it holds
+    at least n words, as the 768 weight-10 words of a [48,24,10] code
+    do.  A sparser lowest class, such as the 12 weight-4 words of B,
+    leaves too many cells unsplit alone, so the next class is counted
+    too.  The rule reads only the weight distribution, an invariant, so
+    the canonical form stays one.
+    """
     n = code.n
-    co_low = _co_matrix(np.asarray(words_low, dtype=np.uint64), n)
-    co_high = co_low + _co_matrix(np.asarray(words_high, dtype=np.uint64), n)
-    data = CodeData(
-        tuple(int(x) for x in we), *_traverse(code, [co_low, co_high])
-    )
+    co = _co_matrix(np.asarray(words_low, dtype=np.uint64), n)
+    if len(words_low) < n:
+        high = _co_matrix(np.asarray(words_high, dtype=np.uint64), n)
+        # One key per pair: the lowest class's count, then both classes'.
+        co = (co << 16) | (co + high)
+    data = CodeData(tuple(int(x) for x in we), *_traverse(code, co))
     code.__dict__[_DATA_ATTR] = data
     return data
 

@@ -6,7 +6,8 @@ bit 0 corresponds to coordinate 1.  Codes are kept in reduced row-echelon
 form so that two equal codes always compare bit-identical.
 
 Each low-level job has one kernel here: ``span`` lists a row space,
-``permute_word`` moves the bits of a word, and numpy's
+``permute_word`` moves the bits of one word (``BinaryCode.permuted``
+moves the columns of a whole generator matrix at once), and numpy's
 ``np.bitwise_count`` counts them.  ``BinaryCode.low_weight_words`` is
 the one entry point for a code's weight distribution and its words of
 the two lowest nonzero weights, with two engines behind it:
@@ -250,6 +251,14 @@ def permute_word(word, img):
     return out
 
 
+def _limbs(rows, n):
+    """The bit-rows as a (len(rows), ceil(n/64)) uint64 array, least
+    significant limb first."""
+    size = 8 * -(-n // 64)
+    raw = b"".join(int(r).to_bytes(size, "little") for r in rows)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), size // 8)
+
+
 @dataclass(frozen=True)
 class BinaryCode:
     """A binary [n, k] linear code, stored as an RREF generator matrix.
@@ -316,14 +325,21 @@ class BinaryCode:
     def is_self_dual(self):
         """k = n/2 and G G^T = 0: every two rows meet in an even number
         of ones."""
-        return 2 * self.k == self.n and not any(
-            (a & b).bit_count() & 1 for a in self.rows for b in self.rows
-        )
+        if 2 * self.k != self.n:
+            return False
+        limbs = _limbs(self.rows, self.n)
+        overlaps = np.bitwise_count(limbs[:, None] & limbs).sum(axis=2)
+        return not (overlaps & 1).any()
 
     def permuted(self, img):
         """The code with coordinate i moved to img[i]."""
+        raw = _limbs(self.rows, self.n).view(np.uint8)
+        bits = np.unpackbits(raw, axis=1, count=self.n, bitorder="little")
+        moved = np.zeros_like(bits)
+        moved[:, img] = bits
+        packed = np.packbits(moved, axis=1, bitorder="little")
         return BinaryCode.from_rows(
-            [permute_word(r, img) for r in self.rows], self.n
+            [int.from_bytes(r.tobytes(), "little") for r in packed], self.n
         )
 
     def low_weight_words(self):

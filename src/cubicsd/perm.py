@@ -276,7 +276,12 @@ class PermGroup:
         return None
 
     def _schreier_sims(self):
-        i = self.n - 1
+        # Levels above the last that holds a generator have no
+        # generators, so they already are trivial and complete.
+        i = max(
+            (j for j, gens in enumerate(self._gens_by_level) if gens),
+            default=-1,
+        )
         while i >= 0:
             dirty = self._check_level(i)
             if dirty is None:

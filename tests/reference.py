@@ -5,7 +5,7 @@ from itertools import permutations
 
 import numpy as np
 
-from cubicsd import perm
+from cubicsd import gf2, perm
 
 # The two generators of Aut(B) printed in the paper, in 1-based cycle
 # notation.  The package computes Aut(B) from the base code instead.
@@ -78,3 +78,34 @@ def prefix_keys(rows, depth):
     """Integers ordered as the depth-``depth`` prefixes of the (N, 16)
     image rows ``rows``."""
     return rows[:, :depth].astype(np.int64) @ 16 ** np.arange(depth)[::-1]
+
+
+def is_self_dual_loop(code):
+    """k = n/2 and every two rows meet in an even number of ones, by one
+    Python popcount per pair of rows: the slow twin of
+    ``BinaryCode.is_self_dual``."""
+    return 2 * code.k == code.n and not any(
+        (a & b).bit_count() & 1 for a in code.rows for b in code.rows
+    )
+
+
+def permuted_loop(code, img):
+    """The code with coordinate i moved to img[i], one bit at a time by
+    ``gf2.permute_word``: the slow twin of ``BinaryCode.permuted``."""
+    return gf2.BinaryCode.from_rows(
+        [gf2.permute_word(r, img) for r in code.rows], code.n
+    )
+
+
+def extended_qr(p):
+    """The extended quadratic-residue code of a prime p = -1 mod 8: the
+    cyclic shifts of the residues' indicator with a parity bit, and the
+    all-ones word.  p = 7, 23 and 47 give the [8,4,4] Hamming code, the
+    [24,12,8] Golay code and the [48,24,12] code q48."""
+    residues = sum(1 << (x * x % p) for x in range(1, (p + 1) // 2))
+    full = (1 << p) - 1
+    rows = [(1 << (p + 1)) - 1]
+    for s in range(p):
+        word = (residues << s | residues >> (p - s)) & full
+        rows.append(word | (word.bit_count() & 1) << p)
+    return gf2.BinaryCode.from_rows(rows, p + 1)

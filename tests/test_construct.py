@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cubicsd import construct, dataset, equiv, gf2, search
+from cubicsd import construct, cyclicring, dataset, equiv, gf2, search
 from cubicsd.construct import STANDARD_3_16_0, DecomposedEngine
 from cubicsd.cyclicring import PolyP
 from cubicsd.perm import Permutation, parse_cycles
@@ -54,6 +54,18 @@ def test_phi_roundtrip():
         vec = tuple(PolyP(3, rnd.choice(masks)) for _ in range(16))
         word = construct.phi_inverse(vec, layout)
         assert construct.phi_vector(word, layout) == vec
+
+
+@pytest.mark.parametrize("xi_index", [1, 2, 3, 4])
+def test_even_part_rows_match_the_phi_inverse_composition(xi_index):
+    # The table of shifted masks against phi^-1 of each embedded row of
+    # (I | X_i), built from PolyP entries.
+    want = []
+    for grow in dataset.x_generator(xi_index):
+        vec = tuple(cyclicring.gf4_embed(g) for g in grow)
+        want.extend(construct.phi_inverse_rows(vec, STANDARD_3_16_0))
+    assert construct.even_part_rows(xi_index) == want
+    assert len(want) == 16
 
 
 def test_build_code_is_self_dual_48_24():

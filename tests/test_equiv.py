@@ -13,7 +13,7 @@ import pytest
 
 from cubicsd import construct, dataset, equiv, gf2, search
 from cubicsd.gf2 import BinaryCode
-from reference import brute_force_isomorphism
+from reference import brute_force_isomorphism, extended_qr
 
 
 def random_code(rnd, n, k):
@@ -288,6 +288,50 @@ def test_co_matrix_counts_pairs_of_coordinates(n, count):
     got = equiv._co_matrix(words, n)
     assert got.dtype == np.int64
     assert np.array_equal(got, bits.T @ bits)
+
+
+def _refinement_spy(monkeypatch):
+    """The word count of each _co_matrix call, in order, and "traverse"
+    for each traversal."""
+    calls = []
+    co_matrix, traverse = equiv._co_matrix, equiv._traverse
+
+    def counted_co_matrix(words, n):
+        calls.append(len(words))
+        return co_matrix(words, n)
+
+    def counted_traverse(code, co):
+        calls.append("traverse")
+        return traverse(code, co)
+
+    monkeypatch.setattr(equiv, "_co_matrix", counted_co_matrix)
+    monkeypatch.setattr(equiv, "_traverse", counted_traverse)
+    return calls
+
+
+def test_refinement_uses_the_lowest_class_alone_when_it_has_n_words(
+    monkeypatch,
+):
+    calls = _refinement_spy(monkeypatch)
+    # A table code: 768 weight-10 words >= 48, so one count.
+    code = construct.build_table_code(dataset.table_entries()[0])
+    equiv.code_data(code)
+    assert calls == [768, "traverse"]
+    calls.clear()
+    # B: 12 weight-4 words < 16, so the 64 weight-6 words are counted too.
+    base = BinaryCode.from_matrix(dataset.gb_matrix())
+    assert equiv.automorphism_group(base).order() == 73728
+    assert calls == [12, 64, "traverse"]
+
+
+def test_q48_is_refused_before_any_refinement(monkeypatch):
+    # 17296 weight-12 words would be refined on alone, but the guard
+    # counts the 535095 of weight 16 too, so the 5-design never enters a
+    # traversal that would not finish.
+    calls = _refinement_spy(monkeypatch)
+    with pytest.raises(ValueError, match="too many low-weight words"):
+        equiv.code_data(extended_qr(47))
+    assert calls == []
 
 
 def _threads_after_code_data(index):

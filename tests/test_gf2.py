@@ -6,6 +6,7 @@ import pytest
 
 from cubicsd import cli, construct, dataset, gf2
 from cubicsd.gf2 import BinaryCode, BinaryMatrix
+from reference import extended_qr, is_self_dual_loop, permuted_loop
 
 
 def brute_words(code):
@@ -169,6 +170,32 @@ def test_permute_word():
     assert gf2.permute_word(0b011, [2, 0, 1]) == 0b101
 
 
+def test_is_self_dual_and_permuted_match_the_loops():
+    # Random codes of every length up to 64 and one past it, of random
+    # dimension down to k = 0, with self-dual ones and self-dual ones
+    # with one bit flipped among them, against the Python loops.
+    rnd = random.Random(12)
+    for n in [*range(1, 65), 100]:
+        codes = [BinaryCode(n, ())]
+        for _ in range(4):
+            k = rnd.randint(0, n)
+            codes.append(
+                BinaryCode.from_rows([rnd.getrandbits(n) for _ in range(k)], n)
+            )
+        if n % 2 == 0:
+            dual = random_self_dual(rnd, n)
+            rows = list(dual.rows)
+            rows[rnd.randrange(len(rows))] ^= 1 << rnd.randrange(n)
+            codes += [dual, BinaryCode(n, tuple(rows))]
+        for code in codes:
+            assert code.is_self_dual() == is_self_dual_loop(code)
+            img = list(range(n))
+            rnd.shuffle(img)
+            assert code.permuted(img) == permuted_loop(code, img)
+        if n % 2 == 0:
+            assert codes[-2].is_self_dual() and not codes[-1].is_self_dual()
+
+
 def test_enumeration_budget():
     big = BinaryCode(40, tuple(1 << i for i in range(gf2.MAX_ENUM_DIM + 1)))
     with pytest.raises(ValueError, match="budget"):
@@ -186,20 +213,6 @@ def exact_words(code):
         gf2.span(rows[:16]), gf2.span(rows[16:]), code.n
     )
     return counts, np.sort(low), np.sort(high)
-
-
-def extended_qr(p):
-    """The extended quadratic-residue code of a prime p = -1 mod 8: the
-    cyclic shifts of the residues' indicator with a parity bit, and the
-    all-ones word.  p = 7, 23 and 47 give the [8,4,4] Hamming code, the
-    [24,12,8] Golay code and the [48,24,12] code q48."""
-    residues = sum(1 << (x * x % p) for x in range(1, (p + 1) // 2))
-    full = (1 << p) - 1
-    rows = [(1 << (p + 1)) - 1]
-    for s in range(p):
-        word = (residues << s | residues >> (p - s)) & full
-        rows.append(word | (word.bit_count() & 1) << p)
-    return BinaryCode.from_rows(rows, p + 1)
 
 
 def kernel_spies(monkeypatch):

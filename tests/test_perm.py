@@ -185,6 +185,56 @@ def test_group_orders():
     assert trivial.order() == 1
 
 
+def _closure(gens, n):
+    """Every element of <gens>, by a breadth-first walk: the brute-force
+    order that the stabilizer chain must reproduce."""
+    ident = Permutation.identity(n)
+    seen, queue = {ident.img}, [ident]
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = p * g
+            if q.img not in seen:
+                seen.add(q.img)
+                queue.append(q)
+    return seen
+
+
+def test_schreier_sims_on_generators_of_the_top_points():
+    # The chain is built from the last level that holds a generator down,
+    # so a group moving only the last points skips every level above.
+    n = 48
+    swap = parse_cycles("(47,48)", n)
+    cases = [[swap], [parse_cycles("(46,47,48)", n)], [swap, swap]]
+    rnd = random.Random(13)
+    for _ in range(20):
+        gens = []
+        for _ in range(rnd.randint(1, 3)):
+            img = list(range(n))
+            top = img[rnd.randint(42, 46):]
+            moved = top[:]
+            rnd.shuffle(moved)
+            img[n - len(top):] = moved
+            gens.append(Permutation(tuple(img)))
+        cases.append(gens)
+    for gens in cases:
+        group = PermGroup(gens, n)
+        members = _closure(gens, n)
+        assert group.order() == len(members)
+        assert {e.img for e in group_elements(group)} == members
+        assert not group.contains(parse_cycles("(1,48)", n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 48])
+def test_schreier_sims_without_generators(n):
+    ident = Permutation.identity(n)
+    for gens in ([], [ident]):
+        group = PermGroup(gens, n)
+        assert group.order() == 1
+        assert group.contains(ident)
+        assert all(len(level.orbit) == 1 for level in group._levels)
+
+
 def test_membership():
     a4 = PermGroup(
         [parse_cycles("(1,2,3)", 4), parse_cycles("(2,3,4)", 4)], 4
