@@ -6,7 +6,7 @@ from cubicsd import cli, construct, cyclicring, dataset, gf2
 
 
 def _worker_count():
-    return min(8, os.cpu_count() or 1)
+    return min(8, len(os.sched_getaffinity(0)))
 
 
 @pytest.fixture(scope="session")

@@ -183,7 +183,7 @@ PINNED_CLASS = (2, "(8,12,11,10,9)(13,15)", 240)
 def test_criterion_10_sampled_search():
     import os
 
-    threads = min(8, os.cpu_count() or 1)
+    threads = min(8, len(os.sched_getaffinity(0)))
     survivors = []
     for i in range(1, 5):
         state = search.run_search(i, sample=100_000, seed=1, threads=threads)
