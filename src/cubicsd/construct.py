@@ -132,10 +132,9 @@ def phi_inverse_rows(vec, layout):
 # ---------------------------------------------------------------------------
 # The code builder for type 3-(16,0)
 
-def permuted_base_rows(tau, gb=None):
+def permuted_base_rows(tau):
     """RREF rows of the base code with coordinates permuted by tau."""
-    if gb is None:
-        gb = dataset.gb_matrix()
+    gb = dataset.gb_matrix()
     if tau.degree != gb.n_cols:
         raise ValueError("tau degree mismatch")
     rows = [tau.apply_to_word(r) for r in gb.rows]

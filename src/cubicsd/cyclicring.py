@@ -29,15 +29,10 @@ _GF4_MUL = (
 )
 
 _GF4_CHARS = {"0": 0, "1": 1, "w": 2, "W": 3}
-_GF4_NAMES = {v: k for k, v in _GF4_CHARS.items()}
 
 
 def gf4_mul(a, b):
     return _GF4_MUL[a][b]
-
-
-def gf4_add(a, b):
-    return a ^ b
 
 
 def gf4_conj(a):
@@ -65,10 +60,6 @@ def parse_gf4_matrix(text):
     if not rows:
         raise ValueError("empty GF(4) matrix text")
     return rows
-
-
-def format_gf4_matrix(rows):
-    return "\n".join(" ".join(_GF4_NAMES[v] for v in row) for row in rows)
 
 
 def gf4_hermitian_product(u, v):
@@ -200,17 +191,6 @@ def conj(a):
     return PolyP(a.p, out)
 
 
-def poly_pow(a, e):
-    acc = poly_identity(a.p)
-    base = a
-    while e:
-        if e & 1:
-            acc = poly_mul(acc, base)
-        base = poly_mul(base, base)
-        e >>= 1
-    return acc
-
-
 def all_elements(p):
     """All 2^(p-1) elements of P (even-weight masks)."""
     return [
@@ -255,19 +235,6 @@ def hermitian_form(u, v):
         if a.p != p or b.p != p:
             raise ValueError("mismatched p")
         acc = acc + poly_mul(a, conj(b))
-    return acc
-
-
-def hermitian_form_power(u, v):
-    """The power-form variant: sum of u_i * v_i^(2^((p-1)/2)).
-
-    For p with 2 a primitive root this agrees with :func:`hermitian_form`.
-    """
-    p = u[0].p
-    e = 1 << ((p - 1) // 2)
-    acc = poly_zero(p)
-    for a, b in zip(u, v):
-        acc = acc + poly_mul(a, poly_pow(b, e))
     return acc
 
 

@@ -10,12 +10,12 @@ which is exactly the set of tau giving one and the same permuted code.
 representatives as numpy image arrays, one window of stream positions
 at a time, expanding the tree of valid image prefixes in bounded chunks,
 so a search filters whole blocks and builds a ``Permutation`` only for
-its hits; ``transversal_blocks`` and ``right_transversal`` are views of
-it.  Shards split that tree at a fixed prefix depth, and
-``PermGroup.leaf_counts`` counts the representatives below a prefix from
-the stabilizer chain alone: it gives each shard's exact size, lets a
-resume skip whole prefixes, and lets a caller's test on deeper prefixes
-prune their subtrees while every position keeps naming the same coset.
+its hits; ``right_transversal`` is a view of it.  Shards split that
+tree at a fixed prefix depth, and ``PermGroup.leaf_counts`` counts the
+representatives below a prefix from the stabilizer chain alone: it
+gives each shard's exact size, lets a resume skip whole prefixes, and
+lets a caller's test on deeper prefixes prune their subtrees while
+every position keeps naming the same coset.
 """
 
 from __future__ import annotations
@@ -336,21 +336,13 @@ class PermGroup:
     def num_right_cosets(self):
         return factorial(self.n) // self.order()
 
-    def right_transversal(self, shard=None, start=0):
+    def right_transversal(self, shard=(0, 1)):
         """Stream the lex-minimal representative of every right coset,
-        one Permutation per row of ``transversal_blocks`` (``shard`` and
-        ``start`` as there)."""
-        for block in self.transversal_blocks(shard or (0, 1), start):
-            for row in block.tolist():
+        one Permutation per row of ``transversal_windows`` (``shard`` as
+        there)."""
+        for _, rows in self.transversal_windows(shard):
+            for row in rows.tolist():
                 yield Permutation(tuple(row))
-
-    def transversal_blocks(self, shard=(0, 1), start=0, size=10000):
-        """Yield the lex-minimal coset representatives as (B, n) uint8
-        image arrays, in lexicographic ("stream") order: the rows of
-        ``transversal_windows`` with no ``keep`` test.  Every block but
-        the last has exactly ``size`` rows."""
-        windows = self.transversal_windows(shard, start, size)
-        return (rows for _, rows in windows)
 
     def transversal_windows(
         self, shard=(0, 1), start=0, size=10000, keep=None
@@ -441,7 +433,7 @@ class PermGroup:
 
     def shard_sizes(self, shard_cnt):
         """The number of representatives in each shard i/shard_cnt of
-        ``transversal_blocks``, i = 0..shard_cnt-1, from the leaf counts
+        ``transversal_windows``, i = 0..shard_cnt-1, from the leaf counts
         of the depth-K prefixes (~0.15 s on Aut(B); kept per shard
         count, as the group does not change)."""
         if shard_cnt not in self._shard_sizes:

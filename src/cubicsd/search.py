@@ -20,12 +20,12 @@ i % BLOCK_SIZE of block i // BLOCK_SIZE, and block b is drawn by one
 generator, ``np.random.default_rng([seed, b])``, shuffling every row of
 0..15 on its own.  Shard i/m of a sample takes the blocks b = i mod m.
 Both modes cut their candidates into blocks, filtered in one batch each
-by ``ordered_map``: in this process, or on workers forked with
-``os.fork``, each fed its jobs through a pipe of its own and pinned to
-a CPU of its own when there are enough.  A worker's death raises
-``BrokenProcessPool`` instead of stalling the scan.  A tau is a
-hit iff the code generated by (pi^-1(tau B); phi^-1(X_i)) has minimum
-distance 10.  The code depends only on the coset of tau, so sample
+by ``ordered_map``: in this process, or on T workers forked with
+``os.fork``, worker k walking its own copy of the block stream and
+filtering the blocks numbered k mod T, pinned to a CPU of its own when
+there are enough.  A worker's death raises ``BrokenProcessPool``
+instead of stalling the scan.  A tau is a hit iff the code generated
+by (pi^-1(tau B); phi^-1(X_i)) has minimum distance 10.  The code depends only on the coset of tau, so sample
 draws are filtered raw and only the hits are reduced to their coset
 representative.  A hit is recorded as (X_i, representative) and
 nothing more; the checkpoint is an append-only log with one line per
@@ -47,7 +47,6 @@ taken to normalize <sigma>, and distinct orbits are distinct classes.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -240,43 +239,38 @@ class BrokenProcessPool(BrokenExecutor):
     """A worker of ``ordered_map`` died before returning a job's result."""
 
 
-def _fork_worker(task, cpu):
-    """Fork one ``ordered_map`` worker; returns (pid, job writer, result
-    reader).
+def _fork_worker(task, jobs, threads, k, cpu):
+    """Fork worker k of ``ordered_map``; returns (pid, result reader).
 
-    The worker pins itself to ``cpu`` unless it is None, then answers
-    each pickled job on its job pipe with a pickled (ok, value) pair,
-    value being ``task(job)`` or the exception it raised, until the job
-    pipe closes.  It leaves with ``os._exit``, so it never flushes this
-    process's stdio buffers or runs its atexit handlers.
+    The worker pins itself to ``cpu`` unless it is None, then walks its
+    own copy of ``jobs`` and runs the jobs numbered k mod ``threads``.
+    For each it writes a pickled (True, ``task(job)``) pair to its
+    result pipe, and it ends with a pickled None, or with (False, exc)
+    once a task or ``jobs`` itself raises exc.  It leaves with
+    ``os._exit``, so it never flushes this process's stdio buffers or
+    runs its atexit handlers.
     """
-    job_r, job_w = os.pipe()
     res_r, res_w = os.pipe()
     pid = os.fork()
     if pid:
-        os.close(job_r)
         os.close(res_w)
-        return pid, os.fdopen(job_w, "wb"), os.fdopen(res_r, "rb")
+        return pid, os.fdopen(res_r, "rb")
     status = 1
     try:
-        os.close(job_w)
         os.close(res_r)
         if cpu is not None:
             os.sched_setaffinity(0, {cpu})
-        with os.fdopen(job_r, "rb") as jobs, os.fdopen(res_w, "wb") as out:
-            while True:
-                try:
-                    job = pickle.load(jobs)
-                except EOFError:
-                    break
-                # Pickled before the write, so that a result that cannot
-                # be pickled is reported and not half-sent.
-                try:
-                    reply = pickle.dumps((True, task(job)))
-                except Exception as exc:
-                    reply = pickle.dumps((False, exc))
-                out.write(reply)
-                out.flush()
+        with os.fdopen(res_w, "wb") as out:
+            try:
+                for job in itertools.islice(jobs, k, None, threads):
+                    # Pickled before the write, so that a result that
+                    # cannot be pickled is reported and not half-sent.
+                    out.write(pickle.dumps((True, task(job))))
+                    out.flush()
+                reply = None
+            except Exception as exc:
+                reply = False, exc
+            pickle.dump(reply, out)
         status = 0
     finally:
         os._exit(status)
@@ -286,76 +280,48 @@ def ordered_map(task, jobs, threads):
     """Yield ``task(job)`` for each job, in order.
 
     With ``threads`` > 1 the tasks run on ``threads`` workers forked from
-    this process, each fed through a pipe of its own: job k goes to
-    worker k mod ``threads``, and results are read in job order.  When
-    ``threads`` is at most the number of CPUs this process may use,
-    worker k is pinned to the k-th of them.  A worker holds one job at a
-    time, and gets its next one only after its result is read, so a
-    large job and a large result never wait on each other in the pipes;
-    that next job is built before the read, while the workers run.  A
-    task's exception is raised here, and a worker that dies raises
-    ``BrokenProcessPool``.  When the caller stops early (an exception in
-    its loop, or closing the generator), the workers are sent no more
-    jobs and are reaped once their running jobs finish.
+    this process.  This process never advances ``jobs``: worker k walks
+    its own copy of all of it and runs the jobs numbered k mod
+    ``threads``, so ``jobs`` must give the same jobs in every process
+    and have no effect outside it, and its cost is paid once per worker;
+    jobs need not be picklable.  Each worker writes its results to a
+    pipe of its own, and they are read in job order.  When ``threads``
+    is at most the number of CPUs this process may use, worker k is
+    pinned to the k-th of them.  A task's exception is raised here, and
+    so is one that ``jobs`` raises at index j, after exactly j results;
+    a worker that dies raises ``BrokenProcessPool``.  When the caller
+    stops early (an exception in its loop, or closing the generator),
+    the workers are reaped once their running jobs finish.
     """
     if threads == 1:
         yield from map(task, jobs)
         return
-    jobs = iter(jobs)
-    first = list(itertools.islice(jobs, threads))
     cpus = []
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
     workers = []
     try:
-        for k, job in enumerate(first):
+        for k in range(threads):
             cpu = cpus[k] if threads <= len(cpus) else None
-            workers.append(_fork_worker(task, cpu))
-            _send(workers[k], job)
-        end = object()
-        sent, done = len(first), 0
-        while done < sent:
-            worker = workers[done % threads]
-            job = next(jobs, end)
-            ok, value = _receive(worker)
-            done += 1
-            if job is not end:
-                _send(worker, job)
-                sent += 1
+            workers.append(_fork_worker(task, jobs, threads, k, cpu))
+        for pid, reader in itertools.cycle(workers):
+            try:
+                reply = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise BrokenProcessPool(
+                    "worker %d died before returning its result" % pid
+                ) from None
+            if reply is None:
+                return
+            ok, value = reply
             if not ok:
                 raise value
             yield value
     finally:
-        for _, writer, reader in workers:
-            # A dead worker leaves unsent bytes that cannot be flushed.
-            with contextlib.suppress(BrokenPipeError):
-                writer.close()
+        for _, reader in workers:
             reader.close()
-        for pid, _, _ in workers:
+        for pid, _ in workers:
             os.waitpid(pid, 0)
-
-
-def _send(worker, job):
-    """Pickle one job to a worker."""
-    pid, writer, _ = worker
-    try:
-        pickle.dump(job, writer)
-        writer.flush()
-    except BrokenPipeError:
-        raise BrokenProcessPool(
-            "worker %d died while it was sent a job" % pid
-        ) from None
-
-
-def _receive(worker):
-    """Unpickle a worker's (ok, value) reply to its job."""
-    pid, _, reader = worker
-    try:
-        return pickle.load(reader)
-    except (EOFError, pickle.UnpicklingError):
-        raise BrokenProcessPool(
-            "worker %d died before returning its result" % pid
-        ) from None
 
 
 def _blocks(state):
@@ -418,13 +384,15 @@ def run_search(
 
     ``extra_taus`` are injected ahead of the stream (not counted in the
     position), useful for spot checks with known permutations.  With
-    ``threads`` > 1 either mode filters its blocks on forked workers
-    (``ordered_map``); survivors, ``progress`` calls (one per block) and
-    checkpoint lines are still handled by this process only, in block
-    order.  A dead worker raises ``BrokenProcessPool``; the checkpoint
-    then holds every block finished before it, so a rerun resumes.  A missing checkpoint starts
-    a clean search; an existing one is resumed, dropping a torn last
-    line.  Hits are recorded, not classified: see ``classify_hits``.
+    ``threads`` > 1 either mode builds and filters its blocks on forked
+    workers (``ordered_map``), each walking the whole block stream from
+    the position at the fork; survivors, ``progress`` calls (one per
+    block) and checkpoint lines are still handled by this process only,
+    in block order.  A dead worker raises ``BrokenProcessPool``; the
+    checkpoint then holds every block finished before it, so a rerun
+    resumes.  A missing checkpoint starts a clean search; an existing
+    one is resumed, dropping a torn last line.  Hits are recorded, not
+    classified: see ``classify_hits``.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)

@@ -74,6 +74,12 @@ def brute_force_isomorphism(a, b):
     return perm.Permutation(tuple(imgs[hits[0]].tolist()))
 
 
+def transversal_rows(group, shard=(0, 1), start=0, size=10000):
+    """The (B, n) image arrays of ``group.transversal_windows`` with no
+    keep test: every one but the last has exactly ``size`` rows."""
+    return (rows for _, rows in group.transversal_windows(shard, start, size))
+
+
 def prefix_keys(rows, depth):
     """Integers ordered as the depth-``depth`` prefixes of the (N, 16)
     image rows ``rows``."""

@@ -8,7 +8,7 @@ from cubicsd import construct, cyclicring, dataset, equiv, gf2, search
 from cubicsd.construct import STANDARD_3_16_0, DecomposedEngine
 from cubicsd.cyclicring import PolyP
 from cubicsd.perm import Permutation, parse_cycles
-from reference import random_element
+from reference import random_element, transversal_rows
 
 EXPECTED_WE = {0: 1, 10: 768, 12: 8592, 14: 57600, 16: 267831}
 
@@ -207,7 +207,7 @@ def test_two_stage_filter_matches_reference(xi_index):
     inputs = [
         block
         for shard in ((0, 1), (3, 4))
-        for block in itertools.islice(group.transversal_blocks(shard), 2)
+        for block in itertools.islice(transversal_rows(group, shard), 2)
     ]
     inputs += [search._sample_block(2, number) for number in (0, 1)]
     images = np.concatenate(inputs)

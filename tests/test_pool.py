@@ -42,29 +42,6 @@ def dying(job):
 # block after the first two kills its worker.
 _SEARCH = dict(task="search._filter_block", dies="job[2][0] >= 2")
 
-# Every search job is sent with a 4 MB payload behind an object whose
-# unpickling kills the worker.  The worker dies on its first job after
-# reading a few bytes of it, while this process is still writing the
-# rest into the pipe.
-_SENDING = """
-import os, sys
-from cubicsd import cli, search
-
-class Dies:
-    def __reduce__(self):
-        return os._exit, (3,)
-
-blocks = search._blocks
-
-def deadly(state):
-    for job in blocks(state):
-        yield Dies(), bytes(4 << 20), job
-
-search._blocks = deadly
-{call}
-"""
-
-
 def _run(code):
     """(exit code, stdout, stderr) of ``code`` run in a fresh interpreter."""
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
@@ -149,24 +126,6 @@ def test_cli_reports_dead_worker(tmp_path):
     assert len(err.splitlines()) == 1
 
 
-def test_worker_dying_while_sent_a_job_raises(tmp_path):
-    status, _, err = _run(
-        _SENDING.format(call="search.run_search(4, sample=40000, threads=2)")
-    )
-    assert status == 1
-    assert _last_line(err).startswith("cubicsd.search.BrokenProcessPool: ")
-    argv = _CLI_SEARCH + [str(tmp_path / "cp.jsonl")]
-    status, out, err = _run(
-        _SENDING.format(call="sys.exit(cli.main(%r))" % argv)
-    )
-    assert (status, out) == (2, "")
-    assert err.startswith("error: a worker process died: ")
-    assert _last_line(err).endswith(
-        "Rerunning with the same --checkpoint resumes the search."
-    )
-    assert len(err.splitlines()) == 1
-
-
 def test_results_come_in_job_order():
     # Job 0 sleeps longest, so worker 1 finishes job 1 first.
     out = _run_map(
@@ -194,14 +153,65 @@ def test_task_error_reaches_the_caller():
     assert out == "[0, 1, 2] ValueError('job 3')\n"
 
 
-def test_large_jobs_and_results_cross():
-    # A 1 MB job and a 1 MB result each outgrow a pipe's buffer.
+def test_large_results_cross():
+    # Each 1 MB result outgrows a pipe's buffer, and a worker runs ahead
+    # of the reads until its pipe is full.
     out = _run_map(
-        "jobs = [bytes([k]) * (1 << 20) for k in range(8)]\n"
-        "got = list(search.ordered_map(lambda b: b[::-1], jobs, 2))\n"
-        "print(got == jobs, len(got))\n"
+        "want = [bytes([k]) * (1 << 20) for k in range(8)]\n"
+        "task = lambda k: bytes([k]) * (1 << 20)\n"
+        "got = list(search.ordered_map(task, range(8), 2))\n"
+        "print(got == want, len(got))\n"
     )
     assert out == "True 8\n"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_error_in_jobs_comes_after_the_results_before_it(threads):
+    # The parent never advances the jobs: the worker that owns the
+    # failing index reports the error in its place.
+    out = _run_map(
+        "def jobs(bad):\n"
+        "    for k in range(6):\n"
+        "        if k == bad:\n"
+        "            raise ValueError('job %%d' %% k)\n"
+        "        yield k\n"
+        "for bad in (0, 3, 4):\n"
+        "    got = []\n"
+        "    try:\n"
+        "        for value in search.ordered_map(\n"
+        "            lambda job: 10 * job, jobs(bad), %d\n"
+        "        ):\n"
+        "            got.append(value)\n"
+        "    except ValueError as exc:\n"
+        "        print(got, repr(exc))\n" % threads
+    )
+    assert out == (
+        "[] ValueError('job 0')\n"
+        "[0, 10, 20] ValueError('job 3')\n"
+        "[0, 10, 20, 30] ValueError('job 4')\n"
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_jobs_need_not_be_picklable(threads):
+    out = _run_map(
+        "jobs = [lambda: 1, lambda: 2, lambda: 3]\n"
+        "print(list(search.ordered_map(lambda f: f(), jobs, %d)))\n" % threads
+    )
+    assert out == "[1, 2, 3]\n"
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_fewer_jobs_than_workers_leave_no_child(threads):
+    out = _run_map(
+        "for jobs in ([7], [7, 8], []):\n"
+        "    print(list(search.ordered_map(abs, jobs, %d)))\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child')\n" % threads
+    )
+    assert out == "[7]\n[7, 8]\n[]\nno child\n"
 
 
 def test_closing_early_leaves_no_child():
@@ -256,3 +266,16 @@ def test_cli_output_does_not_depend_on_threads():
     serial = verify("1")
     assert json.loads(serial)["pass_"]
     assert verify("2") == serial
+
+
+def test_cli_loads_no_process_pool_module():
+    # The pool is built on os.fork alone; these modules would add to the
+    # start-up of every command.
+    status, out, err = _run(
+        "import sys\n"
+        "import cubicsd.cli\n"
+        "names = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print([name for name in names if name in sys.modules])\n"
+    )
+    assert status == 0, err
+    assert out == "[]\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cubicsd import construct, dataset, equiv, gf2, perm, search
-from reference import prefix_keys
+from reference import prefix_keys, transversal_rows
 
 
 def table1_taus():
@@ -285,8 +285,8 @@ def test_checkpoint_rejects_format_1(tmp_path):
 
 def test_pooled_matches_serial():
     # X_4 has survivors dense enough for a small sample to hit some.
-    # 5 blocks: the first round of 2 workers leaves a second round and
-    # a block on one worker alone.
+    # 5 blocks: of 2 workers, worker 0 filters blocks 0, 2 and 4 and
+    # worker 1 blocks 1 and 3, so the last round has one block alone.
     serial = search.run_search(4, sample=50000, seed=7)
     pooled = search.run_search(4, sample=50000, seed=7, threads=2)
     assert len(serial.survivors) == 8
@@ -367,7 +367,7 @@ def test_pruned_windows_match_filtered_blocks(xi_index):
     pruned = rejected = 0
     for shard in ((0, 1), (1, 4), (3, 4)):
         head = np.concatenate(
-            list(islice(group.transversal_blocks(shard, size=size), count))
+            list(islice(transversal_rows(group, shard, size=size), count))
         )
         # The prefixes between the first and the last are whole depth-7
         # subtrees: they hold all their leaves.
@@ -429,7 +429,7 @@ def test_window_without_candidates_advances_and_logs(tmp_path, monkeypatch):
     lines = [json.loads(line) for line in cp.read_text().splitlines()[1:]]
     assert [line["position"] for line in lines] == ends
     group = dataset.autb_group()
-    head = next(group.transversal_blocks((1, 4), size=60 * 97))
+    head = next(transversal_rows(group, (1, 4), size=60 * 97))
     hits = head[search._worker_engine(4).filter_images(head)]
     texts = [str(perm.Permutation(tuple(row))) for row in hits.tolist()]
     assert len(texts) == 2
