@@ -30,7 +30,8 @@ def _verify_entry(index):
     row = {"index": index, "table_id": entry.table_id, "perm": entry.perm_text}
     try:
         code = construct.build_table_code(entry)
-        we = equiv.code_data(code).we
+        we, low, high = code.low_weight_words()
+        equiv.register_code_data(code, low, high)
     except Exception as exc:
         row.update(pass_=False, error=str(exc))
         return row, None

@@ -11,6 +11,10 @@ sibling is skipped.  The least labelled RREF is the canonical form, a
 complete invariant, and the orbit sizes along the first path multiply
 to |Aut|, which certifies the automorphisms found.
 
+A self-dual code is registered from the words of its one or two lowest
+weights alone (``gf2.lightest_words``), with no weight distribution
+listed; any other code from one exact enumeration.
+
 The results (:class:`CodeData`) are stored on the code object itself,
 so they are freed with the code and travel with it when the code is
 pickled, e.g. back from a pool worker.  There is no process-wide store
@@ -26,10 +30,12 @@ import numpy as np
 from . import gf2
 from .perm import Permutation, PermGroup
 
-# The most words of the two lowest weights code_data refines on.  It
-# counts both classes even where register_code_data refines on the
-# lowest alone, so q48 (17296 + 535095 words) is still refused: its
-# words hold 5-designs, and its traversal would not finish.
+# The most words of the two lowest weights register_code_data refines
+# on, counted wherever the next class is listed.  gf2.lightest_words
+# leaves it out when the lowest class alone colors a self-dual code, so
+# it is listed there only for a 2-design, where no pair count splits a
+# cell: q48 (17296 + 535095 words) is refused, as its traversal would
+# not finish.
 _MAX_REFINE_WORDS = 200_000
 
 
@@ -37,7 +43,6 @@ _MAX_REFINE_WORDS = 200_000
 class CodeData:
     """What one canonical-labelling traversal learns about a code."""
 
-    we: tuple  # full weight distribution
     canon: gf2.BinaryCode  # the least labelled RREF over the leaves
     labelling: Permutation  # code.permuted(labelling.img) == canon
     generators: tuple  # the automorphisms the traversal found
@@ -112,19 +117,24 @@ def _signatures(co, colors):
     c = np.asarray(colors, dtype=np.int64)
     packed = (c << 32) | co
     packed.sort(axis=1)
-    rows = np.concatenate([c[:, None], packed], axis=1).astype(">i8")
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    raw = np.concatenate([c[:, None], packed], axis=1).astype(">i8").tobytes()
+    size = 8 * (len(colors) + 1)
+    return [raw[i : i + size] for i in range(0, len(raw), size)]
 
 
 def _refine(co, colors):
     """Refine an ordered partition of one code's coordinates until it is
     stable.  The color of a coordinate is the first position of its cell,
     so a cell splits within its own positions, in signature order."""
+    n = len(colors)
     while True:
-        _, inv, sizes = np.unique(
-            _signatures(co, colors), return_inverse=True, return_counts=True
-        )
-        refined = (np.cumsum(sizes) - sizes)[inv.ravel()].tolist()
+        keys = _signatures(co, colors)
+        refined = [0] * n
+        previous = None
+        for pos, x in enumerate(sorted(range(n), key=keys.__getitem__)):
+            if keys[x] != previous:
+                start, previous = pos, keys[x]
+            refined[x] = start
         if refined == colors:
             return colors
         colors = refined
@@ -206,16 +216,21 @@ def _traverse(code, co):
     return canon, labelling, tuple(gens), order
 
 
-def register_code_data(code, we, words_low, words_high):
-    """Attach the traversal's results to a code, given its weight
-    distribution and its words of the two lowest nonzero weights.
+def register_code_data(code, words_low, words_high):
+    """Attach the traversal's results to a code, given its words of the
+    lowest nonzero weight and of the next one.  ``words_high`` may be
+    None when the lowest class holds at least n words.
 
     The refinement counts pairs in the lowest class alone when it holds
     at least n words, as the 768 weight-10 words of a [48,24,10] code
     do.  A sparser lowest class, such as the 12 weight-4 words of B,
     leaves too many cells unsplit alone, so the next class is counted
-    too.  The rule reads only the weight distribution, an invariant, so
-    the canonical form stays one.
+    too.  The rule reads only the class sizes, invariants, so the
+    canonical form stays one.  Where the lowest class alone holds a
+    2-design (every point and every pair of points in as many words),
+    the next class is listed if it was not, and the two are held to
+    ``_MAX_REFINE_WORDS``.  That branch is where a refinement on the
+    point-word incidences would plug in.
     """
     n = code.n
     co = _co_matrix(np.asarray(words_low, dtype=np.uint64), n)
@@ -223,22 +238,34 @@ def register_code_data(code, we, words_low, words_high):
         high = _co_matrix(np.asarray(words_high, dtype=np.uint64), n)
         # One key per pair: the lowest class's count, then both classes'.
         co = (co << 16) | (co + high)
-    data = CodeData(tuple(int(x) for x in we), *_traverse(code, co))
+    elif words_high is None and _is_2_design(co):
+        words_high = code.low_weight_words()[2]
+    if words_high is not None and (
+        len(words_low) + len(words_high) > _MAX_REFINE_WORDS
+    ):
+        raise ValueError("too many low-weight words for refinement")
+    data = CodeData(*_traverse(code, co))
     code.__dict__[_DATA_ATTR] = data
     return data
 
 
+def _is_2_design(co):
+    """Whether a co-coverage matrix is constant on its diagonal and
+    constant off it."""
+    diagonal, off = co.diagonal(), co[~np.eye(len(co), dtype=bool)]
+    return bool((diagonal == diagonal[:1]).all() and (off == off[:1]).all())
+
+
 def code_data(code):
-    """The traversal's results for a code, attached on first use from
-    one call of ``gf2.BinaryCode.low_weight_words``: the weight
-    distribution and the words of the two lowest nonzero weights."""
+    """The traversal's results for a code, attached on first use.  A
+    self-dual code is registered from ``gf2.lightest_words``, any other
+    from one call of ``gf2.BinaryCode.low_weight_words``."""
     data = code.__dict__.get(_DATA_ATTR)
     if data is not None:
         return data
-    we, low, high = code.low_weight_words()
-    if len(low) + len(high) > _MAX_REFINE_WORDS:
-        raise ValueError("too many low-weight words for refinement")
-    return register_code_data(code, we, low, high)
+    if code.is_self_dual():
+        return register_code_data(code, *gf2.lightest_words(code))
+    return register_code_data(code, *code.low_weight_words()[1:])
 
 
 def invariant(code):

@@ -22,12 +22,20 @@ the two lowest nonzero weights, with two engines behind it:
 - every other code, and a self-dual one the first engine cannot settle,
   takes ``coset_words``: exact enumeration as cosets of a span of at
   most 16 rows, so it never holds more than 65536 words at once.
+
+Canonical labelling needs only the lightest words, and
+``lightest_words`` lists just those of a self-dual code: it combines
+more rows on P and on Q, one level at a time, until the
+Brouwer-Zimmermann bound says the classes it needs are complete.  It
+and ``information_set_words`` share one kernel, ``_light_combinations``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from math import comb
 
 import numpy as np
 
@@ -35,36 +43,52 @@ import numpy as np
 # exact engine, which every code may fall back to.
 MAX_ENUM_DIM = 28
 
+# The most words _light_combinations XORs at once (64 KB).  Freeing a
+# larger block leaves more free memory at the top of the heap than
+# glibc keeps, so the heap is trimmed and faulted in again: with blocks
+# of 2^14 words, low_weight_words took ~75 minor page faults per [48,24]
+# code, against ~5 at 2^13 (counted with getrusage).
+_BLOCK_WORDS = 1 << 13
+
 
 def rref(rows, n_cols):
     """Reduced row-echelon form over GF(2).
 
+    Each row is reduced against the rows kept so far, keyed by their
+    lowest set bit, until its own lowest bit is new; then each kept row,
+    from the highest pivot down, is cleared at the other pivots.  No
+    column is scanned.
+
     Args:
-        rows: iterable of int bit-rows.
+        rows: iterable of int bit-rows, each below 2**n_cols.
         n_cols: number of columns.
 
     Returns:
         (rows, pivots) where rows is a tuple of the nonzero RREF rows and
         pivots the strictly increasing list of pivot column indices.
     """
-    work = [int(r) for r in rows]
-    out = []
-    pivots = []
-    for col in range(n_cols):
-        mask = 1 << col
-        src = None
-        for i, r in enumerate(work):
-            if r & mask:
-                src = i
+    kept = {}  # lowest set bit -> row
+    for r in rows:
+        r = int(r)
+        while r:
+            low = r & -r
+            if low not in kept:
+                kept[low] = r
                 break
-        if src is None:
-            continue
-        piv = work.pop(src)
-        work = [r ^ piv if r & mask else r for r in work]
-        out = [r ^ piv if r & mask else r for r in out]
-        out.append(piv)
-        pivots.append(col)
-    return tuple(out), pivots
+            r ^= kept[low]
+    lows = sorted(kept)
+    pivot_bits = sum(lows)
+    for low in reversed(lows):
+        r = kept[low]
+        others = (r & pivot_bits) ^ low
+        while others:
+            bit = others & -others
+            r ^= kept[bit]
+            others ^= bit
+        kept[low] = r
+    return tuple(kept[low] for low in lows), [
+        low.bit_length() - 1 for low in lows
+    ]
 
 
 @dataclass(frozen=True)
@@ -165,6 +189,8 @@ def information_sets(code):
     so they are codewords only when the code is self-dual; any other
     code raises ValueError.
     """
+    if code.n > 63:
+        raise ValueError("codeword enumeration limited to n <= 63")
     if not code.is_self_dual():
         raise ValueError("information sets P and Q need a self-dual code")
     return (
@@ -174,23 +200,39 @@ def information_sets(code):
     )
 
 
-def _light_combinations(rows, r, t):
-    """The XORs of at most r of ``rows`` that weigh at most t.
+def _half_spans(p_rows, q_rows):
+    """For the P and for the Q rows, the XOR combinations of either half
+    of them, grouped by how many rows they combine: entry a of a half's
+    list holds its a-row combinations.  Both sides are spanned at once,
+    as the rows of one stacked array."""
+    rows = np.stack([p_rows, q_rows])
+    k = rows.shape[1]
+    index = np.arange(1 << (k - k // 2))
+    # The combination numbers by size, then in increasing order; those
+    # below 2^(k // 2) are the shorter half's.
+    order = np.sort(np.bitwise_count(index).astype(np.int64) << 32 | index)
+    order &= 0xFFFFFFFF
+    out = []
+    for half in (rows[:, : k // 2], rows[:, k // 2 :]):
+        size = half.shape[1]
+        ends = list(accumulate(comb(size, a) for a in range(size + 1)))
+        words = np.take(span(half), order[order < 1 << size], axis=1)
+        out.append([words[:, a:b] for a, b in zip([0, *ends], ends)])
+    return [tuple([g[side] for g in half] for half in out) for side in (0, 1)]
 
-    The rows are split into two halves; each pair (a, b) of row counts
-    with a + b <= r is one broadcast XOR of the a-row combinations of
-    the first half with the b-row ones of the second, filtered at once.
-    """
-    h = len(rows) // 2
-    halves = []
-    for half in (rows[:h], rows[h:]):
-        words = span(half)
-        size = np.bitwise_count(np.arange(len(words)))
-        halves.append([words[size == a] for a in range(r + 1)])
-    kept = [rows[:0]]  # r < 0 combines no rows
-    for a, left in enumerate(halves[0]):
-        for right in halves[1][: r + 1 - a]:
-            block = (left[:, None] ^ right).ravel()
+
+def _light_combinations(halves, a, t):
+    """The XORs of exactly a rows that weigh at most t, from the rows'
+    ``_half_spans``: per split of a, broadcast XORs of the i-row
+    combinations of the first half with the (a - i)-row ones of the
+    second, in blocks of at most about _BLOCK_WORDS words, each filtered
+    at once."""
+    left, right = halves
+    kept = [left[0][:0]]
+    for i in range(max(0, a + 1 - len(right)), min(a, len(left) - 1) + 1):
+        step = max(1, _BLOCK_WORDS // len(right[a - i]))
+        for lo in range(0, len(left[i]), step):
+            block = (left[i][lo : lo + step, None] ^ right[a - i]).ravel()
             kept.append(block[np.bitwise_count(block) <= t])
     return np.concatenate(kept)
 
@@ -207,9 +249,63 @@ def information_set_words(code, t):
     """
     p_rows, q_rows, p_mask = information_sets(code)
     r = t // 2
-    on_q = _light_combinations(q_rows, t - r - 1, t)
-    on_q = on_q[np.bitwise_count(on_q & np.uint64(p_mask)) > r]
-    return np.concatenate([_light_combinations(p_rows, r, t), on_q])
+    on_p, on_q = _half_spans(p_rows, q_rows)
+    words = [_light_combinations(on_p, a, t) for a in range(r + 1)]
+    beyond = np.concatenate(
+        [q_rows[:0]] + [_light_combinations(on_q, b, t) for b in range(t - r)]
+    )
+    words.append(beyond[np.bitwise_count(beyond & np.uint64(p_mask)) > r])
+    return np.concatenate(words)
+
+
+def lightest_words(code):
+    """(words of the lowest nonzero weight, words of the next one) of a
+    self-dual code, each class sorted ascending.  The next class is
+    listed only when the lowest holds fewer than n words, and is None
+    otherwise; a class the code lacks is empty.
+
+    Levels 0, 1, 2, ... of the P- and of the Q-systematic generator
+    (``information_sets``) are combined alternately, P first.  After
+    levels 0..r_P on P and 0..r_Q on Q, a word not yet listed has more
+    than r_P ones on P and more than r_Q on Q, so it weighs at least
+    r_P + r_Q + 2, and every class below that is complete (the
+    Brouwer-Zimmermann bound).  A [48,24,10] code stops at r_P = 5 and
+    r_Q = 4.  Words heavier than the second-lowest weight listed so far
+    are dropped; that cut only falls.  A word with at most r_P ones on P
+    is listed by both passes, so the classes are counted over the P
+    levels and the Q words with more than r_P ones on P.
+    """
+    n = code.n
+    p_rows, q_rows, p_mask = information_sets(code)
+    halves = _half_spans(p_rows, q_rows)
+    levels = ([], [])  # the words listed per level, on P and on Q
+    seen = np.zeros(n + 1, dtype=bool)  # the weights listed
+    cut = n
+    while True:
+        side = len(levels[0]) > len(levels[1])
+        words = _light_combinations(halves[side], len(levels[side]), cut)
+        levels[side].append(words)
+        seen[np.bitwise_count(words)] = True
+        present = np.flatnonzero(seen[1:]) + 1
+        if len(present) > 1:
+            cut = int(present[1])
+        r_p, r_q = len(levels[0]) - 1, len(levels[1]) - 1
+        # All 2^k words are listed once P has all its levels.
+        complete = n + 1 if r_p == code.k else r_p + r_q + 2
+        light = present[present < complete]
+        if not len(light) and complete <= n:
+            continue
+        on_q = np.concatenate([q_rows[:0], *levels[1]])
+        on_q = on_q[np.bitwise_count(on_q & np.uint64(p_mask)) > r_p]
+        words = np.concatenate([*levels[0], on_q])
+        wts = np.bitwise_count(words)
+        # Weight n + 1 stands in for a missing class: no word has it.
+        classes = [*light, n + 1, n + 1][:2]
+        low, high = (np.sort(words[wts == w]) for w in classes)
+        if len(low) >= n:
+            return low, None
+        if len(light) > 1 or complete > n:
+            return low, high
 
 
 def gleason_distribution(head, n):
@@ -224,8 +320,6 @@ def gleason_distribution(head, n):
     unitriangular solve in exact integers.  The basis holds Type I and
     Type II codes alike.
     """
-    from math import comb
-
     m = n // 2
     total = [0] * (m + 1)
     for j in range(n // 8 + 1):
@@ -310,13 +404,16 @@ class BinaryCode:
         """For each column f off the pivots, bit f plus the pivots of the
         rows that have f: a generator of the dual code, systematic on
         those columns."""
-        p_mask = sum(1 << p for p in self.pivots)
-        return [
-            (1 << f)
-            | sum(1 << p for r, p in zip(self.rows, self.pivots) if r >> f & 1)
-            for f in range(self.n)
-            if not p_mask >> f & 1
-        ]
+        raw = _limbs(self.rows, self.n).view(np.uint8)
+        bits = np.unpackbits(raw, axis=1, count=self.n, bitorder="little")
+        free = np.ones(self.n, dtype=bool)
+        free[self.pivots] = False
+        free = np.flatnonzero(free)
+        out = np.zeros((len(free), self.n), dtype=np.uint8)
+        out[:, self.pivots] = bits[:, free].T
+        out[np.arange(len(free)), free] = 1
+        packed = np.packbits(out, axis=1, bitorder="little")
+        return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
     def dual(self):
         """The [n, n-k] dual code."""
@@ -357,11 +454,8 @@ class BinaryCode:
         if self.n > 63:
             raise ValueError("codeword enumeration limited to n <= 63")
         t = 2 * (self.n // 8)
-        try:
+        if self.is_self_dual():
             words = information_set_words(self, t)
-        except ValueError:  # the code is not self-dual
-            pass
-        else:
             wts = np.bitwise_count(words)
             head = np.bincount(wts, minlength=t + 1)
             present = np.flatnonzero(head[1:])[:2] + 1

@@ -60,13 +60,13 @@ class Permutation:
 
     @property
     def is_identity(self):
-        return all(i == x for i, x in enumerate(self.img))
+        return self.img == tuple(range(len(self.img)))
 
     def __mul__(self, other):
         """Apply self first, then other."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(other.img[x] for x in self.img))
+        return Permutation(tuple(map(other.img.__getitem__, self.img)))
 
     def inverse(self):
         inv = [0] * self.degree

@@ -103,6 +103,19 @@ def permuted_loop(code, img):
     )
 
 
+def free_column_rows_loop(code):
+    """For each column f off the pivots, bit f plus the pivots of the
+    rows that have f, one Python sum per column: the slow twin of
+    ``BinaryCode.free_column_rows``."""
+    p_mask = sum(1 << p for p in code.pivots)
+    return [
+        (1 << f)
+        | sum(1 << p for r, p in zip(code.rows, code.pivots) if r >> f & 1)
+        for f in range(code.n)
+        if not p_mask >> f & 1
+    ]
+
+
 def extended_qr(p):
     """The extended quadratic-residue code of a prime p = -1 mod 8: the
     cyclic shifts of the residues' indicator with a parity bit, and the
@@ -115,3 +128,41 @@ def extended_qr(p):
         word = (residues << s | residues >> (p - s)) & full
         rows.append(word | (word.bit_count() & 1) << p)
     return gf2.BinaryCode.from_rows(rows, p + 1)
+
+
+def rref_loop(rows, n_cols):
+    """Reduced row-echelon form by Gauss-Jordan elimination column by
+    column: the slow twin of ``gf2.rref``."""
+    work = [int(r) for r in rows]
+    out = []
+    pivots = []
+    for col in range(n_cols):
+        mask = 1 << col
+        src = next((i for i, r in enumerate(work) if r & mask), None)
+        if src is None:
+            continue
+        piv = work.pop(src)
+        work = [r ^ piv if r & mask else r for r in work]
+        out = [r ^ piv if r & mask else r for r in out]
+        out.append(piv)
+        pivots.append(col)
+    return tuple(out), pivots
+
+
+def refine_unique(co, colors):
+    """``equiv._refine`` ranking each round's signatures with
+    ``np.unique`` on a void view of their big-endian rows: the slow twin
+    of its sort of byte strings."""
+    while True:
+        c = np.asarray(colors, dtype=np.int64)
+        packed = (c << 32) | co
+        packed.sort(axis=1)
+        rows = np.concatenate([c[:, None], packed], axis=1).astype(">i8")
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        _, inv, sizes = np.unique(
+            keys, return_inverse=True, return_counts=True
+        )
+        refined = (np.cumsum(sizes) - sizes)[inv.ravel()].tolist()
+        if refined == colors:
+            return colors
+        colors = refined

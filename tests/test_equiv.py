@@ -13,7 +13,7 @@ import pytest
 
 from cubicsd import construct, dataset, equiv, gf2, search
 from cubicsd.gf2 import BinaryCode
-from reference import brute_force_isomorphism, extended_qr
+from reference import brute_force_isomorphism, extended_qr, refine_unique
 
 
 def random_code(rnd, n, k):
@@ -239,8 +239,8 @@ def _peak_code_data_bytes(code):
 
 
 def test_generic_code_data_is_small():
-    # A self-dual [48,24] code takes the information-set kernel: ~9400
-    # words of weight <= 12, ~2 MB at the peak.
+    # A self-dual [48,24] code takes the information-set search: 68406
+    # combinations, of which it keeps the words of weight <= 12.
     index = 30
     code = construct.build_table_code(dataset.table_entries()[index])
     assert _peak_code_data_bytes(code) < 4 * 2**20
@@ -266,15 +266,37 @@ def test_an_unknown_code_is_enumerated_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     spy(BinaryCode, "low_weight_words")
+    spy(gf2, "lightest_words")
     spy(gf2, "information_set_words")
     spy(gf2, "coset_words")
     entry = dataset.table_entries()[0]
     equiv.code_data(construct.build_table_code(entry))
-    assert calls == ["low_weight_words", "information_set_words"]
+    assert calls == ["lightest_words"]
     calls.clear()
     engine = construct.DecomposedEngine(entry.table_id)
     search.register_engine_data(engine, entry.tau())
-    assert calls == ["low_weight_words", "information_set_words"]
+    assert calls == ["lightest_words"]
+
+
+def test_table_codes_register_from_their_lightest_words_alone(
+    full_verification, monkeypatch
+):
+    # Each code of the fixture was registered from the words of
+    # low_weight_words; a fresh copy registered by code_data never calls
+    # it and gets the same canonical labelling and automorphisms.
+    def no_enumeration(self):
+        raise AssertionError("code_data listed the weight distribution")
+
+    for code in full_verification["codes"]:
+        want = equiv.code_data(code)
+        fresh = BinaryCode(code.n, code.rows)
+        monkeypatch.setattr(BinaryCode, "low_weight_words", no_enumeration)
+        got = equiv.code_data(fresh)
+        monkeypatch.undo()
+        assert got.canon == want.canon
+        assert got.labelling == want.labelling
+        assert got.generators == want.generators
+        assert got.aut_order == want.aut_order
 
 
 @pytest.mark.parametrize("n", [16, 48, 63])
@@ -325,13 +347,42 @@ def test_refinement_uses_the_lowest_class_alone_when_it_has_n_words(
 
 
 def test_q48_is_refused_before_any_refinement(monkeypatch):
-    # 17296 weight-12 words would be refined on alone, but the guard
-    # counts the 535095 of weight 16 too, so the 5-design never enters a
-    # traversal that would not finish.
+    # The 17296 weight-12 words would be refined on alone, and they hold
+    # a 2-design (a 5-design), so the guard lists and counts the 535095
+    # of weight 16 too: the code never enters a traversal that would not
+    # finish.
     calls = _refinement_spy(monkeypatch)
     with pytest.raises(ValueError, match="too many low-weight words"):
         equiv.code_data(extended_qr(47))
-    assert calls == []
+    assert calls == [17296]
+
+
+def test_a_2_design_is_counted_with_the_next_class(monkeypatch):
+    # e8's 14 weight-4 words form a 3-(8,4,1) design: its next class (the
+    # all-ones word) is listed for the guard, and the code registers.
+    calls = []
+    low_weight_words = BinaryCode.low_weight_words
+
+    def counted(self):
+        calls.append(self.n)
+        return low_weight_words(self)
+
+    monkeypatch.setattr(BinaryCode, "low_weight_words", counted)
+    e8 = extended_qr(7)
+    assert equiv.automorphism_group(e8).order() == 1344
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("n", [8, 24, 48])
+def test_refine_ranks_signatures_like_np_unique(n):
+    # Co-coverage matrices of seeded random words, from the unit
+    # partition and from a random ordered one.
+    rng = np.random.default_rng(n)
+    for count in (n, 4 * n, 768):
+        words = rng.integers(0, 1 << n, size=count, dtype=np.uint64)
+        co = equiv._co_matrix(words, n)
+        for colors in ([0] * n, sorted(rng.integers(0, n, n).tolist())):
+            assert equiv._refine(co, colors) == refine_unique(co, colors)
 
 
 def _threads_after_code_data(index):

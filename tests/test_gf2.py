@@ -6,7 +6,13 @@ import pytest
 
 from cubicsd import cli, construct, dataset, gf2
 from cubicsd.gf2 import BinaryCode, BinaryMatrix
-from reference import extended_qr, is_self_dual_loop, permuted_loop
+from reference import (
+    extended_qr,
+    free_column_rows_loop,
+    is_self_dual_loop,
+    permuted_loop,
+    rref_loop,
+)
 
 
 def brute_words(code):
@@ -23,6 +29,26 @@ def test_rref_canonical():
     # the reduced rows span the same space regardless of input order
     rows2, _ = gf2.rref([0b101, 0b110, 0b011], 3)
     assert rows == rows2
+
+
+def test_rref_matches_the_column_loop():
+    # Random row lists of every shape, with zero, repeated and dependent
+    # rows, and permuted table codes, against Gauss-Jordan by columns.
+    rnd = random.Random(13)
+    cases = []
+    for _ in range(300):
+        n = rnd.randint(1, 70)
+        rows = [rnd.getrandbits(n) for _ in range(rnd.randint(0, n + 3))]
+        rows += [0, rows[0] ^ rows[-1]] if rows else [0]
+        rnd.shuffle(rows)
+        cases.append((rows, n))
+    for entry in dataset.table_entries()[::40]:
+        img = list(range(48))
+        rnd.shuffle(img)
+        rows = construct.build_table_code(entry).rows
+        cases.append(([gf2.permute_word(r, img) for r in rows], 48))
+    for rows, n in cases:
+        assert gf2.rref(rows, n) == rref_loop(rows, n)
 
 
 def test_rref_random_spans_agree():
@@ -173,7 +199,8 @@ def test_permute_word():
 def test_is_self_dual_and_permuted_match_the_loops():
     # Random codes of every length up to 64 and one past it, of random
     # dimension down to k = 0, with self-dual ones and self-dual ones
-    # with one bit flipped among them, against the Python loops.
+    # with one bit flipped among them, against the Python loops
+    # (free_column_rows, which reads the pivots, only on RREF rows).
     rnd = random.Random(12)
     for n in [*range(1, 65), 100]:
         codes = [BinaryCode(n, ())]
@@ -192,6 +219,8 @@ def test_is_self_dual_and_permuted_match_the_loops():
             img = list(range(n))
             rnd.shuffle(img)
             assert code.permuted(img) == permuted_loop(code, img)
+            if code == BinaryCode.from_rows(code.rows, n):  # in RREF
+                assert code.free_column_rows() == free_column_rows_loop(code)
         if n % 2 == 0:
             assert codes[-2].is_self_dual() and not codes[-1].is_self_dual()
 
@@ -216,17 +245,14 @@ def exact_words(code):
 
 
 def kernel_spies(monkeypatch):
-    """Count the calls of each kernel that return words; a call that
-    raises (information_set_words on a code that is not self-dual) is
-    not counted."""
+    """Count the calls of each enumeration kernel."""
     calls = {"information_set_words": 0, "coset_words": 0}
     for name in calls:
         kernel = getattr(gf2, name)
 
         def counted(*args, _name=name, _kernel=kernel):
-            out = _kernel(*args)
             calls[_name] += 1
-            return out
+            return _kernel(*args)
 
         monkeypatch.setattr(gf2, name, counted)
     return calls
@@ -293,6 +319,71 @@ def test_short_q_pass_matches_exact_enumeration(n):
         span = gf2.span(np.array(code.rows, dtype=np.uint64))
         want = np.sort(span[np.bitwise_count(span) <= t])
         assert np.array_equal(np.sort(words), want)
+
+
+def assert_lightest_words_are_exact(code):
+    """``lightest_words`` against the two lowest classes of ``coset_words``:
+    the lowest class, and the next one when the lowest has fewer than n
+    words (None otherwise)."""
+    low, high = gf2.lightest_words(code)
+    _, want_low, want_high = exact_words(code)
+    assert low.dtype == np.uint64 and np.array_equal(low, want_low)
+    if len(low) >= code.n:
+        assert high is None
+    else:
+        assert high.dtype == np.uint64 and np.array_equal(high, want_high)
+    return len(low), None if high is None else len(high)
+
+
+def test_lightest_words_match_exact_enumeration(monkeypatch):
+    # Permuted table codes (768 words alone, combining at most 5 rows on
+    # P and 4 on Q), B (12 + 64), i2^24 (24 + 276) and e8, whose 14
+    # weight-4 words form a 2-design.
+    levels = []
+    combinations = gf2._light_combinations
+
+    def counted(halves, a, t):
+        levels.append(a)
+        return combinations(halves, a, t)
+
+    entries = dataset.table_entries()
+    rnd = random.Random(31)
+    for index in rnd.sample(range(len(entries)), 8):
+        img = list(range(48))
+        rnd.shuffle(img)
+        code = construct.build_table_code(entries[index]).permuted(img)
+        monkeypatch.setattr(gf2, "_light_combinations", counted)
+        assert assert_lightest_words_are_exact(code) == (768, None)
+        monkeypatch.undo()
+        # P levels 0..5 and Q levels 0..4, alternately, P first.
+        assert levels == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
+        levels.clear()
+    base = BinaryCode.from_matrix(dataset.gb_matrix())
+    assert assert_lightest_words_are_exact(base) == (12, 64)
+    i2 = BinaryCode.from_rows([3 << 2 * i for i in range(24)], 48)
+    assert assert_lightest_words_are_exact(i2) == (24, 276)
+    assert assert_lightest_words_are_exact(extended_qr(7)) == (14, None)
+    # The empty code has no class to find, and the search still ends.
+    low, high = gf2.lightest_words(BinaryCode(0, ()))
+    assert len(low) == 0 and high is None
+
+
+@pytest.mark.parametrize("n", range(2, 25, 2))
+def test_lightest_words_on_random_self_dual_codes(n):
+    rnd = random.Random(100 + n)
+    for _ in range(4):
+        assert_lightest_words_are_exact(random_self_dual(rnd, n))
+
+
+def test_an_error_inside_the_enumeration_is_raised(monkeypatch):
+    # A self-dual code is not sent to the exact engine when the
+    # information-set pass fails.
+    def broken(*args):
+        raise ValueError("broken kernel")
+
+    monkeypatch.setattr(gf2, "_light_combinations", broken)
+    with pytest.raises(ValueError, match="broken kernel"):
+        extended_qr(23).low_weight_words()
 
 
 @pytest.mark.parametrize(

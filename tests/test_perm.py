@@ -155,7 +155,11 @@ def test_inverse_and_order():
     rnd = random.Random(0)
     for _ in range(50):
         p = random_perm(rnd, rnd.randint(1, 10))
+        q = random_perm(rnd, p.degree)
+        assert (p * q).img == tuple(q.img[x] for x in p.img)
+        assert all(p.inverse().img[x] == i for i, x in enumerate(p.img))
         assert (p * p.inverse()).is_identity
+        assert q.is_identity == all(i == x for i, x in enumerate(q.img))
         q = Permutation.identity(p.degree)
         for _ in range(p.order()):
             q = q * p
