@@ -51,7 +51,7 @@ def _verify_entry(index):
     return row, code
 
 
-def verify_tables(table_id=None, threads=1, return_codes=False):
+def verify_tables(table_id=None, threads=1):
     """Verify every table entry and the pairwise inequivalence claim."""
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
@@ -79,8 +79,6 @@ def verify_tables(table_id=None, threads=1, return_codes=False):
         "base_aut_order": dataset.autb_order_report(),
     }
     report["pass_"] = report["all_entries_pass"] and report["all_inequivalent"]
-    if return_codes:
-        return report, codes
     return report
 
 

@@ -83,10 +83,8 @@ def x_generator(i):
 
 
 @lru_cache(maxsize=None)
-def table_entries(table_id=None):
-    """The published (table_id, permutation, |Aut|) entries."""
-    if table_id is not None and table_id not in TABLE_SIZES:
-        raise ValueError("table id must be 1..4, got %r" % (table_id,))
+def _all_table_entries():
+    """Every published entry, parsed from ``tables.txt`` once."""
     out = []
     for ln in _read("tables.txt").splitlines():
         ln = ln.strip()
@@ -98,9 +96,17 @@ def table_entries(table_id=None):
         if entry.expected_aut_order % 3:
             raise ValueError("table |Aut| must be divisible by 3")
         out.append(entry)
-    if table_id is not None:
-        out = [e for e in out if e.table_id == table_id]
     return tuple(out)
+
+
+def table_entries(table_id=None):
+    """The published (table_id, permutation, |Aut|) entries: all of
+    them, or those of one table."""
+    if table_id is None:
+        return _all_table_entries()
+    if table_id not in TABLE_SIZES:
+        raise ValueError("table id must be 1..4, got %r" % (table_id,))
+    return tuple(e for e in _all_table_entries() if e.table_id == table_id)
 
 
 def citations_text():

@@ -55,11 +55,11 @@ class CodeData:
 _DATA_ATTR = "_code_data"
 
 
-# uint64s of each column per slab of _co_matrix.  Its two (n(n+1)/2,
-# _SLAB) temporaries are ~150 KB each at n = 48, small enough for the
-# allocator to reuse instead of mapping fresh pages for every call, and
+# uint64 limbs per slab of _co_matrix.  Its (_SLAB, n, n) temporaries
+# are ~150 KB each at n = 48, small enough for the allocator to reuse
+# instead of mapping fresh pages for every call (slabs of 16 fault), and
 # a pair counts at most 64 * _SLAB words per slab, which fits in uint16.
-_SLAB = 16
+_SLAB = 8
 
 # (shift, mask) of the three swaps that transpose the 8x8 bit matrix in
 # a uint64 whose byte r is row r (H. S. Warren, Hacker's Delight, 7-3).
@@ -91,22 +91,19 @@ def _co_matrix(words, n):
     """The (n, n) int64 matrix of how many of the words have both
     coordinates i and j.
 
-    A count is the popcount of two columns (``_columns``) ANDed.  There
+    A count is the popcount of two columns (``_columns``) ANDed, summed
+    over slabs of their uint64 limbs, all pairs of a slab at once.  There
     is no float product ``bits.T @ bits``: it would be the package's one
     BLAS call, and OpenBLAS leaves a thread busy-waiting after each
     call, which in a forked pool worker takes a core from the other
     workers.
     """
-    cols = _columns(words, n)
-    i, j = np.triu_indices(n)
-    pairs = np.zeros(len(i), dtype=np.int64)
-    for lo in range(0, cols.shape[1], _SLAB):
-        slab = cols[:, lo : lo + _SLAB]
-        both = slab[i]
-        both &= slab[j]
-        pairs += np.bitwise_count(both).sum(axis=1, dtype=np.uint16)
-    co = np.empty((n, n), dtype=np.int64)
-    co[i, j] = co[j, i] = pairs
+    limbs = np.ascontiguousarray(_columns(words, n).T)
+    co = np.zeros((n, n), dtype=np.int64)
+    for lo in range(0, len(limbs), _SLAB):
+        s = limbs[lo : lo + _SLAB]
+        both = np.bitwise_count(s[:, :, None] & s[:, None, :])
+        co += both.sum(axis=0, dtype=np.uint16)
     return co
 
 

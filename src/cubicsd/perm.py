@@ -51,8 +51,16 @@ class Permutation:
             raise ValueError("not a permutation")
 
     @classmethod
+    def _trusted(cls, img):
+        """The permutation with image tuple ``img``, which is known to be
+        one (a product, an inverse), so it is not checked again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "img", img)
+        return p
+
+    @classmethod
     def identity(cls, n):
-        return cls(tuple(range(n)))
+        return cls._trusted(tuple(range(n)))
 
     @property
     def degree(self):
@@ -66,13 +74,14 @@ class Permutation:
         """Apply self first, then other."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(map(other.img.__getitem__, self.img)))
+        img = tuple(map(other.img.__getitem__, self.img))
+        return Permutation._trusted(img)
 
     def inverse(self):
         inv = [0] * self.degree
         for i, x in enumerate(self.img):
             inv[x] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def __call__(self, point):
         return self.img[point]

@@ -20,11 +20,12 @@ i % BLOCK_SIZE of block i // BLOCK_SIZE, and block b is drawn by one
 generator, ``np.random.default_rng([seed, b])``, shuffling every row of
 0..15 on its own.  Shard i/m of a sample takes the blocks b = i mod m.
 Both modes cut their candidates into blocks, filtered in one batch each
-by ``ordered_map``: in this process, or on T workers forked with
-``os.fork``, worker k walking its own copy of the block stream and
-filtering the blocks numbered k mod T, pinned to a CPU of its own when
-there are enough.  A worker's death raises ``BrokenProcessPool``
-instead of stalling the scan.  A tau is a hit iff the code generated
+by ``ordered_map``: in this process alone, or in it and T - 1 workers
+forked with ``os.fork``, each process claiming the next block from a
+shared counter whenever it is free, walking its own copy of the block
+stream up to it, and pinned to a CPU of its own when there are enough.
+A worker's death raises ``BrokenProcessPool`` instead of stalling the
+scan.  A tau is a hit iff the code generated
 by (pi^-1(tau B); phi^-1(X_i)) has minimum distance 10.  The code depends only on the coset of tau, so sample
 draws are filtered raw and only the hits are reduced to their coset
 representative.  A hit is recorded as (X_i, representative) and
@@ -47,11 +48,13 @@ taken to normalize <sigma>, and distinct orbits are distinct classes.
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import itertools
 import json
 import os
 import pickle
+import select
 import tempfile
 from collections import deque
 from concurrent.futures import BrokenExecutor
@@ -239,14 +242,62 @@ class BrokenProcessPool(BrokenExecutor):
     """A worker of ``ordered_map`` died before returning a job's result."""
 
 
-def _fork_worker(task, jobs, threads, k, cpu):
-    """Fork worker k of ``ordered_map``; returns (pid, result reader).
+def _claim(fd):
+    """The next job number from the 8-byte counter in file ``fd``, read
+    and bumped under a ``lockf`` lock.  The kernel releases the lock of
+    a process that dies, so a worker killed while it holds the lock
+    cannot hang the others."""
+    fcntl.lockf(fd, fcntl.LOCK_EX)
+    try:
+        j = int.from_bytes(os.pread(fd, 8, 0), "little")
+        os.pwrite(fd, (j + 1).to_bytes(8, "little"), 0)
+    finally:
+        fcntl.lockf(fd, fcntl.LOCK_UN)
+    return j
 
-    The worker pins itself to ``cpu`` unless it is None, then walks its
-    own copy of ``jobs`` and runs the jobs numbered k mod ``threads``.
-    For each it writes a pickled (True, ``task(job)``) pair to its
-    result pipe, and it ends with a pickled None, or with (False, exc)
-    once a task or ``jobs`` itself raises exc.  It leaves with
+
+def _run_claimed(task, jobs, fd):
+    """Run the jobs that this process claims from the counter in ``fd``.
+
+    Walks this process's own copy of ``jobs`` and yields (j, True,
+    ``task(job)``) for each job number j it claims, claiming the next
+    one once it is free, until ``jobs`` ends.  An exception that the
+    task raises on job j, or that ``jobs`` raises at index j, ends it
+    with (j, False, exc).
+    """
+    j = _claim(fd)
+    jobs = iter(jobs)
+    for pos in itertools.count():
+        try:
+            job = next(jobs)
+        except StopIteration:
+            return
+        except Exception as exc:
+            yield pos, False, exc
+            return
+        if pos == j:
+            try:
+                value = task(job)
+            except Exception as exc:
+                yield j, False, exc
+                return
+            yield j, True, value
+            j = _claim(fd)
+
+
+def _write_frame(out, data):
+    """Write one pickled frame behind its length in 8 bytes."""
+    out.write(len(data).to_bytes(8, "little") + data)
+    out.flush()
+
+
+def _fork_worker(task, jobs, fd, cpu):
+    """Fork a worker of ``ordered_map``; returns (pid, result pipe).
+
+    The worker pins itself to ``cpu`` unless it is None.  Then it runs
+    the jobs that it claims from the counter in ``fd``
+    (``_run_claimed``), writes a pickled frame (j, ok, value) for each
+    to its result pipe, and ends with a frame of None.  It leaves with
     ``os._exit``, so it never flushes this process's stdio buffers or
     runs its atexit handlers.
     """
@@ -254,44 +305,78 @@ def _fork_worker(task, jobs, threads, k, cpu):
     pid = os.fork()
     if pid:
         os.close(res_w)
-        return pid, os.fdopen(res_r, "rb")
+        return pid, res_r
     status = 1
     try:
         os.close(res_r)
         if cpu is not None:
             os.sched_setaffinity(0, {cpu})
         with os.fdopen(res_w, "wb") as out:
-            try:
-                for job in itertools.islice(jobs, k, None, threads):
-                    # Pickled before the write, so that a result that
-                    # cannot be pickled is reported and not half-sent.
-                    out.write(pickle.dumps((True, task(job))))
-                    out.flush()
-                reply = None
-            except Exception as exc:
-                reply = False, exc
-            pickle.dump(reply, out)
+            for j, ok, value in _run_claimed(task, jobs, fd):
+                # Pickled before the write, so that a result that
+                # cannot be pickled is reported and not half-sent.
+                try:
+                    data = pickle.dumps((j, ok, value))
+                except Exception as exc:
+                    data = pickle.dumps((j, False, exc))
+                _write_frame(out, data)
+            _write_frame(out, pickle.dumps(None))
         status = 0
     finally:
         os._exit(status)
 
 
+def _collect(workers, done, timeout):
+    """Read the frames that the workers' result pipes hold into ``done``
+    (job number -> (ok, value)), waiting up to ``timeout`` seconds for
+    one to be readable (None: no limit).  ``workers`` maps each pipe to
+    (pid, bytes of a partial frame); a pipe is closed and dropped at its
+    frame of None, and one that ends before it raises
+    ``BrokenProcessPool``."""
+    ready, _, _ = select.select(list(workers), [], [], timeout)
+    for pipe in ready:
+        pid, buf = workers[pipe]
+        chunk = os.read(pipe, 1 << 16)
+        if not chunk:
+            raise BrokenProcessPool(
+                "worker %d died before returning its result" % pid
+            )
+        buf += chunk
+        while len(buf) >= 8:
+            size = 8 + int.from_bytes(buf[:8], "little")
+            if len(buf) < size:
+                break
+            frame = pickle.loads(buf[8:size])
+            del buf[:size]
+            if frame is None:
+                os.close(pipe)
+                del workers[pipe]
+                break
+            j, ok, value = frame
+            done[j] = ok, value
+
+
 def ordered_map(task, jobs, threads):
     """Yield ``task(job)`` for each job, in order.
 
-    With ``threads`` > 1 the tasks run on ``threads`` workers forked from
-    this process.  This process never advances ``jobs``: worker k walks
-    its own copy of all of it and runs the jobs numbered k mod
-    ``threads``, so ``jobs`` must give the same jobs in every process
-    and have no effect outside it, and its cost is paid once per worker;
-    jobs need not be picklable.  Each worker writes its results to a
-    pipe of its own, and they are read in job order.  When ``threads``
-    is at most the number of CPUs this process may use, worker k is
-    pinned to the k-th of them.  A task's exception is raised here, and
-    so is one that ``jobs`` raises at index j, after exactly j results;
-    a worker that dies raises ``BrokenProcessPool``.  When the caller
-    stops early (an exception in its loop, or closing the generator),
-    the workers are reaped once their running jobs finish.
+    With ``threads`` = T > 1 this process is worker 0 and forks T - 1
+    more.  Each worker, whenever it is free, claims the next job number
+    from one shared counter (``_claim``) and runs that job, so a slow
+    job or a cold worker holds up no fixed share of the others.  A
+    worker walks its own copy of ``jobs`` up to the job it claims, so
+    ``jobs`` must give the same jobs in every process and have no effect
+    outside it, and its cost is paid once per worker; jobs need not be
+    picklable.  A forked worker writes its results to a pipe of its
+    own.  This process yields the results in job order; while the next
+    one is not ready, it runs another job itself, and it waits on the
+    pipes only when no job is left to claim.  When T is at most the
+    number of CPUs this process may use, worker k is pinned to the k-th
+    of them: this process to the first, until the call ends.  A task's
+    exception is raised here, and so is one that ``jobs`` raises at
+    index j, after exactly j results; a worker that dies raises
+    ``BrokenProcessPool``.  When the caller stops early (an exception in
+    its loop, or closing the generator), the workers are reaped once
+    their running jobs finish.
     """
     if threads == 1:
         yield from map(task, jobs)
@@ -299,29 +384,45 @@ def ordered_map(task, jobs, threads):
     cpus = []
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
-    workers = []
-    try:
-        for k in range(threads):
-            cpu = cpus[k] if threads <= len(cpus) else None
-            workers.append(_fork_worker(task, jobs, threads, k, cpu))
-        for pid, reader in itertools.cycle(workers):
-            try:
-                reply = pickle.load(reader)
-            except (EOFError, pickle.UnpicklingError):
-                raise BrokenProcessPool(
-                    "worker %d died before returning its result" % pid
-                ) from None
-            if reply is None:
-                return
-            ok, value = reply
-            if not ok:
-                raise value
-            yield value
-    finally:
-        for _, reader in workers:
-            reader.close()
-        for pid, _ in workers:
-            os.waitpid(pid, 0)
+    pinned = threads <= len(cpus)
+    pids = []
+    workers = {}
+    with tempfile.TemporaryFile() as counter:
+        fd = counter.fileno()
+        try:
+            for k in range(1, threads):
+                cpu = cpus[k] if pinned else None
+                pid, pipe = _fork_worker(task, jobs, fd, cpu)
+                pids.append(pid)
+                workers[pipe] = pid, bytearray()
+            if pinned:
+                os.sched_setaffinity(0, {cpus[0]})
+            mine = _run_claimed(task, jobs, fd)
+            done = {}
+            want = 0
+            while True:
+                _collect(workers, done, 0)
+                while want in done:
+                    ok, value = done.pop(want)
+                    if not ok:
+                        raise value
+                    yield value
+                    want += 1
+                frame = next(mine, None)
+                if frame is not None:
+                    j, ok, value = frame
+                    done[j] = ok, value
+                elif workers:
+                    _collect(workers, done, None)
+                else:
+                    return
+        finally:
+            for pipe in workers:
+                os.close(pipe)
+            for pid in pids:
+                os.waitpid(pid, 0)
+            if pinned:
+                os.sched_setaffinity(0, cpus)
 
 
 def _blocks(state):
@@ -384,11 +485,12 @@ def run_search(
 
     ``extra_taus`` are injected ahead of the stream (not counted in the
     position), useful for spot checks with known permutations.  With
-    ``threads`` > 1 either mode builds and filters its blocks on forked
-    workers (``ordered_map``), each walking the whole block stream from
-    the position at the fork; survivors, ``progress`` calls (one per
-    block) and checkpoint lines are still handled by this process only,
-    in block order.  A dead worker raises ``BrokenProcessPool``; the
+    ``threads`` > 1 either mode builds and filters its blocks in this
+    process and in forked workers (``ordered_map``), each claiming the
+    next block when it is free and walking the block stream from the
+    position at the fork up to it; survivors, ``progress`` calls (one
+    per block) and checkpoint lines are still handled by this process
+    only, in block order.  A dead worker raises ``BrokenProcessPool``; the
     checkpoint then holds every block finished before it, so a rerun
     resumes.  A missing checkpoint starts a clean search; an existing
     one is resumed, dropping a torn last line.  Hits are recorded, not

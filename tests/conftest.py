@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from cubicsd import cli, construct, cyclicring, dataset, gf2
+from cubicsd import cli, construct, cyclicring, dataset, equiv, gf2
 
 
 def _worker_count():
@@ -15,13 +15,21 @@ def full_verification():
 
     Returns the verify-tables report together with the code objects,
     each carrying its canonical form (registered once, in the pool
-    worker that built it), keyed for reuse by the acceptance tests.
-    Dedup tests do not depend on this fixture having run: they classify
+    process that built it), keyed for reuse by the acceptance tests:
+    the codes that ``verify_tables`` partitions into classes.  Dedup
+    tests do not depend on this fixture having run: they classify
     survivors by H_i-orbit and build no code.
     """
-    report, codes = cli.verify_tables(
-        threads=_worker_count(), return_codes=True
-    )
+    codes = []
+    partition_classes = equiv.partition_classes
+
+    def kept(built):
+        codes.extend(built)
+        return partition_classes(built)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equiv, "partition_classes", kept)
+        report = cli.verify_tables(threads=_worker_count())
     return {
         "report": report,
         "codes": codes,

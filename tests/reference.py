@@ -5,7 +5,7 @@ from itertools import permutations
 
 import numpy as np
 
-from cubicsd import gf2, perm
+from cubicsd import equiv, gf2, perm
 
 # The two generators of Aut(B) printed in the paper, in 1-based cycle
 # notation.  The package computes Aut(B) from the base code instead.
@@ -166,3 +166,20 @@ def refine_unique(co, colors):
         if refined == colors:
             return colors
         colors = refined
+
+
+def co_matrix_gather(words, n):
+    """``equiv._co_matrix`` counting the pairs i <= j gathered by
+    ``np.triu_indices`` from slabs of 16 limbs of each column, then
+    scattered to both halves: the slow twin of its slab products."""
+    cols = equiv._columns(words, n)
+    i, j = np.triu_indices(n)
+    pairs = np.zeros(len(i), dtype=np.int64)
+    for lo in range(0, cols.shape[1], 16):
+        slab = cols[:, lo : lo + 16]
+        both = slab[i]
+        both &= slab[j]
+        pairs += np.bitwise_count(both).sum(axis=1, dtype=np.uint16)
+    co = np.empty((n, n), dtype=np.int64)
+    co[i, j] = co[j, i] = pairs
+    return co

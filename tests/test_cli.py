@@ -1,4 +1,5 @@
 import json
+import os
 from itertools import islice
 
 import pytest
@@ -358,23 +359,27 @@ def test_error_exit_codes(capsys, tmp_path):
         assert "(48, 10)" in capsys.readouterr().err
 
 
-def test_verify_tables_registers_each_code_once(monkeypatch):
+def test_verify_tables_registers_each_code_once(monkeypatch, tmp_path):
     # Aut(B), which the report includes, registers B once per process.
     dataset.autb_group()
-    calls = []
+    # One line per call, from whichever process makes it: forked pool
+    # workers inherit the spy.
+    log = tmp_path / "calls"
     register = equiv.register_code_data
 
     def counted(*args):
-        calls.append(args[0])
+        with open(log, "a") as fh:
+            fh.write("%d\n" % os.getpid())
         return register(*args)
 
     monkeypatch.setattr(equiv, "register_code_data", counted)
     serial = cli.verify_tables(table_id=1)
-    assert len(calls) == 5
-    calls.clear()
-    # Pool workers register the codes and send them back with their data.
+    assert len(log.read_text().split()) == 5
+    log.unlink()
+    # The caller and the workers each register the codes they build and
+    # send them back with their data; the caller registers no code again.
     pooled = cli.verify_tables(table_id=1, threads=2)
-    assert calls == []
+    assert len(log.read_text().split()) == 5
     assert pooled == serial
 
 

@@ -17,6 +17,24 @@ def test_unknown_table_id_is_rejected():
             dataset.table_entries(bad)
 
 
+def test_one_table_filters_the_one_parse(monkeypatch):
+    # A fresh parse, spied: tables.txt is read once for all five calls.
+    reads = []
+    read = dataset._read
+
+    def spy(name):
+        reads.append(name)
+        return read(name)
+
+    monkeypatch.setattr(dataset, "_read", spy)
+    dataset._all_table_entries.cache_clear()
+    entries = dataset.table_entries()
+    for tid in dataset.TABLE_SIZES:
+        want = tuple(e for e in entries if e.table_id == tid)
+        assert dataset.table_entries(tid) == want
+    assert reads == ["tables.txt"]
+
+
 def test_table_entries_validate():
     for entry in dataset.table_entries():
         tau = entry.tau()

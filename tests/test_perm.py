@@ -144,6 +144,21 @@ def test_parse_cycles_errors():
         parse_cycles("(1,2) junk", 4)
 
 
+def test_an_invalid_image_still_raises():
+    # Products and inverses skip the check; an image from outside data
+    # keeps it.
+    for img in ((0, 0, 2), (1, 2, 3), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(img)
+    rnd = random.Random(2)
+    for _ in range(20):
+        p = random_perm(rnd, rnd.randint(1, 48))
+        q = random_perm(rnd, p.degree)
+        for r in (p * q, p.inverse(), Permutation.identity(p.degree)):
+            assert r == Permutation(r.img)
+            assert hash(r) == hash(Permutation(r.img))
+
+
 def test_composition_is_right_action():
     # (a*b)(x) = b(a(x)): apply a first
     a = parse_cycles("(1,2)", 3)

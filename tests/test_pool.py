@@ -23,24 +23,29 @@ TIMEOUT = 60
 # The pool task ``{task}`` is replaced by one that kills its worker on
 # every job for which ``{dies}`` holds.  Forked workers inherit the
 # replacement and look the task up under the same module attribute.
+# The caller runs jobs too but does not die: on such a job it sleeps
+# instead, long enough for a forked worker to claim a job and die.
 _SCRIPT = """
-import os, sys
+import os, sys, time
 from cubicsd import cli, search
 
 task = {task}
+caller = os.getpid()
 
 def dying(job):
     if {dies}:
-        os._exit(3)
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.5)
     return task(job)
 
 {task} = dying
 {call}
 """
 
-# A sample job holds the (number, rows) pair of its block third: every
-# block after the first two kills its worker.
-_SEARCH = dict(task="search._filter_block", dies="job[2][0] >= 2")
+# A sample job holds the (number, rows) pair of its block third: a
+# forked worker dies on every block after the first.
+_SEARCH = dict(task="search._filter_block", dies="job[2][0] >= 1")
 
 def _run(code):
     """(exit code, stdout, stderr) of ``code`` run in a fresh interpreter."""
@@ -167,8 +172,6 @@ def test_large_results_cross():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_error_in_jobs_comes_after_the_results_before_it(threads):
-    # The parent never advances the jobs: the worker that owns the
-    # failing index reports the error in its place.
     out = _run_map(
         "def jobs(bad):\n"
         "    for k in range(6):\n"
@@ -230,19 +233,104 @@ def test_closing_early_leaves_no_child():
     assert out == "0 1\nno child\n"
 
 
-@pytest.mark.skipif(
+_TWO_CPUS = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs at least two allowed CPUs",
 )
+
+
+@_TWO_CPUS
 def test_workers_are_pinned_one_per_cpu():
+    # Each job sleeps, so that every process claims one of them.
     cpus = sorted(os.sched_getaffinity(0))[:4]
     out = _run_map(
         "jobs = range(%d)\n"
         "def task(job):\n"
-        "    return sorted(os.sched_getaffinity(0))\n"
-        "print(list(search.ordered_map(task, jobs, len(jobs))))\n" % len(cpus)
+        "    time.sleep(0.2)\n"
+        "    return os.getpid(), sorted(os.sched_getaffinity(0))\n"
+        "ran = dict(search.ordered_map(task, jobs, len(jobs)))\n"
+        "print(len(ran), os.getpid() in ran, sorted(ran.values()))\n"
+        % len(cpus)
     )
-    assert out == "%s\n" % [[cpu] for cpu in cpus]
+    assert out == "%d True %s\n" % (len(cpus), [[cpu] for cpu in cpus])
+
+
+@_TWO_CPUS
+def test_caller_affinity_is_restored():
+    out = _run_map(
+        "before = os.sched_getaffinity(0)\n"
+        "print(list(search.ordered_map(abs, range(-3, 3), 2)))\n"
+        "print(os.sched_getaffinity(0) == before)\n"
+        "results = search.ordered_map(abs, range(-3, 3), 2)\n"
+        "print(next(results))\n"
+        "results.close()\n"
+        "print(os.sched_getaffinity(0) == before)\n"
+        "def task(job):\n"
+        "    if job == 4:\n"
+        "        raise ValueError('job 4')\n"
+        "    return job\n"
+        "try:\n"
+        "    list(search.ordered_map(task, range(6), 2))\n"
+        "except ValueError as exc:\n"
+        "    print(repr(exc))\n"
+        "print(os.sched_getaffinity(0) == before)\n"
+    )
+    assert out == (
+        "[3, 2, 1, 0, 1, 2]\nTrue\n3\nTrue\nValueError('job 4')\nTrue\n"
+    )
+
+
+def test_caller_runs_jobs_when_its_first_job_is_slow():
+    # Whichever process claims job 0 is held there; the other runs the
+    # rest, so the caller runs at least one job either way.
+    out = _run_map(
+        "def task(job):\n"
+        "    if job == 0:\n"
+        "        time.sleep(0.2)\n"
+        "    return job, os.getpid()\n"
+        "got = list(search.ordered_map(task, range(6), 2))\n"
+        "print([j for j, _ in got], os.getpid() in {p for _, p in got})\n"
+    )
+    assert out == "[0, 1, 2, 3, 4, 5] True\n"
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_results_come_in_job_order_under_uneven_costs(threads):
+    out = _run_map(
+        "import random\n"
+        "costs = random.Random(%d).choices([0, 0.001, 0.01, 0.05], k=40)\n"
+        "def task(job):\n"
+        "    time.sleep(costs[job])\n"
+        "    return job, os.getpid()\n"
+        "got = list(search.ordered_map(task, range(40), %d))\n"
+        "print([j for j, _ in got] == list(range(40)))\n"
+        "print(len({p for _, p in got}) > 1)\n" % (threads, threads)
+    )
+    assert out == "True\nTrue\n"
+
+
+def test_worker_killed_holding_the_claim_lock_raises():
+    # A forked worker takes the claim lock and is killed before it lets
+    # go; the kernel releases the lock, and the caller sees the death.
+    out = _run_map(
+        "import fcntl, signal\n"
+        "caller = os.getpid()\n"
+        "claim = search._claim\n"
+        "def dying_claim(fd):\n"
+        "    if os.getpid() != caller:\n"
+        "        fcntl.lockf(fd, fcntl.LOCK_EX)\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return claim(fd)\n"
+        "search._claim = dying_claim\n"
+        "def task(job):\n"
+        "    time.sleep(0.01)\n"
+        "    return job\n"
+        "try:\n"
+        "    list(search.ordered_map(task, range(20), 2))\n"
+        "except search.BrokenProcessPool:\n"
+        "    print('broken')\n"
+    )
+    assert out == "broken\n"
 
 
 def test_workers_do_not_flush_inherited_output():
