@@ -331,16 +331,18 @@ def _collect(workers, done, timeout):
     (job number -> (ok, value)), waiting up to ``timeout`` seconds for
     one to be readable (None: no limit).  ``workers`` maps each pipe to
     (pid, bytes of a partial frame); a pipe is closed and dropped at its
-    frame of None, and one that ends before it raises
-    ``BrokenProcessPool``."""
+    frame of None, or when it ends before it.  Returns the pids of the
+    workers whose pipes so ended: they died."""
+    dead = []
     ready, _, _ = select.select(list(workers), [], [], timeout)
     for pipe in ready:
         pid, buf = workers[pipe]
         chunk = os.read(pipe, 1 << 16)
         if not chunk:
-            raise BrokenProcessPool(
-                "worker %d died before returning its result" % pid
-            )
+            os.close(pipe)
+            del workers[pipe]
+            dead.append(pid)
+            continue
         buf += chunk
         while len(buf) >= 8:
             size = 8 + int.from_bytes(buf[:8], "little")
@@ -354,6 +356,7 @@ def _collect(workers, done, timeout):
                 break
             j, ok, value = frame
             done[j] = ok, value
+    return dead
 
 
 def ordered_map(task, jobs, threads):
@@ -366,17 +369,20 @@ def ordered_map(task, jobs, threads):
     worker walks its own copy of ``jobs`` up to the job it claims, so
     ``jobs`` must give the same jobs in every process and have no effect
     outside it, and its cost is paid once per worker; jobs need not be
-    picklable.  A forked worker writes its results to a pipe of its
-    own.  This process yields the results in job order; while the next
-    one is not ready, it runs another job itself, and it waits on the
-    pipes only when no job is left to claim.  When T is at most the
-    number of CPUs this process may use, worker k is pinned to the k-th
-    of them: this process to the first, until the call ends.  A task's
-    exception is raised here, and so is one that ``jobs`` raises at
-    index j, after exactly j results; a worker that dies raises
-    ``BrokenProcessPool``.  When the caller stops early (an exception in
-    its loop, or closing the generator), the workers are reaped once
-    their running jobs finish.
+    picklable.  A worker may start its walk only after results have
+    been yielded, so what ``jobs`` gives must not depend on what the
+    caller does with them.  A forked worker writes its results to a
+    pipe of its own.  This process yields the results in job order;
+    while the next one is not ready, it runs another job itself, and it
+    waits on the pipes only when no job is left to claim.  When T is at
+    most the number of CPUs this process may use, worker k is pinned to
+    the k-th of them: this process to the first, until the call ends.
+    A task's exception is raised here, and so is one that ``jobs``
+    raises at index j, after exactly j results; a worker that dies
+    raises ``BrokenProcessPool``, after the results that were ready in
+    job order when its death was seen.  When the caller stops early (an
+    exception in its loop, or closing the generator), the workers are
+    reaped once their running jobs finish.
     """
     if threads == 1:
         yield from map(task, jobs)
@@ -399,21 +405,26 @@ def ordered_map(task, jobs, threads):
                 os.sched_setaffinity(0, {cpus[0]})
             mine = _run_claimed(task, jobs, fd)
             done = {}
+            dead = []
             want = 0
             while True:
-                _collect(workers, done, 0)
+                dead += _collect(workers, done, 0)
                 while want in done:
                     ok, value = done.pop(want)
                     if not ok:
                         raise value
                     yield value
                     want += 1
+                if dead:
+                    raise BrokenProcessPool(
+                        "worker %d died before returning its result" % dead[0]
+                    )
                 frame = next(mine, None)
                 if frame is not None:
                     j, ok, value = frame
                     done[j] = ok, value
                 elif workers:
-                    _collect(workers, done, None)
+                    dead += _collect(workers, done, None)
                 else:
                     return
         finally:
@@ -426,34 +437,42 @@ def ordered_map(task, jobs, threads):
 
 
 def _blocks(state):
-    """Yield the job of every block from state.position: (xi, seed,
-    block, end), where ``end`` is the stream position after the block,
-    and the block is a (number, rows) pair of sample block and rows to
-    use, or a (T, 16) array of transversal image rows.  Sample shard i/m
-    takes the blocks numbered i mod m.  A full-mode block is a window of
+    """The jobs of every block from state.position: (xi, seed, block,
+    end), where ``end`` is the stream position after the block, and the
+    block is a (number, rows) pair of sample block and rows to use, or a
+    (T, 16) array of transversal image rows.  Sample shard i/m takes the
+    blocks numbered i mod m.  A full-mode block is a window of
     BLOCK_SIZE positions, and its rows are only those below the prefixes
     that pass the engine's ``keep_prefixes``; the others would fail the
     filter's first stage.
+
+    The state is read here, when the stream is made: ``ordered_map``
+    may walk a copy of it only after ``run_search`` has moved
+    state.position on, and every copy must start at the same block.
     """
+    xi_index, seed, sample = state.xi_index, state.seed, state.sample
     if state.mode == "sample":
         shard_idx, shard_cnt = state.shard
         done = -(-state.position // BLOCK_SIZE)
         first = done + (shard_idx - done) % shard_cnt
-        for number in range(first, -(-state.sample // BLOCK_SIZE), shard_cnt):
-            lo = number * BLOCK_SIZE
-            rows = min(BLOCK_SIZE, state.sample - lo)
-            end = min(lo + BLOCK_SIZE * shard_cnt, state.sample)
-            yield state.xi_index, state.seed, (number, rows), end
-        return
-    engine = _worker_engine(state.xi_index)
+        numbers = range(first, -(-sample // BLOCK_SIZE), shard_cnt)
+        return (
+            (
+                xi_index,
+                seed,
+                (number, min(BLOCK_SIZE, sample - number * BLOCK_SIZE)),
+                min((number + shard_cnt) * BLOCK_SIZE, sample),
+            )
+            for number in numbers
+        )
+    engine = _worker_engine(xi_index)
     windows = dataset.autb_group().transversal_windows(
         state.shard,
         state.position,
         BLOCK_SIZE,
         keep=(engine.prune_depth, engine.keep_prefixes),
     )
-    for end, images in windows:
-        yield state.xi_index, state.seed, images, end
+    return ((xi_index, seed, images, end) for end, images in windows)
 
 
 def _filter_block(job):
@@ -488,11 +507,11 @@ def run_search(
     ``threads`` > 1 either mode builds and filters its blocks in this
     process and in forked workers (``ordered_map``), each claiming the
     next block when it is free and walking the block stream from the
-    position at the fork up to it; survivors, ``progress`` calls (one
+    position at the call up to it; survivors, ``progress`` calls (one
     per block) and checkpoint lines are still handled by this process
-    only, in block order.  A dead worker raises ``BrokenProcessPool``; the
-    checkpoint then holds every block finished before it, so a rerun
-    resumes.  A missing checkpoint starts a clean search; an existing
+    only, in block order.  A dead worker raises ``BrokenProcessPool``;
+    the checkpoint then holds every block finished, with all the blocks
+    before it, when the death was seen, so a rerun resumes.  A missing checkpoint starts a clean search; an existing
     one is resumed, dropping a torn last line.  Hits are recorded, not
     classified: see ``classify_hits``.
     """

@@ -333,6 +333,61 @@ def test_worker_killed_holding_the_claim_lock_raises():
     assert out == "broken\n"
 
 
+def test_results_ready_before_a_death_come_first():
+    # Forked workers wait before their first claim, so the caller runs
+    # job 0 while a worker claims job 1 and dies on it.
+    out = _run_map(
+        "caller = os.getpid()\n"
+        "claim = search._claim\n"
+        "def slow_claim(fd):\n"
+        "    if os.getpid() != caller:\n"
+        "        time.sleep(0.1)\n"
+        "    return claim(fd)\n"
+        "search._claim = slow_claim\n"
+        "def task(job):\n"
+        "    if os.getpid() != caller:\n"
+        "        os._exit(3)\n"
+        "    time.sleep(0.3 if job == 0 else 0)\n"
+        "    return job\n"
+        "got = []\n"
+        "try:\n"
+        "    for value in search.ordered_map(task, range(6), 2):\n"
+        "        got.append(value)\n"
+        "except search.BrokenProcessPool:\n"
+        "    print(got, 'broken')\n"
+    )
+    assert out == "[0] broken\n"
+
+
+def test_search_does_not_depend_on_when_the_caller_starts():
+    # The caller waits after each fork, so a worker has finished block 0
+    # before the caller walks its own copy of the block stream; the
+    # workers' later blocks are slow, so the caller then claims one.
+    out = _run_map(
+        "caller = os.getpid()\n"
+        "fork, task = search._fork_worker, search._filter_block\n"
+        "def slow_fork(*args):\n"
+        "    forked = fork(*args)\n"
+        "    time.sleep(0.1)\n"
+        "    return forked\n"
+        "def slow_task(job):\n"
+        "    if os.getpid() != caller and job[2][0] > 0:\n"
+        "        time.sleep(0.2)\n"
+        "    return task(job)\n"
+        "search._fork_worker, search._filter_block = slow_fork, slow_task\n"
+        "def scan(threads):\n"
+        "    seen = []\n"
+        "    state = search.run_search(\n"
+        "        4, sample=40000, seed=1, threads=threads,\n"
+        "        progress=lambda s: seen.append(s.position),\n"
+        "    )\n"
+        "    return seen, state.position, state.survivors\n"
+        "serial = scan(1)\n"
+        "print(serial[0], scan(2) == serial, scan(3) == serial)\n"
+    )
+    assert out == "[10000, 20000, 30000, 40000] True True\n"
+
+
 def test_workers_do_not_flush_inherited_output():
     out = _run_map(
         "import sys\n"
