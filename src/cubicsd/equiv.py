@@ -11,9 +11,8 @@ sibling is skipped.  The least labelled RREF is the canonical form, a
 complete invariant, and the orbit sizes along the first path multiply
 to |Aut|, which certifies the automorphisms found.
 
-A self-dual code is registered from the words of its one or two lowest
-weights alone (``gf2.lightest_words``), with no weight distribution
-listed; any other code from one exact enumeration.
+A code is registered from the words of its one or two lowest weights
+alone (``gf2.lightest_words``), with no weight distribution listed.
 
 The results (:class:`CodeData`) are stored on the code object itself,
 so they are freed with the code and travel with it when the code is
@@ -32,10 +31,10 @@ from .perm import Permutation, PermGroup
 
 # The most words of the two lowest weights register_code_data refines
 # on, counted wherever the next class is listed.  gf2.lightest_words
-# leaves it out when the lowest class alone colors a self-dual code, so
-# it is listed there only for a 2-design, where no pair count splits a
-# cell: q48 (17296 + 535095 words) is refused, as its traversal would
-# not finish.
+# leaves it out of a self-dual code whose lowest class alone colors the
+# coordinates, so it is listed there only for a 2-design, where no pair
+# count splits a cell: q48 (17296 + 535095 words) is refused, as its
+# traversal would not finish.
 _MAX_REFINE_WORDS = 200_000
 
 
@@ -254,15 +253,12 @@ def _is_2_design(co):
 
 
 def code_data(code):
-    """The traversal's results for a code, attached on first use.  A
-    self-dual code is registered from ``gf2.lightest_words``, any other
-    from one call of ``gf2.BinaryCode.low_weight_words``."""
+    """The traversal's results for a code, attached on first use, from
+    the words of ``gf2.lightest_words``."""
     data = code.__dict__.get(_DATA_ATTR)
     if data is not None:
         return data
-    if code.is_self_dual():
-        return register_code_data(code, *gf2.lightest_words(code))
-    return register_code_data(code, *code.low_weight_words()[1:])
+    return register_code_data(code, *gf2.lightest_words(code))
 
 
 def invariant(code):

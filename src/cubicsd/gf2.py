@@ -10,24 +10,16 @@ Each low-level job has one kernel here: ``span`` lists a row space,
 moves the columns of a whole generator matrix at once), and numpy's
 ``np.bitwise_count`` counts them.  ``BinaryCode.low_weight_words`` is
 the one entry point for a code's weight distribution and its words of
-the two lowest nonzero weights, with two engines behind it:
-
-- a self-dual code takes ``information_set_words``: every word of weight
-  at most t = 2*floor(n/8) has at most r = t/2 ones on one of two
-  disjoint information sets P and Q (the Brouwer-Zimmermann idea), so
-  the pass on Q needs only the words with more than r ones on P, which
-  have at most t - r - 1 ones on Q; Gleason's theorem
-  (``gleason_distribution``) fixes the rest of the distribution from
-  A_0..A_t;
-- every other code, and a self-dual one the first engine cannot settle,
-  takes ``coset_words``: exact enumeration as cosets of a span of at
-  most 16 rows, so it never holds more than 65536 words at once.
-
-Canonical labelling needs only the lightest words, and
-``lightest_words`` lists just those of a self-dual code: it combines
-more rows on P and on Q, one level at a time, until the
-Brouwer-Zimmermann bound says the classes it needs are complete.  It
-and ``information_set_words`` share one kernel, ``_light_combinations``.
+the two lowest nonzero weights, and ``lightest_words`` lists just those
+words, as canonical labelling needs.  A self-dual code takes one walk
+over two disjoint information sets P and Q (the Brouwer-Zimmermann
+idea): it combines 0, 1, 2, ... rows of the generators systematic on P
+and on Q until every word it returns, and every word of weight at most
+t, is listed.  ``lightest_words`` asks for t = 0, ``low_weight_words``
+for t = 2*floor(n/8), from whose A_0..A_t Gleason's theorem
+(``gleason_distribution``) fixes the rest of the distribution.  Every
+other code takes ``coset_words``: exact enumeration as cosets of a span
+of at most 16 rows, so it never holds more than 65536 words at once.
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ from math import comb
 import numpy as np
 
 # The largest dimension low_weight_words accepts: 2^28 words for the
-# exact engine, which every code may fall back to.
+# exact engine, which every code that is not self-dual takes.
 MAX_ENUM_DIM = 28
 
 # The most words _light_combinations XORs at once (64 KB).  Freeing a
@@ -237,43 +229,22 @@ def _light_combinations(halves, a, t):
     return np.concatenate(kept)
 
 
-def information_set_words(code, t):
-    """Every word of weight at most t of a self-dual code, each once.
-
-    A word of weight at most t has at most r = t // 2 ones on P or on Q
-    (``information_sets``), so it is an XOR of at most r rows of the P-
-    or of the Q-systematic generator.  The Q pass adds only the words
-    with more than r ones on P, which the P pass cannot reach; such a
-    word has at most t - r - 1 ones on Q, so that pass combines at most
-    t - r - 1 rows (none when that is negative).
-    """
-    p_rows, q_rows, p_mask = information_sets(code)
-    r = t // 2
-    on_p, on_q = _half_spans(p_rows, q_rows)
-    words = [_light_combinations(on_p, a, t) for a in range(r + 1)]
-    beyond = np.concatenate(
-        [q_rows[:0]] + [_light_combinations(on_q, b, t) for b in range(t - r)]
-    )
-    words.append(beyond[np.bitwise_count(beyond & np.uint64(p_mask)) > r])
-    return np.concatenate(words)
-
-
-def lightest_words(code):
-    """(words of the lowest nonzero weight, words of the next one) of a
-    self-dual code, each class sorted ascending.  The next class is
-    listed only when the lowest holds fewer than n words, and is None
-    otherwise; a class the code lacks is empty.
+def _walk(code, t):
+    """(A_0..A_t, words of the lowest nonzero weight, words of the next
+    one) of a self-dual code, each class sorted ascending; a class the
+    code lacks is empty.  At t = 0 the next class is None when the
+    lowest holds at least n > 0 words.
 
     Levels 0, 1, 2, ... of the P- and of the Q-systematic generator
     (``information_sets``) are combined alternately, P first.  After
     levels 0..r_P on P and 0..r_Q on Q, a word not yet listed has more
     than r_P ones on P and more than r_Q on Q, so it weighs at least
-    r_P + r_Q + 2, and every class below that is complete (the
-    Brouwer-Zimmermann bound).  A [48,24,10] code stops at r_P = 5 and
-    r_Q = 4.  Words heavier than the second-lowest weight listed so far
-    are dropped; that cut only falls.  A word with at most r_P ones on P
-    is listed by both passes, so the classes are counted over the P
-    levels and the Q words with more than r_P ones on P.
+    r_P + r_Q + 2 (the Brouwer-Zimmermann bound).  The walk stops once
+    that bound passes t and the classes it returns: a [48,24,10] code
+    stops at r_P = 5 and r_Q = 4 for t = 0, and at 6 and 5 for t = 12.
+    Words heavier than t and than the second-lowest weight listed so far
+    are dropped.  A word with at most r_P ones on P is listed by both
+    passes, so the Q words are kept only with more than r_P ones on P.
     """
     n = code.n
     p_rows, q_rows, p_mask = information_sets(code)
@@ -285,27 +256,42 @@ def lightest_words(code):
         side = len(levels[0]) > len(levels[1])
         words = _light_combinations(halves[side], len(levels[side]), cut)
         levels[side].append(words)
-        seen[np.bitwise_count(words)] = True
-        present = np.flatnonzero(seen[1:]) + 1
-        if len(present) > 1:
-            cut = int(present[1])
+        if cut > t:
+            # Once two weights up to t are seen, the cut stays at t, and
+            # those two pass the test on seen below once the bound does.
+            seen[np.bitwise_count(words)] = True
+            present = np.flatnonzero(seen[1:]) + 1
+            if len(present) > 1:
+                cut = max(t, int(present[1]))
         r_p, r_q = len(levels[0]) - 1, len(levels[1]) - 1
         # All 2^k words are listed once P has all its levels.
         complete = n + 1 if r_p == code.k else r_p + r_q + 2
-        light = present[present < complete]
-        if not len(light) and complete <= n:
+        if complete <= t or (complete <= n and not seen[1:complete].any()):
             continue
         on_q = np.concatenate([q_rows[:0], *levels[1]])
         on_q = on_q[np.bitwise_count(on_q & np.uint64(p_mask)) > r_p]
         words = np.concatenate([*levels[0], on_q])
         wts = np.bitwise_count(words)
+        counts = np.bincount(wts, minlength=n + 1)
+        light = np.flatnonzero(counts[1:complete]) + 1
         # Weight n + 1 stands in for a missing class: no word has it.
         classes = [*light, n + 1, n + 1][:2]
         low, high = (np.sort(words[wts == w]) for w in classes)
-        if len(low) >= n:
-            return low, None
-        if len(light) > 1 or complete > n:
-            return low, high
+        if t == 0 < n <= len(low):
+            high = None
+        if high is None or len(light) > 1 or complete > n:
+            return counts[: t + 1], low, high
+
+
+def lightest_words(code):
+    """(words of the lowest nonzero weight, words of the next one), each
+    class sorted ascending; a class the code lacks is empty.  A
+    self-dual code takes ``_walk`` at t = 0, so its next class is None
+    when the lowest holds at least n > 0 words; any other code takes
+    ``BinaryCode.low_weight_words``."""
+    if code.is_self_dual():
+        return _walk(code, 0)[1:]
+    return code.low_weight_words()[1:]
 
 
 def gleason_distribution(head, n):
@@ -444,26 +430,17 @@ class BinaryCode:
         words of the next one), each class sorted ascending; a class the
         code lacks is empty.
 
-        A self-dual code takes ``information_set_words`` up to weight
-        t = 2*floor(n/8) and ``gleason_distribution``, when it finds two
-        nonzero weights up to t.  Any other code is enumerated in full
-        by ``coset_words``, as cosets of the span of its first 16 RREF
-        rows."""
+        A self-dual code takes ``_walk`` up to weight t = 2*floor(n/8)
+        and ``gleason_distribution``.  Any other code is enumerated in
+        full by ``coset_words``, as cosets of the span of its first 16
+        RREF rows."""
         if self.k > MAX_ENUM_DIM:
             raise ValueError("enumeration budget exceeded")
         if self.n > 63:
             raise ValueError("codeword enumeration limited to n <= 63")
-        t = 2 * (self.n // 8)
         if self.is_self_dual():
-            words = information_set_words(self, t)
-            wts = np.bitwise_count(words)
-            head = np.bincount(wts, minlength=t + 1)
-            present = np.flatnonzero(head[1:])[:2] + 1
-            if len(present) == 2:
-                return (
-                    gleason_distribution(head, self.n),
-                    *(np.sort(words[wts == w]) for w in present),
-                )
+            head, low, high = _walk(self, 2 * (self.n // 8))
+            return gleason_distribution(head, self.n), low, high
         rows = np.array(self.rows, dtype=np.uint64)
         counts, low, high = coset_words(
             span(rows[:16]), span(rows[16:]), self.n

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import numpy as np
 
@@ -87,20 +87,7 @@ class Permutation:
         return self.img[point]
 
     def order(self):
-        n = self.degree
-        seen = [False] * n
-        result = 1
-        for i in range(n):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.img[j]
-                length += 1
-            result = _lcm(result, length)
-        return result
+        return lcm(*map(len, self.cycles()))
 
     def apply_to_word(self, word):
         """Permute the coordinates of a bit-row: bit i moves to bit img[i]."""
@@ -134,12 +121,6 @@ class Permutation:
 
     def __str__(self):
         return self.to_cycle_text() or "()"
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 _CYCLE_RE = re.compile(r"\(([0-9,\s]*)\)")

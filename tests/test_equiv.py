@@ -245,8 +245,9 @@ def _peak_code_data_bytes(code):
 
 
 def test_generic_code_data_is_small():
-    # A self-dual [48,24] code takes the information-set search: 68406
-    # combinations, of which it keeps the words of weight <= 12.
+    # A self-dual [48,24] code takes the information-set walk: 68406
+    # combinations, of which it keeps those up to the second-lowest
+    # weight listed so far, and registers from the 768 of weight 10.
     index = 30
     code = construct.build_table_code(dataset.table_entries()[index])
     assert _peak_code_data_bytes(code) < 4 * 2**20
@@ -273,15 +274,15 @@ def test_an_unknown_code_is_enumerated_once(monkeypatch):
 
     spy(BinaryCode, "low_weight_words")
     spy(gf2, "lightest_words")
-    spy(gf2, "information_set_words")
+    spy(gf2, "_walk")
     spy(gf2, "coset_words")
     entry = dataset.table_entries()[0]
     equiv.code_data(construct.build_table_code(entry))
-    assert calls == ["lightest_words"]
+    assert calls == ["lightest_words", "_walk"]
     calls.clear()
     engine = construct.DecomposedEngine(entry.table_id)
     search.register_engine_data(engine, entry.tau())
-    assert calls == ["lightest_words"]
+    assert calls == ["lightest_words", "_walk"]
 
 
 def test_table_codes_register_from_their_lightest_words_alone(

@@ -232,7 +232,7 @@ def test_enumeration_budget():
 
 
 # ---------------------------------------------------------------------------
-# Information sets and Gleason's theorem against exact enumeration
+# The information-set walk and Gleason's theorem against exact enumeration
 
 
 def exact_words(code):
@@ -245,8 +245,9 @@ def exact_words(code):
 
 
 def kernel_spies(monkeypatch):
-    """Count the calls of each enumeration kernel."""
-    calls = {"information_set_words": 0, "coset_words": 0}
+    """Count the calls of the information-set walk and of the exact
+    engine."""
+    calls = {"_walk": 0, "coset_words": 0}
     for name in calls:
         kernel = getattr(gf2, name)
 
@@ -261,19 +262,26 @@ def kernel_spies(monkeypatch):
 def test_information_sets_match_exact_enumeration_on_table_codes(monkeypatch):
     entries = dataset.table_entries()
     rnd = random.Random(23)
+    codes = []
     for index in rnd.sample(range(len(entries)), 20):
         img = list(range(48))
         rnd.shuffle(img)
-        code = construct.build_table_code(entries[index]).permuted(img)
+        codes.append(construct.build_table_code(entries[index]).permuted(img))
+    # The empty code, which is self-dual, and a code that is not: both
+    # classes are arrays, never None.
+    codes += [BinaryCode(0, ()), BinaryCode.from_rows([0b011, 0b110], 3)]
+    sizes = []
+    for code in codes:
         calls = kernel_spies(monkeypatch)
         got = code.low_weight_words()
-        assert calls == {"information_set_words": 1, "coset_words": 0}
+        walked = int(code.is_self_dual())
+        assert calls == {"_walk": walked, "coset_words": 1 - walked}
         monkeypatch.undo()
-        want = exact_words(code)
-        for g, w in zip(got, want):
+        for g, w in zip(got, exact_words(code)):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
-        assert [len(c) for c in got[1:]] == [768, 8592]
+        sizes.append([len(c) for c in got[1:]])
+    assert sizes == [[768, 8592]] * 20 + [[0, 0], [3, 0]]
 
 
 def test_information_sets_on_a_code_full_of_light_words(monkeypatch):
@@ -282,12 +290,12 @@ def test_information_sets_on_a_code_full_of_light_words(monkeypatch):
     code = BinaryCode.from_rows([3 << 2 * i for i in range(24)], 48)
     calls = kernel_spies(monkeypatch)
     got = code.low_weight_words()
-    assert calls == {"information_set_words": 1, "coset_words": 0}
+    assert calls == {"_walk": 1, "coset_words": 0}
     monkeypatch.undo()
     for g, w in zip(got, exact_words(code)):
         assert np.array_equal(g, w)
     assert [len(c) for c in got[1:]] == [24, 276]
-    assert len(gf2.information_set_words(code, 12)) == 190051
+    assert gf2._walk(code, 12)[0].sum() == 190051
 
 
 def random_self_dual(rnd, n):
@@ -307,38 +315,41 @@ def random_self_dual(rnd, n):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16, 18, 24])
 def test_short_q_pass_matches_exact_enumeration(n):
-    # t = 2*floor(n/8) and r = t/2: the Q pass combines at most t - r - 1
-    # rows, so there is none below n = 8 (t = 0), it has 0 rows for
-    # n = 8..14 (t = 2), 1 row for n = 16, 18 (t = 4) and 2 for n = 24.
+    # The walk at t = 2*floor(n/8) counts A_0..A_t from few levels
+    # (t = 0 below n = 8, 2 for n = 8..14, 4 for n = 16, 18 and 6 for
+    # n = 24), and goes on only as far as its two classes need.
     rnd = random.Random(n)
     t = 2 * (n // 8)
     for _ in range(4):
         code = random_self_dual(rnd, n)
         assert code.is_self_dual()
-        words = gf2.information_set_words(code, t)
+        head, low, high = gf2._walk(code, t)
         span = gf2.span(np.array(code.rows, dtype=np.uint64))
-        want = np.sort(span[np.bitwise_count(span) <= t])
-        assert np.array_equal(np.sort(words), want)
+        want = np.bincount(np.bitwise_count(span), minlength=n + 1)
+        assert np.array_equal(head, want[: t + 1])
+        _, want_low, want_high = exact_words(code)
+        assert np.array_equal(low, want_low)
+        assert np.array_equal(high, want_high)
 
 
 def assert_lightest_words_are_exact(code):
     """``lightest_words`` against the two lowest classes of ``coset_words``:
-    the lowest class, and the next one when the lowest has fewer than n
-    words (None otherwise)."""
+    the lowest class, and the next one unless the code is self-dual and
+    the lowest has at least n > 0 words (None then)."""
     low, high = gf2.lightest_words(code)
     _, want_low, want_high = exact_words(code)
     assert low.dtype == np.uint64 and np.array_equal(low, want_low)
-    if len(low) >= code.n:
-        assert high is None
-    else:
+    assert (high is None) == (code.is_self_dual() and 0 < code.n <= len(low))
+    if high is not None:
         assert high.dtype == np.uint64 and np.array_equal(high, want_high)
     return len(low), None if high is None else len(high)
 
 
 def test_lightest_words_match_exact_enumeration(monkeypatch):
     # Permuted table codes (768 words alone, combining at most 5 rows on
-    # P and 4 on Q), B (12 + 64), i2^24 (24 + 276) and e8, whose 14
-    # weight-4 words form a 2-design.
+    # P and 4 on Q; 6 and 5 for their weight distribution), B (12 + 64),
+    # i2^24 (24 + 276), e8, whose 14 weight-4 words form a 2-design, the
+    # empty code and a code that is not self-dual.
     levels = []
     combinations = gf2._light_combinations
 
@@ -358,14 +369,21 @@ def test_lightest_words_match_exact_enumeration(monkeypatch):
         # P levels 0..5 and Q levels 0..4, alternately, P first.
         assert levels == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
         levels.clear()
+        # Up to t = 12 for low_weight_words: P 0..6 and Q 0..5.
+        monkeypatch.setattr(gf2, "_light_combinations", counted)
+        code.low_weight_words()
+        monkeypatch.undo()
+        assert levels == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+        levels.clear()
     base = BinaryCode.from_matrix(dataset.gb_matrix())
     assert assert_lightest_words_are_exact(base) == (12, 64)
     i2 = BinaryCode.from_rows([3 << 2 * i for i in range(24)], 48)
     assert assert_lightest_words_are_exact(i2) == (24, 276)
     assert assert_lightest_words_are_exact(extended_qr(7)) == (14, None)
-    # The empty code has no class to find, and the search still ends.
-    low, high = gf2.lightest_words(BinaryCode(0, ()))
-    assert len(low) == 0 and high is None
+    # The empty code has no class to find, and the walk still ends.
+    assert assert_lightest_words_are_exact(BinaryCode(0, ())) == (0, 0)
+    other = BinaryCode.from_rows([0b011, 0b110], 3)
+    assert assert_lightest_words_are_exact(other) == (3, 0)
 
 
 @pytest.mark.parametrize("n", range(2, 25, 2))
@@ -377,7 +395,7 @@ def test_lightest_words_on_random_self_dual_codes(n):
 
 def test_an_error_inside_the_enumeration_is_raised(monkeypatch):
     # A self-dual code is not sent to the exact engine when the
-    # information-set pass fails.
+    # information-set walk fails.
     def broken(*args):
         raise ValueError("broken kernel")
 
@@ -400,12 +418,14 @@ def test_codes_the_information_sets_cannot_settle_are_enumerated(
 ):
     # None of them has a second nonzero weight up to t = 2*floor(n/8)
     # (none at all below d for [8,4,4] and [24,12,8], only 12 for q48),
-    # so the kernel pass is followed by exact enumeration.
+    # so the information sets up to t alone cannot settle their classes:
+    # the walk goes on past t until it has both, and never reaches the
+    # exact engine, whose counts and classes it matches.
     code = extended_qr(p)
     assert code.is_self_dual()
     calls = kernel_spies(monkeypatch)
     counts, low, high = code.low_weight_words()
-    assert calls == {"information_set_words": 1, "coset_words": 1}
+    assert calls == {"_walk": 1, "coset_words": 0}
     assert {w: int(c) for w, c in enumerate(counts) if c} == expected
     monkeypatch.undo()
     want = exact_words(code)
@@ -420,7 +440,7 @@ def test_a_code_that_is_not_self_dual_is_enumerated(monkeypatch):
     assert code.k == 24 and not code.is_self_dual()
     calls = kernel_spies(monkeypatch)
     counts, low, high = code.low_weight_words()
-    assert calls == {"information_set_words": 0, "coset_words": 1}
+    assert calls == {"_walk": 0, "coset_words": 1}
     assert counts.sum() == 2**24
     assert np.all(low[:-1] < low[1:]) and np.all(high[:-1] < high[1:])
 
@@ -446,7 +466,7 @@ def test_information_sets_are_systematic_and_refuse_other_codes():
         with pytest.raises(ValueError, match="self-dual"):
             gf2.information_sets(bad)
         with pytest.raises(ValueError, match="self-dual"):
-            gf2.information_set_words(bad, 6)
+            gf2._walk(bad, 6)
 
 
 def test_gleason_distribution():

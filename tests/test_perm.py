@@ -179,6 +179,8 @@ def test_inverse_and_order():
         for _ in range(p.order()):
             q = q * p
         assert q.is_identity
+    assert parse_cycles("(1,2)(3,4,5)(6,7,8,9,10)", 10).order() == 30
+    assert Permutation.identity(4).order() == 1
 
 
 def test_apply_to_word():
