@@ -30,11 +30,11 @@ from . import gf2
 from .perm import Permutation, PermGroup
 
 # The most words of the two lowest weights register_code_data refines
-# on, counted wherever the next class is listed.  gf2.lightest_words
-# leaves it out of a self-dual code whose lowest class alone colors the
-# coordinates, so it is listed there only for a 2-design, where no pair
-# count splits a cell: q48 (17296 + 535095 words) is refused, as its
-# traversal would not finish.
+# on.  A self-dual code whose lowest class alone colors the coordinates
+# comes with no next class listed, so the next class is counted only
+# for a 2-design, where no pair count splits a cell, and its size is
+# read from the weight distribution: q48 (17296 + 535095 words) is
+# refused, as its traversal would not finish.
 _MAX_REFINE_WORDS = 200_000
 
 
@@ -222,11 +222,12 @@ def register_code_data(code, words_low, words_high):
     do.  A sparser lowest class, such as the 12 weight-4 words of B,
     leaves too many cells unsplit alone, so the next class is counted
     too.  The rule reads only the class sizes, invariants, so the
-    canonical form stays one.  Where the lowest class alone holds a
-    2-design (every point and every pair of points in as many words),
-    the next class is listed if it was not, and the two are held to
-    ``_MAX_REFINE_WORDS``.  That branch is where a refinement on the
-    point-word incidences would plug in.
+    canonical form stays one.  The two classes are held to
+    ``_MAX_REFINE_WORDS``; where the next class is not listed and the
+    lowest class alone holds a 2-design (every point and every pair of
+    points in as many words), its size comes from
+    ``code.weight_enumerator()``.  That branch is where a refinement on
+    the point-word incidences would plug in.
     """
     n = code.n
     co = _co_matrix(np.asarray(words_low, dtype=np.uint64), n)
@@ -234,10 +235,12 @@ def register_code_data(code, words_low, words_high):
         high = _co_matrix(np.asarray(words_high, dtype=np.uint64), n)
         # One key per pair: the lowest class's count, then both classes'.
         co = (co << 16) | (co + high)
-    elif words_high is None and _is_2_design(co):
-        words_high = code.low_weight_words()[2]
-    if words_high is not None and (
-        len(words_low) + len(words_high) > _MAX_REFINE_WORDS
+    high_size = None if words_high is None else len(words_high)
+    if high_size is None and _is_2_design(co):
+        sizes = code.weight_enumerator()[1:]
+        high_size = int(sizes[sizes > 0][1:2].sum())
+    if high_size is not None and (
+        len(words_low) + high_size > _MAX_REFINE_WORDS
     ):
         raise ValueError("too many low-weight words for refinement")
     data = CodeData(*_traverse(code, co))

@@ -9,15 +9,16 @@ Each low-level job has one kernel here: ``span`` lists a row space,
 ``permute_word`` moves the bits of one word (``BinaryCode.permuted``
 moves the columns of a whole generator matrix at once), and numpy's
 ``np.bitwise_count`` counts them.  ``BinaryCode.low_weight_words`` is
-the one entry point for a code's weight distribution and its words of
-the two lowest nonzero weights, and ``lightest_words`` lists just those
-words, as canonical labelling needs.  A self-dual code takes one walk
-over two disjoint information sets P and Q (the Brouwer-Zimmermann
-idea): it combines 0, 1, 2, ... rows of the generators systematic on P
-and on Q until every word it returns, and every word of weight at most
-t, is listed.  ``lightest_words`` asks for t = 0, ``low_weight_words``
-for t = 2*floor(n/8), from whose A_0..A_t Gleason's theorem
-(``gleason_distribution``) fixes the rest of the distribution.  Every
+the one entry point for a code's weight distribution and its lightest
+words, and ``lightest_words`` lists just those words, as canonical
+labelling needs.  A self-dual code takes one walk over two disjoint
+information sets P and Q (the Brouwer-Zimmermann idea): it combines
+0, 1, 2, ... rows of the generators systematic on P and on Q until
+every word it returns, and every word of weight at most t, is listed.
+``lightest_words`` asks for t = 0, ``low_weight_words`` for the
+A_0..A_t from which Gleason's theorem (``gleason_distribution``) fixes
+the rest of the distribution: t = n/4 - 2 for a Type I code when
+8 | n, as its shadow fixes a_(n/8), and 2*floor(n/8) otherwise.  Every
 other code takes ``coset_words``: exact enumeration as cosets of a span
 of at most 16 rows, so it never holds more than 65536 words at once.
 """
@@ -31,8 +32,9 @@ from math import comb
 
 import numpy as np
 
-# The largest dimension low_weight_words accepts: 2^28 words for the
-# exact engine, which every code that is not self-dual takes.
+# The largest dimension of a code that is not self-dual that
+# low_weight_words and lightest_words accept: 2^28 words for the exact
+# engine, which every such code takes.
 MAX_ENUM_DIM = 28
 
 # The most words _light_combinations XORs at once (64 KB).  Freeing a
@@ -171,20 +173,21 @@ def coset_words(sub, leaders, n):
 
 
 def information_sets(code):
-    """(P rows, Q rows, P mask) of a self-dual code: its generator rows
-    systematic on the RREF pivots P and those systematic on the other
-    columns Q, as uint64 arrays, and the bit mask of P.
+    """(P rows, Q rows, P mask) of a self-dual code, or None for any
+    other code: its generator rows systematic on the RREF pivots P and
+    those systematic on the other columns Q, as uint64 arrays, and the
+    bit mask of P.
 
     With G = [I | A] on (P, Q), G G^T = 0 gives A A^T = I, so Q is an
     information set too, and A^T G = [A^T | I] is systematic on it.
     Its rows are ``BinaryCode.free_column_rows``, the dual's generator,
-    so they are codewords only when the code is self-dual; any other
-    code raises ValueError.
+    so they are codewords only when the code is self-dual.  This is the
+    one self-duality test of ``low_weight_words`` and ``lightest_words``.
     """
     if code.n > 63:
         raise ValueError("codeword enumeration limited to n <= 63")
     if not code.is_self_dual():
-        raise ValueError("information sets P and Q need a self-dual code")
+        return None
     return (
         np.array(code.rows, dtype=np.uint64),
         np.array(code.free_column_rows(), dtype=np.uint64),
@@ -229,25 +232,30 @@ def _light_combinations(halves, a, t):
     return np.concatenate(kept)
 
 
-def _walk(code, t):
+def _walk(sets, t):
     """(A_0..A_t, words of the lowest nonzero weight, words of the next
-    one) of a self-dual code, each class sorted ascending; a class the
-    code lacks is empty.  At t = 0 the next class is None when the
-    lowest holds at least n > 0 words.
+    one) of a self-dual code, from its ``information_sets``; each class
+    sorted ascending, and a class the code lacks is empty.  The next
+    class is None when the lowest holds at least n > 0 words.  The
+    information sets of any other code are None, which raises
+    ValueError.
 
     Levels 0, 1, 2, ... of the P- and of the Q-systematic generator
-    (``information_sets``) are combined alternately, P first.  After
-    levels 0..r_P on P and 0..r_Q on Q, a word not yet listed has more
-    than r_P ones on P and more than r_Q on Q, so it weighs at least
-    r_P + r_Q + 2 (the Brouwer-Zimmermann bound).  The walk stops once
-    that bound passes t and the classes it returns: a [48,24,10] code
-    stops at r_P = 5 and r_Q = 4 for t = 0, and at 6 and 5 for t = 12.
+    are combined alternately, P first.  After levels 0..r_P on P and
+    0..r_Q on Q, a word not yet listed has more than r_P ones on P and
+    more than r_Q on Q, so it weighs at least r_P + r_Q + 2 (the
+    Brouwer-Zimmermann bound).  The walk stops once that bound passes t
+    and the classes it returns: a [48,24,10] code stops at r_P = 5 and
+    r_Q = 4 for t = 0 and for t = 10, and q48 at 6 and 5 for t = 12.
     Words heavier than t and than the second-lowest weight listed so far
     are dropped.  A word with at most r_P ones on P is listed by both
     passes, so the Q words are kept only with more than r_P ones on P.
     """
-    n = code.n
-    p_rows, q_rows, p_mask = information_sets(code)
+    if sets is None:
+        raise ValueError("information sets P and Q need a self-dual code")
+    p_rows, q_rows, p_mask = sets
+    k = len(p_rows)
+    n = 2 * k
     halves = _half_spans(p_rows, q_rows)
     levels = ([], [])  # the words listed per level, on P and on Q
     seen = np.zeros(n + 1, dtype=bool)  # the weights listed
@@ -265,7 +273,7 @@ def _walk(code, t):
                 cut = max(t, int(present[1]))
         r_p, r_q = len(levels[0]) - 1, len(levels[1]) - 1
         # All 2^k words are listed once P has all its levels.
-        complete = n + 1 if r_p == code.k else r_p + r_q + 2
+        complete = n + 1 if r_p == k else r_p + r_q + 2
         if complete <= t or (complete <= n and not seen[1:complete].any()):
             continue
         on_q = np.concatenate([q_rows[:0], *levels[1]])
@@ -275,12 +283,12 @@ def _walk(code, t):
         counts = np.bincount(wts, minlength=n + 1)
         light = np.flatnonzero(counts[1:complete]) + 1
         # Weight n + 1 stands in for a missing class: no word has it.
-        classes = [*light, n + 1, n + 1][:2]
-        low, high = (np.sort(words[wts == w]) for w in classes)
-        if t == 0 < n <= len(low):
-            high = None
-        if high is None or len(light) > 1 or complete > n:
-            return counts[: t + 1], low, high
+        low_w, high_w = [*light, n + 1, n + 1][:2]
+        low = np.sort(words[wts == low_w])
+        if 0 < n <= len(low):
+            return counts[: t + 1], low, None
+        if len(light) > 1 or complete > n:
+            return counts[: t + 1], low, np.sort(words[wts == high_w])
 
 
 def lightest_words(code):
@@ -288,27 +296,59 @@ def lightest_words(code):
     class sorted ascending; a class the code lacks is empty.  A
     self-dual code takes ``_walk`` at t = 0, so its next class is None
     when the lowest holds at least n > 0 words; any other code takes
-    ``BinaryCode.low_weight_words``."""
-    if code.is_self_dual():
-        return _walk(code, 0)[1:]
-    return code.low_weight_words()[1:]
+    ``coset_words``."""
+    sets = information_sets(code)
+    if sets is None:
+        return _coset_classes(code)[1:]
+    return _walk(sets, 0)[1:]
 
 
-def gleason_distribution(head, n):
+def _coset_classes(code):
+    """``coset_words`` of a code that is not self-dual, as cosets of the
+    span of its first 16 RREF rows, with both classes sorted."""
+    if code.k > MAX_ENUM_DIM:
+        raise ValueError("enumeration budget exceeded")
+    rows = np.array(code.rows, dtype=np.uint64)
+    counts, low, high = coset_words(span(rows[:16]), span(rows[16:]), code.n)
+    return counts, np.sort(low), np.sort(high)
+
+
+def _gleason_t(n, type_i):
+    """The t whose A_0..A_t fix the weight distribution of a self-dual
+    [n, n/2] code in ``gleason_distribution``: n/4 - 2 for a Type I code
+    when 8 | n, and 2*floor(n/8) otherwise."""
+    return 2 * (n // 8) - 2 * (type_i and n % 8 == 0)
+
+
+def gleason_distribution(head, n, type_i=False):
     """The weight distribution A_0..A_n of a self-dual [n, n/2] code from
-    its A_0..A_t, t = 2*floor(n/8) (Gleason's theorem; J. H. Conway and
-    N. J. A. Sloane, IEEE-IT 36 (1990)).
+    its A_0..A_t (Gleason's theorem; J. H. Conway and N. J. A. Sloane,
+    IEEE-IT 36 (1990)), with ``type_i`` if the code has a word of weight
+    2 mod 4.
 
     The enumerator is sum_j a_j g_j over j <= n/8, with
     g_j = (x^2+y^2)^(n/2-4j) (x^2 y^2 (x^2-y^2)^2)^j.  In u = y^2 and
     x = 1, g_j = u^j (1+u)^(n/2-4j) (1-u)^(2j) starts at u^j with
     coefficient 1, so a_j is A_2j less what g_0..g_(j-1) put there: a
-    unitriangular solve in exact integers.  The basis holds Type I and
-    Type II codes alike.
+    unitriangular solve in exact integers, from t = 2*floor(n/8).  The
+    basis holds Type I and Type II codes alike.
+
+    A Type I code's shadow, the words of the dual of its doubly-even
+    subcode outside the code, has the enumerator W((x+y)/sqrt(2),
+    i(x-y)/sqrt(2)), which takes g_j to (-1)^j 2^(n/2-6j) (xy)^(n/2-4j)
+    (x^4-y^4)^(2j).  Only g_(n/8) has a weight-0 term there, and the
+    shadow holds no zero word, so a_(n/8) = 0 when 8 | n, and t = n/4 - 2
+    suffices.  A shorter head raises ValueError.
     """
     m = n // 2
+    t = _gleason_t(n, type_i)
+    if len(head) <= t:
+        raise ValueError(
+            "Gleason's theorem needs A_0..A_%d of a self-dual [%d, %d] "
+            "code, got %d values" % (t, n, m, len(head))
+        )
     total = [0] * (m + 1)
-    for j in range(n // 8 + 1):
+    for j in range(t // 2 + 1):
         a = int(head[2 * j]) - total[j]
         plus = [comb(m - 4 * j, i) for i in range(m - 4 * j + 1)]
         minus = [(-1) ** i * comb(2 * j, i) for i in range(2 * j + 1)]
@@ -430,22 +470,18 @@ class BinaryCode:
         words of the next one), each class sorted ascending; a class the
         code lacks is empty.
 
-        A self-dual code takes ``_walk`` up to weight t = 2*floor(n/8)
-        and ``gleason_distribution``.  Any other code is enumerated in
-        full by ``coset_words``, as cosets of the span of its first 16
-        RREF rows."""
-        if self.k > MAX_ENUM_DIM:
-            raise ValueError("enumeration budget exceeded")
-        if self.n > 63:
-            raise ValueError("codeword enumeration limited to n <= 63")
-        if self.is_self_dual():
-            head, low, high = _walk(self, 2 * (self.n // 8))
-            return gleason_distribution(head, self.n), low, high
-        rows = np.array(self.rows, dtype=np.uint64)
-        counts, low, high = coset_words(
-            span(rows[:16]), span(rows[16:]), self.n
-        )
-        return counts, np.sort(low), np.sort(high)
+        A self-dual code takes ``_walk`` up to the t that
+        ``gleason_distribution`` needs, n/4 - 2 for a Type I code (some
+        RREF row weighs 2 mod 4) when 8 | n and 2*floor(n/8) otherwise,
+        so its next class is None when the lowest holds at least n > 0
+        words.  Any other code is enumerated in full by ``coset_words``,
+        with both classes listed."""
+        sets = information_sets(self)
+        if sets is None:
+            return _coset_classes(self)
+        type_i = any(r.bit_count() % 4 == 2 for r in self.rows)
+        head, low, high = _walk(sets, _gleason_t(self.n, type_i))
+        return gleason_distribution(head, self.n, type_i), low, high
 
     def weight_enumerator(self):
         """Exact weight distribution (A_0, ..., A_n)."""

@@ -40,6 +40,7 @@ def test_construct_and_wenum(capsys, tmp_path):
     assert code == 0
     weights = json.loads(out)["weights"]
     assert weights["10"] == 768
+    assert weights["12"] == 8592
     assert weights["16"] == 267831
 
 

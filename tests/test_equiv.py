@@ -373,18 +373,44 @@ def test_refinement_uses_the_lowest_class_alone_when_it_has_n_words(
 
 def test_q48_is_refused_before_any_refinement(monkeypatch):
     # The 17296 weight-12 words would be refined on alone, and they hold
-    # a 2-design (a 5-design), so the guard lists and counts the 535095
-    # of weight 16 too: the code never enters a traversal that would not
-    # finish.
+    # a 2-design (a 5-design), so the guard counts the 535095 of weight
+    # 16 too, from the weight distribution, which lists none of them:
+    # the code never enters a traversal that would not finish.
     calls = _refinement_spy(monkeypatch)
+    walk = gf2._walk
+
+    def listed(sets, t):
+        head, low, high = walk(sets, t)
+        calls.append((t, len(low), high))
+        return head, low, high
+
+    monkeypatch.setattr(gf2, "_walk", listed)
     with pytest.raises(ValueError, match="too many low-weight words"):
         equiv.code_data(extended_qr(47))
-    assert calls == [17296]
+    # One walk for the lightest words, one for the weight distribution.
+    assert calls == [(0, 17296, None), 17296, (12, 17296, None)]
+
+
+def test_the_golay_code_passes_the_guard(monkeypatch):
+    # Its 759 octads hold a 5-design too, but with the 2576 words of
+    # weight 12 they are well under the guard: the code enters its
+    # traversal, stopped here at once.
+    calls = _refinement_spy(monkeypatch)
+
+    def entered(code, co):
+        calls.append("traverse")
+        raise StopIteration
+
+    monkeypatch.setattr(equiv, "_traverse", entered)
+    with pytest.raises(StopIteration):
+        equiv.code_data(extended_qr(23))
+    assert calls == [759, "traverse"]
 
 
 def test_a_2_design_is_counted_with_the_next_class(monkeypatch):
     # e8's 14 weight-4 words form a 3-(8,4,1) design: its next class (the
-    # all-ones word) is listed for the guard, and the code registers.
+    # all-ones word) is counted for the guard from the weight
+    # distribution, and the code registers.
     calls = []
     low_weight_words = BinaryCode.low_weight_words
 

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -277,11 +278,10 @@ def test_information_sets_match_exact_enumeration_on_table_codes(monkeypatch):
         walked = int(code.is_self_dual())
         assert calls == {"_walk": walked, "coset_words": 1 - walked}
         monkeypatch.undo()
-        for g, w in zip(got, exact_words(code)):
-            assert g.dtype == w.dtype
-            assert np.array_equal(g, w)
-        sizes.append([len(c) for c in got[1:]])
-    assert sizes == [[768, 8592]] * 20 + [[0, 0], [3, 0]]
+        sizes.append(assert_words_are_exact(code, *got))
+    # The 768 weight-10 words color the coordinates alone, so the 8592
+    # of weight 12 are counted, not listed.
+    assert sizes == [(768, None)] * 20 + [(0, 0), (3, 0)]
 
 
 def test_information_sets_on_a_code_full_of_light_words(monkeypatch):
@@ -295,7 +295,7 @@ def test_information_sets_on_a_code_full_of_light_words(monkeypatch):
     for g, w in zip(got, exact_words(code)):
         assert np.array_equal(g, w)
     assert [len(c) for c in got[1:]] == [24, 276]
-    assert gf2._walk(code, 12)[0].sum() == 190051
+    assert gf2._walk(gf2.information_sets(code), 12)[0].sum() == 190051
 
 
 def random_self_dual(rnd, n):
@@ -313,31 +313,81 @@ def random_self_dual(rnd, n):
     return BinaryCode.from_rows(rows, n).permuted(img)
 
 
+def random_neighbour(rnd, n, type_i, steps):
+    """A seeded random self-dual code of length n, 8 | n, of Type I or
+    Type II: ``steps`` steps of the neighbour walk C -> (C & x^perp) + <x>
+    from i2^(n/2) or from e8^(n/8).  A Type I step takes an x of weight
+    2 mod 4, which the neighbour holds; a Type II step takes an x of
+    weight 0 mod 4, and the neighbour of a doubly-even code is then
+    doubly-even too."""
+    block = ((0b11,), 2) if type_i else (extended_qr(7).rows, 8)
+    rows = [r << at for at in range(0, n, block[1]) for r in block[0]]
+    code = BinaryCode.from_rows(rows, n)
+    while steps:
+        x = rnd.getrandbits(n)
+        while x.bit_count() % 4 != 2 * type_i:
+            x ^= 1 << rnd.randrange(n)
+        odd = [r for r in code.rows if (r & x).bit_count() & 1]
+        if not odd:  # x is in the code
+            continue
+        kept = [r ^ odd[0] if r in odd else r for r in code.rows]
+        kept.remove(0)
+        code = BinaryCode.from_rows(kept + [x], n)
+        steps -= 1
+    return code
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 32, 40])
+def test_low_weight_words_on_random_self_dual_codes_of_both_types(
+    monkeypatch, n
+):
+    # A Type I code is walked to t = n/4 - 2 and a Type II code to
+    # t = n/4, and both match the exact engine: the whole distribution,
+    # the lowest class, and the next class or None.
+    rnd = random.Random(200 + n)
+    heads = []
+    walk = gf2._walk
+
+    def counted(sets, t):
+        heads.append(t)
+        return walk(sets, t)
+
+    for type_i in [True] * 6 + [False] * 3:
+        code = random_neighbour(rnd, n, type_i, rnd.randint(0, 2 * n))
+        assert code.is_self_dual()
+        weights = np.flatnonzero(exact_words(code)[0])
+        assert (weights % 4 == 2).any() == type_i
+        monkeypatch.setattr(gf2, "_walk", counted)
+        got = code.low_weight_words()
+        monkeypatch.undo()
+        assert heads == [n // 4 - 2 * type_i]
+        heads.clear()
+        assert_words_are_exact(code, *got)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16, 18, 24])
 def test_short_q_pass_matches_exact_enumeration(n):
     # The walk at t = 2*floor(n/8) counts A_0..A_t from few levels
     # (t = 0 below n = 8, 2 for n = 8..14, 4 for n = 16, 18 and 6 for
-    # n = 24), and goes on only as far as its two classes need.
+    # n = 24), and goes on only as far as the classes it returns need.
     rnd = random.Random(n)
     t = 2 * (n // 8)
     for _ in range(4):
         code = random_self_dual(rnd, n)
         assert code.is_self_dual()
-        head, low, high = gf2._walk(code, t)
+        head, low, high = gf2._walk(gf2.information_sets(code), t)
         span = gf2.span(np.array(code.rows, dtype=np.uint64))
         want = np.bincount(np.bitwise_count(span), minlength=n + 1)
         assert np.array_equal(head, want[: t + 1])
-        _, want_low, want_high = exact_words(code)
-        assert np.array_equal(low, want_low)
-        assert np.array_equal(high, want_high)
+        assert_classes_are_exact(code, low, high)
 
 
-def assert_lightest_words_are_exact(code):
-    """``lightest_words`` against the two lowest classes of ``coset_words``:
-    the lowest class, and the next one unless the code is self-dual and
-    the lowest has at least n > 0 words (None then)."""
-    low, high = gf2.lightest_words(code)
-    _, want_low, want_high = exact_words(code)
+def assert_classes_are_exact(code, low, high, want=None):
+    """Two classes against the two lowest of ``coset_words`` (or of
+    ``want``, its answer): the lowest class, and the next one unless the
+    code is self-dual and the lowest has at least n > 0 words (None
+    then).  Returns their sizes."""
+    _, want_low, want_high = exact_words(code) if want is None else want
     assert low.dtype == np.uint64 and np.array_equal(low, want_low)
     assert (high is None) == (code.is_self_dual() and 0 < code.n <= len(low))
     if high is not None:
@@ -345,9 +395,21 @@ def assert_lightest_words_are_exact(code):
     return len(low), None if high is None else len(high)
 
 
+def assert_lightest_words_are_exact(code):
+    return assert_classes_are_exact(code, *gf2.lightest_words(code))
+
+
+def assert_words_are_exact(code, counts, low, high):
+    """``low_weight_words``' answer against ``coset_words``: the weight
+    distribution, then ``assert_classes_are_exact``."""
+    want = exact_words(code)
+    assert counts.dtype == want[0].dtype and np.array_equal(counts, want[0])
+    return assert_classes_are_exact(code, low, high, want)
+
+
 def test_lightest_words_match_exact_enumeration(monkeypatch):
     # Permuted table codes (768 words alone, combining at most 5 rows on
-    # P and 4 on Q; 6 and 5 for their weight distribution), B (12 + 64),
+    # P and 4 on Q, for their weight distribution too), B (12 + 64),
     # i2^24 (24 + 276), e8, whose 14 weight-4 words form a 2-design, the
     # empty code and a code that is not self-dual.
     levels = []
@@ -369,11 +431,13 @@ def test_lightest_words_match_exact_enumeration(monkeypatch):
         # P levels 0..5 and Q levels 0..4, alternately, P first.
         assert levels == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
         levels.clear()
-        # Up to t = 12 for low_weight_words: P 0..6 and Q 0..5.
+        # Up to t = 10 for low_weight_words, as the codes are Type I:
+        # the same levels, 68406 combinations of the 24 rows.
         monkeypatch.setattr(gf2, "_light_combinations", counted)
         code.low_weight_words()
         monkeypatch.undo()
-        assert levels == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+        assert levels == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
+        assert sum(comb(24, a) for a in levels) == 68406
         levels.clear()
     base = BinaryCode.from_matrix(dataset.gb_matrix())
     assert assert_lightest_words_are_exact(base) == (12, 64)
@@ -416,11 +480,12 @@ def test_an_error_inside_the_enumeration_is_raised(monkeypatch):
 def test_codes_the_information_sets_cannot_settle_are_enumerated(
     monkeypatch, p, expected
 ):
-    # None of them has a second nonzero weight up to t = 2*floor(n/8)
-    # (none at all below d for [8,4,4] and [24,12,8], only 12 for q48),
-    # so the information sets up to t alone cannot settle their classes:
-    # the walk goes on past t until it has both, and never reaches the
-    # exact engine, whose counts and classes it matches.
+    # All three are Type II, so t = 2*floor(n/8), and none has a nonzero
+    # weight below t (none at all for [8,4,4] and [24,12,8], only 12 for
+    # q48), so the information sets up to t alone cannot settle their
+    # lowest class: the walk goes on past t until it is complete, and
+    # never reaches the exact engine, whose counts and lowest class it
+    # matches.  That class holds at least n words, so the next is None.
     code = extended_qr(p)
     assert code.is_self_dual()
     calls = kernel_spies(monkeypatch)
@@ -428,8 +493,7 @@ def test_codes_the_information_sets_cannot_settle_are_enumerated(
     assert calls == {"_walk": 1, "coset_words": 0}
     assert {w: int(c) for w, c in enumerate(counts) if c} == expected
     monkeypatch.undo()
-    want = exact_words(code)
-    assert np.array_equal(low, want[1]) and np.array_equal(high, want[2])
+    assert assert_words_are_exact(code, counts, low, high)[1] is None
 
 
 def test_a_code_that_is_not_self_dual_is_enumerated(monkeypatch):
@@ -463,10 +527,9 @@ def test_information_sets_are_systematic_and_refuse_other_codes():
     )
     assert other.k == 12
     for bad in (half, other):
+        assert gf2.information_sets(bad) is None
         with pytest.raises(ValueError, match="self-dual"):
-            gf2.information_sets(bad)
-        with pytest.raises(ValueError, match="self-dual"):
-            gf2._walk(bad, 6)
+            gf2._walk(gf2.information_sets(bad), 6)
 
 
 def test_gleason_distribution():
@@ -483,3 +546,24 @@ def test_gleason_distribution():
     low[0], low[12] = 1, 17296
     q48 = gf2.gleason_distribution(low, 48)
     assert (q48[12], q48[16], q48[20]) == (17296, 535095, 3995376)
+    # A Type I [48,24] code's shadow fixes a_6 = 0, so A_0..A_10 alone
+    # give the rest: 768 gives the table codes' A_12 (8592), and 704
+    # Conway and Sloane's other [48,24,10] enumerator.
+    for a10, a12_to_16 in ((768, [8592, 57600, 267831]),
+                           (704, [8976, 56896, 267575])):
+        head = [0] * 11
+        head[0], head[10] = 1, a10
+        dist = gf2.gleason_distribution(head, 48, type_i=True)
+        assert list(dist[12:17:2]) == a12_to_16
+        assert dist.sum() == 2**24
+
+
+def test_gleason_distribution_names_the_head_it_needs():
+    # 2*floor(n/8) for a Type II code and for a Type I code unless 8 | n,
+    # where n/4 - 2 suffices.
+    for n, type_i, t in ((48, False, 12), (48, True, 10), (42, True, 10),
+                         (8, True, 0), (8, False, 2)):
+        head = [1] + [0] * t
+        gf2.gleason_distribution(head, n, type_i)
+        with pytest.raises(ValueError, match=r"needs A_0\.\.A_%d " % t):
+            gf2.gleason_distribution(head[:-1], n, type_i)
