@@ -471,9 +471,9 @@ class BinaryCode:
         code lacks is empty.
 
         A self-dual code takes ``_walk`` up to the t that
-        ``gleason_distribution`` needs, n/4 - 2 for a Type I code (some
-        RREF row weighs 2 mod 4) when 8 | n and 2*floor(n/8) otherwise,
-        so its next class is None when the lowest holds at least n > 0
+        ``gleason_distribution`` needs: n/4 - 2 for a Type I code (some
+        RREF row weighs 2 mod 4) when 8 | n, and 2*floor(n/8) otherwise.
+        Its next class is None when the lowest holds at least n > 0
         words.  Any other code is enumerated in full by ``coset_words``,
         with both classes listed."""
         sets = information_sets(self)
