@@ -14,9 +14,12 @@ polynomial ring P.  ``AutType`` is both the type and this layout:
 2a + 3b - 4s.  It enumerates no codewords; a built code's weights come
 from ``gf2.BinaryCode.low_weight_words``.  The filter rejects a tau on
 the images of the 12 weight-4 base words first, which leaves ~0.2-3% of
-taus, and checks all 255 nonzero base words only for those.  The same
-first-stage test on the words placed by an image prefix
-(``keep_prefixes``) lets the transversal walk skip whole subtrees.
+taus, and checks all 255 nonzero base words only for those.  Both
+stages look each image up in one table of 2^16 passes, built once from
+``m_table`` (``pass_table``); the first takes a word's image as the OR
+of its bit columns.  The same first-stage test on the words placed by an image
+prefix (``keep_prefixes``) lets the transversal walk skip whole
+subtrees.
 """
 
 from __future__ import annotations
@@ -221,11 +224,22 @@ def build_table_code(entry):
 # ---------------------------------------------------------------------------
 # Decomposed weight engine (p=3, c=16, f=0)
 
-# Rows of the fixed-side filter per call; keeps the m_table gather in cache.
+# Rows of the fixed-side filter per call; keeps its table gather in cache.
 FILTER_CHUNK = 1024
 
 # The minimum distance a constructed code must reach to be a hit.
 MIN_DISTANCE = 10
+
+
+def _columns(images):
+    """The (d, N) uint16 bit columns of (N, d) integer images: row i
+    holds 1 << images[:, i], and 0 where that value is outside 0..15.
+    The shift is made in the images' own integer type and then cut to
+    16 bits, so a value of 16 or more cannot wrap around onto a bit
+    below 16."""
+    cols = np.empty(images.shape[::-1], dtype=np.uint16)
+    np.left_shift(np.uint16(1), images.T, out=cols, casting="unsafe")
+    return cols
 
 
 class DecomposedEngine:
@@ -250,15 +264,12 @@ class DecomposedEngine:
             cyc = (words >> np.uint64(3 * j)) & np.uint64(7)
             support |= (cyc != 0).astype(np.uint16) << np.uint16(j)
         self.support = support
-        self._m_table = None
-        # The fixed side of the filter: bit i of base row k, and three
-        # times the weight of each nonzero base word, in gf2.span order
-        # (a coordinate permutation keeps every weight).
+        self._pass = None
+        # The fixed side of the filter: bit i of base row k.
         base = np.array(dataset.gb_matrix().rows, dtype=np.uint16)
         self._base_bits = base >> np.arange(16, dtype=np.uint16)[:, None] & 1
         fixed = gf2.span(base)[1:]
         weights = np.bitwise_count(fixed)
-        self._fixed_weight3 = 3 * weights.astype(np.int16)
         # The first stage of the filter: the bit positions of each
         # lightest base word (the 12 weight-4 words of B), one per row.
         light = fixed[weights == weights.min()]
@@ -295,9 +306,11 @@ class DecomposedEngine:
         ``m_table()[u] + 3 wt(u)``, and words without one weigh 2a.
 
         A tau is rejected as soon as one fixed part is too light, so the
-        filter runs in two exact stages.  The first checks only the
-        images of the lightest base words, which reject almost every
-        tau; the second checks all 255 words of the few rows left.
+        filter runs in two exact stages, on the image bits transposed
+        once into 16 columns (``_columns``).  The first checks only the
+        images of the lightest base words (``_light_pass``), which reject
+        almost every tau; the second checks all 255 words of the few rows
+        left.
         """
         images = np.asarray(images)
         if images.shape[-1:] != (16,) or images.dtype.kind not in "iu":
@@ -305,20 +318,17 @@ class DecomposedEngine:
                 "tau images must be integers with a last axis of 16, got "
                 "%s of shape %s" % (images.dtype, images.shape)
             )
-        # Distinct powers of two for a permutation, so sums are exact; a
-        # value outside 0..15 shifts to 0 or to a bit above 15.
-        bits = np.left_shift(np.uint16(1), images.reshape(-1, 16))
-        if not (np.bitwise_or.reduce(bits, axis=1) == 0xFFFF).all():
+        cols = _columns(images.reshape(-1, 16))
+        # Only 16 distinct values in 0..15 set all 16 bits.
+        if not (np.bitwise_or.reduce(cols, axis=0) == 0xFFFF).all():
             raise ValueError("every tau image row must permute 0..15")
-        bits = bits.astype(np.uint16, copy=False)
-        table = self.m_table()
-        alive = np.flatnonzero(self._light_pass(bits, self._light_support))
-        hits = np.zeros(len(bits), dtype=bool)
+        alive = np.flatnonzero(self._light_pass(cols, self._light_support))
+        passes = self.pass_table()
+        hits = np.zeros(cols.shape[1], dtype=bool)
         for lo in range(0, len(alive), FILTER_CHUNK):
             rows = alive[lo : lo + FILTER_CHUNK]
-            fixed = gf2.span(bits[rows] @ self._base_bits)[:, 1:]
-            weights = np.take(table, fixed) + self._fixed_weight3
-            hits[rows] = weights.min(axis=1) >= MIN_DISTANCE
+            fixed = gf2.span(cols[:, rows].T @ self._base_bits)[:, 1:]
+            hits[rows] = passes.take(fixed).all(axis=1)
         return hits & (self._even_min >= MIN_DISTANCE)
 
     def keep_prefixes(self, prefixes):
@@ -330,23 +340,25 @@ class DecomposedEngine:
         as its ``keep`` test."""
         prefixes = np.asarray(prefixes)
         placed = self._light_support.max(axis=1) < prefixes.shape[1]
-        bits = np.left_shift(np.uint16(1), prefixes.astype(np.uint16))
-        return self._light_pass(bits, self._light_support[placed])
+        cols = _columns(prefixes)
+        return self._light_pass(cols, self._light_support[placed])
 
-    def _light_pass(self, bits, support):
-        """Whether, per row of the uint16 bit images ``bits``, each base
-        word whose bit positions are a row of ``support`` maps to a fixed
-        part u with m_table[u] + 3 wt(u) >= MIN_DISTANCE."""
-        light = bits[:, support].sum(axis=2, dtype=np.uint16)
-        least = np.take(self.m_table(), light)
-        least = least.min(axis=1, initial=MIN_DISTANCE)
-        return least + 3 * support.shape[1] >= MIN_DISTANCE
+    def _light_pass(self, cols, support):
+        """Whether, per image in the uint16 bit columns ``cols`` (row i
+        holds 1 << the image of point i), each base word whose bit
+        positions are a row of ``support`` maps to a fixed part u that
+        passes ``pass_table``.  The image u of a word is the OR of its
+        columns."""
+        image = cols.take(support[:, 0], axis=0)
+        for j in range(1, support.shape[1]):
+            image |= cols.take(support[:, j], axis=0)
+        return self.pass_table().take(image).all(axis=0)
 
     def min_weight_at_least(self, tau):
         """True iff the constructed code has minimum distance >= MIN_DISTANCE."""
         return bool(self.filter_images(tau.img)[0])
 
-    # -- the precomputed search table --------------------------------------
+    # -- the search tables -------------------------------------------------
 
     def m_table(self):
         """For every 16-bit mask u: min over even words v of 2a - 4s.
@@ -356,18 +368,28 @@ class DecomposedEngine:
         cycles j, 0 if j is not in S, +2 if j is in S but not in u, and
         -2 if j is in both.  So a min-plus pass per bit turns the table
         "0 on supports, infinite elsewhere" into m, one bit j at a time
-        moving from S-coordinates to u-coordinates.
+        moving from S-coordinates to u-coordinates.  Built afresh on each
+        call: the filter reads only ``pass_table``.
         """
-        if self._m_table is None:
-            f = np.full(1 << 16, 1000, dtype=np.int16)
-            f[self.support] = 0
-            for j in range(16):
-                pair = f.reshape(-1, 2, 1 << j)
-                off, on = pair[:, 0], pair[:, 1]
-                u_off, u_on = np.minimum(off, on + 2), np.minimum(off, on - 2)
-                pair[:, 0], pair[:, 1] = u_off, u_on
-            self._m_table = f
-        return self._m_table
+        f = np.full(1 << 16, 1000, dtype=np.int16)
+        f[self.support] = 0
+        for j in range(16):
+            pair = f.reshape(-1, 2, 1 << j)
+            off, on = pair[:, 0], pair[:, 1]
+            u_off, u_on = np.minimum(off, on + 2), np.minimum(off, on - 2)
+            pair[:, 0], pair[:, 1] = u_off, u_on
+        return f
+
+    def pass_table(self):
+        """For every 16-bit mask u: whether m_table()[u] + 3 wt(u) >=
+        MIN_DISTANCE, that is whether every codeword with fixed part u
+        is heavy enough.  Built on the first call from ``m_table``,
+        which the engine does not keep."""
+        if self._pass is None:
+            masks = np.arange(1 << 16, dtype=np.uint16)
+            weights = np.bitwise_count(masks)
+            self._pass = self.m_table() + 3 * weights >= MIN_DISTANCE
+        return self._pass
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,12 @@ def _walk(sets, t):
     and the classes it returns: a [48,24,10] code stops at r_P = 5 and
     r_Q = 4 for t = 0 and for t = 10, and q48 at 6 and 5 for t = 12.
     Words heavier than t and than the second-lowest weight listed so far
-    are dropped.  A word with at most r_P ones on P is listed by both
+    are dropped, and once the P levels alone have listed n words of the
+    lowest weight so far, so are words heavier than t and than that
+    weight: P-level words are distinct, so that class will hold at
+    least n words and no next class is returned.  Should a lighter
+    class turn up, the old lowest becomes the next class, and it was
+    kept whole.  A word with at most r_P ones on P is listed by both
     passes, so the Q words are kept only with more than r_P ones on P.
     """
     if sets is None:
@@ -259,6 +264,7 @@ def _walk(sets, t):
     halves = _half_spans(p_rows, q_rows)
     levels = ([], [])  # the words listed per level, on P and on Q
     seen = np.zeros(n + 1, dtype=bool)  # the weights listed
+    on_p = np.zeros(n + 1, dtype=np.int64)  # P-level words per weight
     cut = n
     while True:
         side = len(levels[0]) > len(levels[1])
@@ -267,9 +273,14 @@ def _walk(sets, t):
         if cut > t:
             # Once two weights up to t are seen, the cut stays at t, and
             # those two pass the test on seen below once the bound does.
-            seen[np.bitwise_count(words)] = True
+            wts = np.bitwise_count(words)
+            seen[wts] = True
+            if not side:
+                on_p += np.bincount(wts, minlength=n + 1)
             present = np.flatnonzero(seen[1:]) + 1
-            if len(present) > 1:
+            if len(present) and on_p[present[0]] >= n:
+                cut = max(t, int(present[0]))
+            elif len(present) > 1:
                 cut = max(t, int(present[1]))
         r_p, r_q = len(levels[0]) - 1, len(levels[1]) - 1
         # All 2^k words are listed once P has all its levels.

@@ -1,8 +1,39 @@
 import os
+import signal
 
 import pytest
 
 from cubicsd import cli, construct, cyclicring, dataset, equiv, gf2
+
+
+# Seconds one test may run before it fails: well above the slowest,
+# test_complete_x1_pass (~22 s), so that only a hang reaches it, and
+# below the faulthandler_timeout of 300 s in pyproject.toml, whose
+# watchdog thread dumps every stack: with both at 300 s, the dump raced
+# the failing test and the run died with a segmentation fault.
+TEST_TIME_LIMIT = 240
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test that runs longer than TEST_TIME_LIMIT seconds, naming
+    it, instead of hanging the suite.  The SIGALRM timer belongs to this
+    process: forked pool workers do not inherit it, and no test sets a
+    SIGALRM handler of its own."""
+
+    def expired(signum, frame):
+        pytest.fail(
+            "%s ran longer than %d s" % (request.node.nodeid, TEST_TIME_LIMIT),
+            pytrace=False,
+        )
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _worker_count():

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import numpy as np
 
-from cubicsd import equiv, gf2, perm
+from cubicsd import construct, equiv, gf2, perm
 
 # The two generators of Aut(B) printed in the paper, in 1-based cycle
 # notation.  The package computes Aut(B) from the base code instead.
@@ -183,3 +183,14 @@ def co_matrix_gather(words, n):
     co = np.empty((n, n), dtype=np.int64)
     co[i, j] = co[j, i] = pairs
     return co
+
+
+def light_pass_gather(engine, images, support):
+    """``DecomposedEngine._light_pass`` on (N, d) image rows, gathering
+    the (N, words, 4) bits of every word's image and summing them, then
+    taking the least ``m_table`` entry per row: the slow twin of its OR
+    of bit columns."""
+    bits = np.left_shift(1, np.asarray(images, dtype=np.int64))
+    light = bits[:, support].sum(axis=2)
+    least = engine.m_table()[light].min(axis=1, initial=construct.MIN_DISTANCE)
+    return least + 3 * support.shape[1] >= construct.MIN_DISTANCE

@@ -8,7 +8,7 @@ from cubicsd import construct, cyclicring, dataset, equiv, gf2, search
 from cubicsd.construct import STANDARD_3_16_0, DecomposedEngine
 from cubicsd.cyclicring import PolyP
 from cubicsd.perm import Permutation, parse_cycles
-from reference import random_element, transversal_rows
+from reference import light_pass_gather, random_element, transversal_rows
 
 EXPECTED_WE = {0: 1, 10: 768, 12: 8592, 14: 57600, 16: 267831}
 
@@ -216,14 +216,40 @@ def test_two_stage_filter_matches_reference(xi_index):
     assert np.array_equal(got, _reference_filter(eng, images))
     # Not vacuous: there are hits, and rows that only the second stage
     # (all 255 words) rejects.
-    bits = np.left_shift(1, images.astype(np.uint16), dtype=np.uint16)
-    light = eng.m_table()[bits[:, eng._light_support].sum(axis=2)]
-    first_stage = light.min(axis=1) + 12 >= 10
+    first_stage = light_pass_gather(eng, images, eng._light_support)
     assert got.any()
     assert (first_stage & ~got).any()
-    for rows in (images[:0], images[:1], images[:1].astype(np.uint8)):
+    hit = images[np.flatnonzero(got)[:1]]
+    for rows in (images[:0], images[:1], hit, images[:3]):
         expect = _reference_filter(eng, rows)
-        assert np.array_equal(eng.filter_images(rows), expect)
+        for dtype in (np.uint8, np.int8, np.int64, np.uint64):
+            typed = rows.astype(dtype)
+            assert np.array_equal(eng.filter_images(typed), expect)
+
+
+@pytest.mark.parametrize("xi_index", [1, 2, 3, 4])
+def test_column_pass_matches_the_gather(xi_index):
+    # The first stage ORs each lightest word's bit columns and looks the
+    # image up in the pass table; its slow twin sums the gathered bits of
+    # every row and word.  Both on seeded uniform image rows and on
+    # depth-9 prefixes, as ``keep_prefixes`` sees them.
+    eng = DecomposedEngine(xi_index)
+    support = eng._light_support
+    rng = np.random.default_rng(xi_index)
+    rows = np.tile(np.arange(16, dtype=np.uint8), (20000, 1))
+    rows = rng.permuted(rows, axis=1)
+    got = eng._light_pass(construct._columns(rows), support)
+    want = light_pass_gather(eng, rows, support)
+    assert np.array_equal(got, want)
+    assert want.any() and not want.all()
+    group = dataset.autb_group()
+    walked = np.concatenate(list(itertools.islice(transversal_rows(group), 3)))
+    placed = support[support.max(axis=1) < 9]
+    assert len(placed) == 3
+    for prefixes in (rows[:, :9], walked[:, :9]):
+        want = light_pass_gather(eng, prefixes, placed)
+        assert np.array_equal(eng.keep_prefixes(prefixes), want)
+        assert want.any() and not want.all()
 
 
 def test_first_stage_words_are_the_weight_4_words():
@@ -247,8 +273,22 @@ def test_first_stage_words_are_the_weight_4_words():
         np.full((1, 16), 16),
         np.array([[0] * 2 + list(range(2, 16))]),
         np.tile(np.arange(8), (16, 1)),
+        np.array([[-1] + list(range(1, 16))]),
+        np.array([[64] + list(range(1, 16))]),
+        np.array([list(range(15)) + [80]]),
+        np.array([[-1] + list(range(1, 16))], dtype=np.int8),
+        np.array([[2**63 + 5] + list(range(1, 16))], dtype=np.uint64),
     ],
-    ids=["value-16", "repeated-value", "shape-16x8"],
+    ids=[
+        "value-16",
+        "repeated-value",
+        "shape-16x8",
+        "value-minus-1",
+        "value-64",
+        "value-80",
+        "int8-minus-1",
+        "uint64-high-bit",
+    ],
 )
 def test_filter_images_rejects_non_permutations(images):
     with pytest.raises(ValueError):

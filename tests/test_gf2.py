@@ -450,6 +450,40 @@ def test_lightest_words_match_exact_enumeration(monkeypatch):
     assert assert_lightest_words_are_exact(other) == (3, 0)
 
 
+def test_the_walk_drops_the_next_class_once_p_fills_the_lowest(monkeypatch):
+    # A table code's P levels list its first 48 weight-10 words by level
+    # 3, so the cut falls from 12 to 10 there, at t = 0 and at t = 10: no
+    # weight-12 word is kept after it, and the answer stays exact.
+    cuts, heavy = [], []
+    combinations = gf2._light_combinations
+
+    def counted(halves, a, t):
+        words = combinations(halves, a, t)
+        cuts.append(t)
+        heavy.append(int((np.bitwise_count(words) > 10).sum()))
+        return words
+
+    entries = dataset.table_entries()
+    rnd = random.Random(37)
+    for index in rnd.sample(range(len(entries)), 3):
+        img = list(range(48))
+        rnd.shuffle(img)
+        code = construct.build_table_code(entries[index]).permuted(img)
+        sets = gf2.information_sets(code)
+        for t in (0, 10):
+            monkeypatch.setattr(gf2, "_light_combinations", counted)
+            head, low, high = gf2._walk(sets, t)
+            monkeypatch.undo()
+            assert cuts == sorted(cuts, reverse=True)
+            fell = cuts.index(10)
+            assert fell <= 7 and cuts[fell - 1] == 12
+            assert sum(heavy[:fell]) > 0 and sum(heavy[fell:]) == 0
+            assert head.tolist() == ([1] + [0] * 9 + [768])[: t + 1]
+            assert_classes_are_exact(code, low, high)
+            cuts.clear()
+            heavy.clear()
+
+
 @pytest.mark.parametrize("n", range(2, 25, 2))
 def test_lightest_words_on_random_self_dual_codes(n):
     rnd = random.Random(100 + n)

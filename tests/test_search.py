@@ -48,6 +48,20 @@ def _reference_block(seed, number):
     return np.random.default_rng([seed, number]).permuted(rows, axis=1)
 
 
+@pytest.mark.parametrize("seed", [1, 11, 2**31 - 1])
+def test_sample_block_matches_reference_draws(seed):
+    # The in-place draw on np.intp rows, 1024 at a time, gives the rows
+    # of a uint8 shuffle of the whole block, and a partial block its
+    # first rows, across the chunk edges.
+    for number in (0, 1, 1000):
+        want = _reference_block(seed, number)
+        assert np.array_equal(search._sample_block(seed, number), want)
+        for rows in (1, 1023, 1024, 1025, 5000, 10000):
+            got = search._sample_block(seed, number, rows)
+            assert got.dtype == np.uint8 and got.shape == (rows, 16)
+            assert np.array_equal(got, want[:rows])
+
+
 @pytest.mark.parametrize("xi_index", [1, 4])
 def test_sample_scan_matches_reference_draws(xi_index, monkeypatch):
     # 65000 draws make blocks 0..6, the last one of 5000 rows: shard i/3
