@@ -17,9 +17,9 @@ the images of the 12 weight-4 base words first, which leaves ~0.2-3% of
 taus, and checks all 255 nonzero base words only for those.  Both
 stages look each image up in one table of 2^16 passes, built once from
 ``m_table`` (``pass_table``); the first takes a word's image as the OR
-of its bit columns.  The same first-stage test on the words placed by an image
-prefix (``keep_prefixes``) lets the transversal walk skip whole
-subtrees.
+of its bit columns.  The same first-stage test on the words placed by
+an image prefix (``keep_prefixes``) lets the transversal walk skip
+whole subtrees.
 """
 
 from __future__ import annotations

@@ -120,12 +120,12 @@ def test_criterion_08_engine_equals_generic():
     # word and m_table()[tau(u)] + 3 wt(u) over the 255 nonzero base
     # words u, equals the minimum distance full enumeration finds.
     rnd = random.Random(8)
-    engines = {i: construct.DecomposedEngine(i) for i in range(1, 5)}
+    tables = {i: construct.DecomposedEngine(i).m_table() for i in range(1, 5)}
     base = np.array(dataset.gb_matrix().rows, dtype=np.uint16)
     words = gf2.span(base)[1:]
     word_bits = (words[:, None] >> np.arange(16, dtype=np.uint16) & 1).T
     even_min = {}
-    for i in engines:
+    for i in tables:
         rows = np.array(construct.even_part_rows(i), dtype=np.uint64)
         even_min[i] = int(np.bitwise_count(gf2.span(rows)[1:]).min())
     ok = True
@@ -135,7 +135,7 @@ def test_criterion_08_engine_equals_generic():
         rnd.shuffle(img)
         tau = Permutation(tuple(img))
         bits = np.left_shift(1, np.array(img, dtype=np.uint16))
-        fixed = engines[i].m_table()[bits @ word_bits]
+        fixed = tables[i][bits @ word_bits]
         fixed = fixed + 3 * np.bitwise_count(words)
         exact = min(int(fixed.min()), even_min[i])
         ok = ok and exact == construct.build_code(tau, i).min_distance()

@@ -98,10 +98,11 @@ def _decomposed_minimum(eng, images):
         np.array(construct.even_part_rows(eng.xi_index), dtype=np.uint64)
     )
     even_min = int(np.bitwise_count(even[1:]).min())
+    table = eng.m_table()
     out = [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(images), 4096):
         bits = np.left_shift(1, images[lo : lo + 4096], dtype=np.uint16)
-        weights = eng.m_table()[bits @ word_bits] + 3 * np.bitwise_count(words)
+        weights = table[bits @ word_bits] + 3 * np.bitwise_count(words)
         out.append(np.minimum(weights.min(axis=1), even_min))
     return np.concatenate(out)
 
@@ -137,7 +138,7 @@ def test_table_code_low_weight_words():
 def test_min_weight_filter_agrees_with_distance():
     rnd = random.Random(4)
     eng = DecomposedEngine(2)
-    eng.m_table()
+    eng.pass_table()
     hits = misses = 0
     for _ in range(40):
         tau = random_tau(rnd)
