@@ -251,6 +251,7 @@ def cmd_search(args):
         "mode": state.mode,
         "position": state.position,
         "total": state.total,
+        "stages": state.stages,
         "hits": [s.perm_text for s in state.survivors],
         "classify": classes,
     }
@@ -266,6 +267,11 @@ def cmd_search(args):
                 len(rep["hits"]),
             )
         )
+        if rep["mode"] == "full":
+            out.write(
+                "8-sets kept %(sets)d, good quads %(quads)d, joins "
+                "passing D %(joins)d\n" % rep["stages"]
+            )
         _render_classes(rep["classify"], out)
 
     _emit(report, args, render)
@@ -437,7 +443,7 @@ def build_parser():
     common(p)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--xi", type=int, choices=(1, 2, 3, 4), required=True)
-    p.add_argument("--sample", type=int, help="seeded sample size (default: full transversal)")
+    p.add_argument("--sample", type=int, help="seeded sample size (default: the full pair scan)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shard", default="0/1", metavar="I/M")
     p.add_argument("--checkpoint", metavar="PATH")

@@ -17,9 +17,8 @@ the images of the 12 weight-4 base words first, which leaves ~0.2-3% of
 taus, and checks all 255 nonzero base words only for those.  Both
 stages look each image up in one table of 2^16 passes, built once from
 ``m_table`` (``pass_table``); the first takes a word's image as the OR
-of its bit columns.  The same first-stage test on the words placed by
-an image prefix (``keep_prefixes``) lets the transversal walk skip
-whole subtrees.
+of its bit columns.  The pair scan (``scan``) looks the images of the
+words of B's pair subcode up in the same table before it builds a row.
 """
 
 from __future__ import annotations
@@ -276,11 +275,6 @@ class DecomposedEngine:
         bit_of = light[:, None] >> np.arange(16, dtype=np.uint16) & 1
         self._light_support = np.nonzero(bit_of)[1].reshape(len(light), -1)
         self._even_min = int(np.bitwise_count(words[1:]).min())
-        # The depth at which ``keep_prefixes`` prunes the transversal tree:
-        # the deepest end of a lightest word's support that comes before
-        # the last perm.SUFFIX positions (9 for B).
-        ends = self._light_support.max(axis=1) + 1
-        self.prune_depth = int(ends[ends <= 16 - perm.SUFFIX].max())
 
     # -- whole-code delegations; perfbench/ still traces and calls them ----
 
@@ -330,18 +324,6 @@ class DecomposedEngine:
             fixed = gf2.span(cols[:, rows].T @ self._base_bits)[:, 1:]
             hits[rows] = passes.take(fixed).all(axis=1)
         return hits & (self._even_min >= MIN_DISTANCE)
-
-    def keep_prefixes(self, prefixes):
-        """Which of the (N, d) image prefixes (the images of points
-        0..d-1) may still lie below a hit: False where a lightest base
-        word with support inside 0..d-1 already fails the first stage of
-        ``filter_images``, which then rejects every tau below the prefix.
-        ``PermGroup.transversal_windows`` takes (``prune_depth``, this)
-        as its ``keep`` test."""
-        prefixes = np.asarray(prefixes)
-        placed = self._light_support.max(axis=1) < prefixes.shape[1]
-        cols = _columns(prefixes)
-        return self._light_pass(cols, self._light_support[placed])
 
     def _light_pass(self, cols, support):
         """Whether, per image in the uint16 bit columns ``cols`` (row i

@@ -6,16 +6,12 @@ right: ``(a * b)(x) = b(a(x))``, i.e. apply ``a`` first.  With this
 convention a right coset H*g consists of the permutations "h then g",
 which is exactly the set of tau giving one and the same permuted code.
 
-``PermGroup.transversal_windows`` walks the lex-minimal right-coset
-representatives as numpy image arrays, one window of stream positions
-at a time, expanding the tree of valid image prefixes in bounded chunks,
-so a search filters whole blocks and builds a ``Permutation`` only for
-its hits; ``right_transversal`` is a view of it.  Shards split that
-tree at a fixed prefix depth, and ``PermGroup.leaf_counts`` counts the
-representatives below a prefix from the stabilizer chain alone: it
-gives each shard's exact size, lets a resume skip whole prefixes, and
-lets a caller's test on deeper prefixes prune their subtrees while
-every position keeps naming the same coset.
+``PermGroup.min_coset_reps`` reduces a whole array of image rows to
+their lex-minimal right-coset representatives in one pass over the
+stabilizer chain, as the pair scan (``scan``) needs for its hits;
+``min_coset_rep`` is its one-permutation twin.  ``right_transversal``
+streams every lex-minimal representative, one shard of the tree of
+valid image prefixes at a time.
 """
 
 from __future__ import annotations
@@ -23,18 +19,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial, lcm, prod
+from math import factorial, lcm
 
 import numpy as np
 
 from . import gf2
 
-# Transversal blocks: prefixes expanded per step (on Aut(B), 1024 is as
-# fast as 4096 and holds ~3 MB less at peak), the number of last
+# The transversal walk: prefixes expanded per step (on Aut(B), 1024 is
+# as fast as 4096 and holds ~3 MB less at peak), the number of last
 # positions filled at once from the orderings of the values left, and the
-# prefix length whose nodes the shards split (at most n - SUFFIX).  The
-# prefix length fixes which cosets a sharded position names, so changing
-# it needs a checkpoint version bump.
+# prefix length whose nodes the shards split (at most n - SUFFIX).
 EXPAND_ROWS = 1024
 SUFFIX = 4
 PREFIX_DEPTH = 7
@@ -211,7 +205,6 @@ class PermGroup:
             for x in level.orbit:
                 if x != j:
                     self._parent[x] = j
-        self._shard_sizes = {}
 
     # -- construction ------------------------------------------------------
 
@@ -310,6 +303,23 @@ class PermGroup:
                 r = level.orbit[best] * r
         return r
 
+    def min_coset_reps(self, rows):
+        """``min_coset_rep`` of every row of the (N, n) integer array of
+        images ``rows`` at once, as an array of its type: per chain
+        level, each row moves by the coset representative of the point
+        whose image is least."""
+        rows = np.array(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise ValueError("need an (N, %d) array of images" % self.n)
+        for level in self._levels:
+            if len(level.orbit) == 1:
+                continue
+            points = list(level.orbit)
+            moves = np.array([level.orbit[x].img for x in points])
+            best = rows[:, points].argmin(axis=1)
+            rows = np.take_along_axis(rows, moves[best], axis=1)
+        return rows
+
     def is_min_coset_rep(self, r):
         for level in self._levels:
             base_val = r.img[level.point]
@@ -327,20 +337,7 @@ class PermGroup:
         return factorial(self.n) // self.order()
 
     def right_transversal(self, shard=(0, 1)):
-        """Stream the lex-minimal representative of every right coset,
-        one Permutation per row of ``transversal_windows`` (``shard`` as
-        there)."""
-        for _, rows in self.transversal_windows(shard):
-            for row in rows.tolist():
-                yield Permutation(tuple(row))
-
-    def transversal_windows(
-        self, shard=(0, 1), start=0, size=10000, keep=None
-    ):
-        """Yield (end, rows) for each window of ``size`` stream positions
-        from ``start``: ``end`` is the position after the window and
-        ``rows`` the (B, n) uint8 images of its representatives that
-        ``keep`` spares, in stream order.
+        """Stream the lex-minimal representative of every right coset.
 
         A representative r is minimal iff for every chain level j the
         value r[j] is minimal over the fundamental orbit of j, i.e. r[x]
@@ -354,88 +351,26 @@ class PermGroup:
         ``shard=(i, m)`` splits the tree at depth K = ``PREFIX_DEPTH``
         (at most n - ``SUFFIX``): the depth-K prefixes are numbered in
         stream order, and shard i/m expands only those numbered i modulo
-        m, so the m shards partition the stream and each keeps its
-        order.  Positions count the shard's representatives, and the
-        first ``start`` are dropped, whole prefixes at a time by their
-        ``leaf_counts``, so only the leaves of the prefix holding
-        ``start`` are walked.
-
-        ``keep`` is None or a pair (d, test) with K <= d <= n - ``SUFFIX``
-        (7..12 on Aut(B)): ``test`` maps an (N, d) array of image prefixes
-        to a boolean mask, False only where no representative below the
-        prefix is wanted.  Such a prefix is never expanded, but its leaves
-        still count as positions, so every position names the same coset
-        with or without ``keep``, and a window whose prefixes all fail
-        still yields its ``end``.
+        m, so the m shards partition the stream and each keeps its order.
         """
         shard_idx, shard_cnt = shard
         if not 0 <= shard_idx < shard_cnt:
             raise ValueError(
                 "invalid shard %d/%d: need 0 <= i < m" % (shard_idx, shard_cnt)
             )
-        if start < 0 or size < 1:
-            raise ValueError("need start >= 0 and size >= 1")
         if self.n > 63:
-            raise ValueError("transversal blocks need degree at most 63")
+            raise ValueError("the transversal needs degree at most 63")
         depth, cut = _split_depths(self.n)
-        if keep is not None and not depth <= keep[0] <= cut:
-            raise ValueError(
-                "a keep test needs a depth in %d..%d, got %d"
-                % (depth, cut, keep[0])
-            )
-        return self._kept_leaves(shard_idx, shard_cnt, start, size, keep)
-
-    def leaf_counts(self, prefixes):
-        """The number of minimal representatives below each of the valid
-        image prefixes in the (N, d) array ``prefixes`` (the images of
-        points 0..d-1).
-
-        The points d..n-1 left form whole subtrees of the constraint
-        forest, each below a placed point of value v (v = -1 for a
-        root).  Taken in descending order of v, a subtree T places its
-        |T| values among the free values above v that earlier subtrees
-        left: a falling factorial of ways.  Each subtree's values must
-        increase down its paths, which leaves one placement in |orbit|
-        per point, so the product is divided by the order of the
-        pointwise stabilizer of 0..d-1.
-        """
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        count, d = prefixes.shape
-        roots = [x for x in range(d, self.n) if self._parent[x] < d]
-        sizes = [len(self._levels[x].orbit) for x in roots]
-        # v per row and subtree: parent -1 picks the appended column of -1.
-        low = np.hstack([prefixes, np.full((count, 1), -1)])
-        low = low[:, [self._parent[x] for x in roots]]
-        # Free values above v, less those taken by the subtrees before:
-        # those of larger v and, for one parent, of an earlier root.
-        left = self.n - 1 - low
-        for k in range(d):
-            left -= prefixes[:, k, None] > low
-        key = low * self.n - np.arange(len(roots))
-        for b, size in enumerate(sizes):
-            left -= size * (key[:, b, None] > key)
-        left = np.maximum(left, 0)
-        counts = np.ones(count, dtype=np.int64 if self.n <= 20 else object)
-        for a, size in enumerate(sizes):
-            for k in range(size):
-                counts *= left[:, a] - k
-        return counts // prod(len(level.orbit) for level in self._levels[d:])
-
-    def shard_sizes(self, shard_cnt):
-        """The number of representatives in each shard i/shard_cnt of
-        ``transversal_windows``, i = 0..shard_cnt-1, from the leaf counts
-        of the depth-K prefixes (~0.15 s on Aut(B); kept per shard
-        count, as the group does not change)."""
-        if shard_cnt not in self._shard_sizes:
-            depth, _ = _split_depths(self.n)
-            sizes = np.zeros(shard_cnt, dtype=object)
-            number = 0
-            for img, _ in self._expand(*_root(self.n), depth):
-                shards = (number + np.arange(len(img))) % shard_cnt
-                np.add.at(sizes, shards, self.leaf_counts(img[:, :depth]))
-                number += len(img)
-            self._shard_sizes[shard_cnt] = tuple(sizes.tolist())
-        return list(self._shard_sizes[shard_cnt])
+        orders = permutations(range(self.n - cut))
+        orders = np.array(list(orders), dtype=np.intp)
+        number = 0  # stream number of the next depth-K prefix
+        for img, used in self._expand(*_root(self.n), depth):
+            first = (shard_idx - number) % shard_cnt
+            number += len(img)
+            img, used = img[first::shard_cnt], used[first::shard_cnt]
+            for nodes, free in self._expand(img, used, depth, cut):
+                for row in self._leaves(nodes, free, orders).tolist():
+                    yield Permutation(tuple(row))
 
     def _expand(self, img, used, depth, stop):
         """Yield, in stream order, (images, used-value bitmasks) chunks of
@@ -485,93 +420,3 @@ class PermGroup:
         leaves = img[rows]
         leaves[:, cut:] = tails[rows, which]
         return leaves
-
-    def _node_leaves(self, nodes, used, depth, firsts, counts, orders):
-        """Yield runs of the leaves below a chunk of depth-``depth``
-        nodes, in stream order, with their positions: node k holds
-        ``counts[k]`` leaves at consecutive positions from ``firsts[k]``."""
-        ends = np.cumsum(counts)  # leaves of the nodes up to k
-        offsets = firsts - ends + counts
-        done = 0
-        cut = self.n - orders.shape[1]
-        for img, free in self._expand(nodes, used, depth, cut):
-            leaves = self._leaves(img, free, orders)
-            if not len(leaves):
-                continue
-            ranks = done + np.arange(len(leaves))
-            done += len(leaves)
-            node = np.searchsorted(ends, ranks, side="right")
-            yield leaves, ranks + offsets[node]
-
-    def _kept_leaves(self, shard_idx, shard_cnt, start, size, keep):
-        """The walk of ``transversal_windows``.  The depth-K prefixes of
-        the shard are expanded to the test depth d (K without ``keep``),
-        and each chunk of depth-d nodes gets its leaf counts, so each
-        node's first position; nodes that hold no leaf, end before
-        ``start`` or fail the test are dropped.  The nodes that start
-        before the current window's end are expanded when it comes, and a
-        window is yielded once a leaf past its end is built, or the next
-        kept node starts past it."""
-        depth, cut = _split_depths(self.n)
-        test_depth, test = keep or (depth, None)
-        orders = permutations(range(self.n - cut))
-        orders = np.array(list(orders), dtype=np.intp)
-        number = 0  # stream number of the next depth-K prefix
-        at = 0  # position of the next node's first leaf
-        end = start + size  # end of the current window
-        # Runs of leaves built and not yet yielded, and their positions.
-        held, held_at = [np.zeros((0, self.n), np.uint8)], [np.zeros(0, int)]
-
-        def flush(upto):
-            """Yield the windows that end by position ``upto``."""
-            nonlocal end, held, held_at
-            while end <= upto:
-                rows, places = np.concatenate(held), np.concatenate(held_at)
-                k = int(np.searchsorted(places, end))
-                yield end, rows[:k]
-                held, held_at = [rows[k:]], [places[k:]]
-                end += size
-
-        for img, used in self._expand(*_root(self.n), depth):
-            first = (shard_idx - number) % shard_cnt
-            number += len(img)
-            img, used = img[first::shard_cnt], used[first::shard_cnt]
-            if at < start:
-                passed = at + np.cumsum(self.leaf_counts(img[:, :depth]))
-                whole = int(np.searchsorted(passed, start, side="right"))
-                if whole:
-                    at = int(passed[whole - 1])
-                img, used = img[whole:], used[whole:]
-            for nodes, free in self._expand(img, used, depth, test_depth):
-                counts = self.leaf_counts(nodes[:, :test_depth])
-                firsts = at + np.cumsum(counts) - counts
-                at = int(firsts[-1] + counts[-1])
-                live = (counts > 0) & (firsts + counts > start)
-                if test is not None:
-                    live[live] = test(nodes[live, :test_depth])
-                firsts, counts = firsts[live], counts[live]
-                nodes, free = nodes[live], free[live]
-                lo = 0
-                while lo < len(nodes):
-                    yield from flush(firsts[lo])
-                    hi = int(np.searchsorted(firsts, end))
-                    runs = self._node_leaves(
-                        nodes[lo:hi],
-                        free[lo:hi],
-                        test_depth,
-                        firsts[lo:hi],
-                        counts[lo:hi],
-                        orders,
-                    )
-                    for leaves, places in runs:
-                        last = places[-1]
-                        if places[0] < start:
-                            fresh = places >= start
-                            leaves, places = leaves[fresh], places[fresh]
-                        held.append(leaves)
-                        held_at.append(places)
-                        yield from flush(last)
-                    lo = hi
-        yield from flush(at)
-        if end - size < at:
-            yield at, np.concatenate(held)

@@ -3,34 +3,29 @@ right transversal of its automorphism group in S16: a scan that records
 hits, then a post-pass that classifies them.
 
 The scan (``run_search``).  Two iteration modes share one driver.  Full
-mode streams the exact lexicographically-minimal representative of
-every right coset (about 2.8e8 per X matrix, a long-running job,
-shardable): its blocks are the windows of 10000 positions of
-``PermGroup.transversal_windows``.  Shard i/m expands only the subtrees
-of the depth-7 prefixes numbered i mod m, its total is the exact sum of
-their leaf counts, and a resumed run starts the walk at its checkpoint
-position, skipping whole prefixes by their counts.  The walk drops, at
-depth 9, every prefix below which an early weight-4 base word already
-fails the filter's first stage (``DecomposedEngine.keep_prefixes``), so
-a block holds only the image rows that can still be hits, while its end
-still counts every coset of the window.  Sample mode draws seeded
-uniform permutations, so a fixed (seed, index) pair always names the
-same coset regardless of sharding or interruption: index i is row
-i % BLOCK_SIZE of block i // BLOCK_SIZE, and block b is drawn by one
-generator, ``np.random.default_rng([seed, b])``, shuffling every row of
-0..15 on its own.  Shard i/m of a sample takes the blocks b = i mod m.
-Both modes cut their candidates into blocks, filtered in one batch each
-by ``ordered_map``: in this process alone, or in it and T - 1 workers
+mode is the pair scan (``scan``): it decides all ~2.8e8 right cosets of
+Aut(B) in S16 for one X matrix, a few seconds per X_i, through the
+coarse cosets of the stabilizer W of B's weight-4 pair structure.  Its
+blocks are runs of SETS_PER_BLOCK 8-sets; shard i/m takes the 8-sets
+numbered i mod m, and a position counts the cosets below the 8-sets
+done, scan.COSETS_PER_SET each.  Each block also returns its stage
+counts (8-sets kept, good quads, joins passing D), which the state sums.
+Sample mode draws seeded uniform permutations, so a fixed (seed, index)
+pair always names the same coset regardless of sharding or
+interruption: index i is row i % BLOCK_SIZE of block i // BLOCK_SIZE,
+and block b is drawn by one generator, ``np.random.default_rng([seed,
+b])``, shuffling every row of 0..15 on its own.  Shard i/m of a sample
+takes the blocks b = i mod m.  Both modes' blocks are filtered by
+``ordered_map``: in this process alone, or in it and T - 1 workers
 forked with ``os.fork``, each process claiming the next block from a
-shared counter whenever it is free, walking its own copy of the block
-stream up to it, and pinned to a CPU of its own when there are enough.
-A worker's death raises ``BrokenProcessPool`` instead of stalling the
-scan.  A tau is a hit iff the code generated
-by (pi^-1(tau B); phi^-1(X_i)) has minimum distance 10.  The code depends only on the coset of tau, so sample
-draws are filtered raw and only the hits are reduced to their coset
-representative.  A hit is recorded as (X_i, representative) and
-nothing more; the checkpoint is an append-only log with one line per
-block.
+shared counter whenever it is free, building the block itself, and
+pinned to a CPU of its own when there are enough.  A worker's death
+raises ``BrokenProcessPool`` instead of stalling the scan.  A tau is a
+hit iff the code generated by (pi^-1(tau B); phi^-1(X_i)) has minimum
+distance 10.  The code depends only on the coset of tau, so only the
+hits are reduced to their coset representative.  A hit is recorded as
+(X_i, representative) and nothing more; the checkpoint is an
+append-only log with one line per block.
 
 The post-pass (``classify_hits``).  Let H_i be the action of Aut(E_i)
 on the 16 cycles, E_i = phi^-1(X_i) the even part, computed from E_i's
@@ -64,18 +59,26 @@ import numpy as np
 
 from . import construct, dataset, equiv, perm
 
-# Positions per filtered block, checkpoint line and progress call.  It
+# Positions per sample block, checkpoint line and progress call.  It
 # also fixes which coset a sample index names (row i % BLOCK_SIZE of
 # block i // BLOCK_SIZE), so changing it needs a checkpoint version bump.
 BLOCK_SIZE = 10000
+
+# 8-sets per full-mode block: an X_4 block of 8 takes at most ~3.5 ms.
+SETS_PER_BLOCK = 8
 
 # Rows per in-place shuffle of a sample draw: 128 KB of np.intp.
 _DRAW_ROWS = 1024
 
 # Checkpoint format: JSON lines, a header and then one line per block.
-# Format 4: a full-mode shard takes every m-th depth-7 prefix, where
-# format 3 took every m-th coset.
-CHECKPOINT_VERSION = 4
+# Format 5: full mode is the pair scan, a shard takes every m-th 8-set
+# and each line carries the stage counts, where format 4 walked the
+# transversal tree and took every m-th depth-7 prefix.
+CHECKPOINT_VERSION = 5
+
+# The pair scan's stage counts, in the order ``scan.PairScan.block``
+# returns them.
+STAGES = ("sets", "quads", "joins")
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,7 @@ class SearchState:
     shard: tuple
     position: int = 0
     survivors: list = field(default_factory=list)
+    stages: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0))
 
     @property
     def mode(self):
@@ -108,8 +112,11 @@ class SearchState:
         right cosets of Aut(B) in S16 that the shard holds."""
         if self.mode == "sample":
             return self.sample
+        from . import scan
+
         shard_idx, shard_cnt = self.shard
-        return dataset.autb_group().shard_sizes(shard_cnt)[shard_idx]
+        sets = range(shard_idx, scan.SETS, shard_cnt)
+        return len(sets) * scan.COSETS_PER_SET
 
 
 def _start_checkpoint(path, state):
@@ -131,10 +138,12 @@ def _start_checkpoint(path, state):
     os.replace(tmp, path)
 
 
-def _append_checkpoint(path, position, hits):
-    """Append one block line: the position after it and its new hits."""
+def _append_checkpoint(path, position, hits, stages):
+    """Append one block line: the position and the stage counts after it,
+    and its new hits."""
+    line = {"position": position, "hits": hits, "stages": stages}
     with open(path, "a") as fh:
-        fh.write(json.dumps({"position": position, "hits": hits}) + "\n")
+        fh.write(json.dumps(line) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -155,9 +164,10 @@ def _replay_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             "%s is not a format-%d checkpoint (JSON lines with a version "
-            "header); a format-1 to format-3 checkpoint cannot be resumed: "
-            "formats 1 and 2 are laid out differently, and in format 3 a "
-            "full-mode shard took every m-th coset, not every m-th prefix"
+            "header); a format-1 to format-4 checkpoint cannot be resumed: "
+            "formats 1 and 2 are laid out differently, and a full-mode "
+            "shard took every m-th coset in format 3 and every m-th "
+            "transversal prefix in format 4, not every m-th 8-set"
             % (path, CHECKPOINT_VERSION)
         )
     keys = ("xi", "seed", "sample", "shard")
@@ -183,11 +193,15 @@ def _replay_checkpoint(path):
         try:
             block = json.loads(line)
             position, hits = block["position"], block["hits"]
+            stages = block["stages"]
             if not (
                 type(position) is int
                 and position >= 0
                 and type(hits) is list
                 and all(type(t) is str for t in hits)
+                and type(stages) is dict
+                and sorted(stages) == sorted(STAGES)
+                and all(type(c) is int and c >= 0 for c in stages.values())
             ):
                 raise TypeError
         except (ValueError, KeyError, TypeError):
@@ -195,6 +209,7 @@ def _replay_checkpoint(path):
                 "%s: line %d is not a checkpoint block" % (path, number)
             ) from None
         state.position = position
+        state.stages = {k: stages[k] for k in STAGES}
         state.survivors.extend(Survivor(state.xi_index, t) for t in hits)
     return state, len(data) - len(torn)
 
@@ -459,22 +474,20 @@ def ordered_map(task, jobs, threads):
 
 
 def _blocks(state):
-    """The jobs of every block from state.position: (xi, seed, block,
-    end), where ``end`` is the stream position after the block, and the
-    block is a (number, rows) pair of sample block and rows to use, or a
-    (T, 16) array of transversal image rows.  Sample shard i/m takes the
-    blocks numbered i mod m.  A full-mode block is a window of
-    BLOCK_SIZE positions, and its rows are only those below the prefixes
-    that pass the engine's ``keep_prefixes``; the others would fail the
-    filter's first stage.
+    """The jobs of every block from state.position: (xi, source, block,
+    end), where ``end`` is the stream position after the block.  A sample
+    job has the seed and a (number, rows) pair of sample block and rows
+    to use; shard i/m takes the blocks numbered i mod m.  A full-mode job
+    has X_i's ``scan.PairScan``, made here once, and a range of at most
+    SETS_PER_BLOCK 8-set numbers of the shard.
 
     The state is read here, when the stream is made: ``ordered_map``
     may walk a copy of it only after ``run_search`` has moved
     state.position on, and every copy must start at the same block.
     """
     xi_index, seed, sample = state.xi_index, state.seed, state.sample
+    shard_idx, shard_cnt = state.shard
     if state.mode == "sample":
-        shard_idx, shard_cnt = state.shard
         done = -(-state.position // BLOCK_SIZE)
         first = done + (shard_idx - done) % shard_cnt
         numbers = range(first, -(-sample // BLOCK_SIZE), shard_cnt)
@@ -487,28 +500,36 @@ def _blocks(state):
             )
             for number in numbers
         )
-    engine = _worker_engine(xi_index)
-    windows = dataset.autb_group().transversal_windows(
-        state.shard,
-        state.position,
-        BLOCK_SIZE,
-        keep=(engine.prune_depth, engine.keep_prefixes),
+    # Imported here: the other modes and commands never load the scan.
+    from . import scan
+
+    pair_scan = scan.PairScan(_worker_engine(xi_index), dataset.autb_group())
+    done = state.position // scan.COSETS_PER_SET
+    sets = range(shard_idx, scan.SETS, shard_cnt)[done:]
+    return (
+        (
+            xi_index,
+            pair_scan,
+            sets[lo : lo + SETS_PER_BLOCK],
+            (done + min(lo + SETS_PER_BLOCK, len(sets))) * scan.COSETS_PER_SET,
+        )
+        for lo in range(0, len(sets), SETS_PER_BLOCK)
     )
-    return ((xi_index, seed, images, end) for end, images in windows)
 
 
 def _filter_block(job):
-    """Pool task: filter one block; returns (end, image rows of its hits).
-
-    The block is a (number, rows) pair, of which only the first rows of
-    the sample block are drawn here, or a (T, 16) uint8 array of
-    transversal images.
-    """
-    xi_index, seed, block, end = job
-    if isinstance(block, tuple):
-        block = _sample_block(seed, *block)
-    hits = _worker_engine(xi_index).filter_images(block)
-    return end, block[hits].tolist()
+    """Pool task: filter one block; returns (end, image rows of its hits,
+    stage counts).  A sample block's first rows are drawn here, and it
+    returns raw draws and no counts; a full-mode block's range of 8-sets
+    is scanned by the job's ``scan.PairScan``, which returns coset
+    representatives."""
+    xi_index, source, block, end = job
+    if isinstance(block, range):
+        rows, stages = source.block(block)
+        return end, rows.tolist(), stages
+    rows = _sample_block(source, *block)
+    hits = _worker_engine(xi_index).filter_images(rows)
+    return end, rows[hits].tolist(), None
 
 
 def run_search(
@@ -527,12 +548,12 @@ def run_search(
     position), useful for spot checks with known permutations.  With
     ``threads`` > 1 either mode builds and filters its blocks in this
     process and in forked workers (``ordered_map``), each claiming the
-    next block when it is free and walking the block stream from the
-    position at the call up to it; survivors, ``progress`` calls (one
-    per block) and checkpoint lines are still handled by this process
-    only, in block order.  A dead worker raises ``BrokenProcessPool``;
-    the checkpoint then holds every block finished, with all the blocks
-    before it, when the death was seen, so a rerun resumes.  A missing checkpoint starts a clean search; an existing
+    next block when it is free; survivors, stage counts, ``progress``
+    calls (one per block) and checkpoint lines are still handled by this
+    process only, in block order.  A dead worker raises
+    ``BrokenProcessPool``; the checkpoint then holds every block
+    finished, with all the blocks before it, when the death was seen, so
+    a rerun resumes.  A missing checkpoint starts a clean search; an existing
     one is resumed, dropping a torn last line.  Hits are recorded, not
     classified: see ``classify_hits``.
     """
@@ -580,7 +601,9 @@ def run_search(
         now = (state.position, len(state.survivors))
         if checkpoint_path is not None and now != logged:
             hits = [s.perm_text for s in state.survivors[logged[1] :]]
-            _append_checkpoint(checkpoint_path, state.position, hits)
+            _append_checkpoint(
+                checkpoint_path, state.position, hits, state.stages
+            )
             logged = now
 
     engine = _worker_engine(xi_index)
@@ -588,12 +611,15 @@ def run_search(
         tau = dataset.autb_group().min_coset_rep(tau)
         if engine.min_weight_at_least(tau):
             keep(tau)
-    for end, hits in ordered_map(_filter_block, _blocks(state), threads):
+    jobs = _blocks(state)
+    for end, hits, stages in ordered_map(_filter_block, jobs, threads):
         for row in hits:
             tau = perm.Permutation(tuple(row))
-            if state.mode == "sample":
+            if stages is None:
                 tau = dataset.autb_group().min_coset_rep(tau)
             keep(tau)
+        for name, count in zip(STAGES, stages or ()):
+            state.stages[name] += count
         state.position = end
         record()
         if progress is not None:
@@ -655,8 +681,10 @@ def hit_orbits(xi_index, taus):
 def classify_hits(survivors):
     """Classify search hits: one class per H_i-orbit.
 
-    For each X_i in the input, the hits are grouped into H_i-orbits
-    (``hit_orbits``).  A class is one orbit, represented by its lex-least
+    For each X_i in the input, the hits, sorted by image, are grouped
+    into H_i-orbits (``hit_orbits``), so the classes come in the order of
+    their least hits, whatever the order in which the scan or the shards
+    found them.  A class is one orbit, represented by its lex-least
     member, and matches the table row of X_i whose coset representative
     lies in the orbit.  Raises RuntimeError if an orbit's size is not
     divisible by 3, which the Sylow certificate (module docstring) needs.
@@ -672,7 +700,7 @@ def classify_hits(survivors):
     report = {"num_hits": 0, "xi": []}
     for xi_index in sorted(by_xi):
         taus = [perm.parse_cycles(t, 16) for t in by_xi[xi_index]]
-        orbits = hit_orbits(xi_index, taus)
+        orbits = hit_orbits(xi_index, sorted(taus, key=lambda t: t.img))
         rows = {
             idx: group.min_coset_rep(entry.tau())
             for idx, entry in enumerate(entries)

@@ -1,7 +1,9 @@
 """Reference data and ground-truth oracles that only the tests use."""
 
+import functools
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
@@ -74,10 +76,235 @@ def brute_force_isomorphism(a, b):
     return perm.Permutation(tuple(imgs[hits[0]].tolist()))
 
 
+# ---------------------------------------------------------------------------
+# The transversal tree: full mode before the pair scan, kept as its
+# oracle.  It walks the lex-minimal right-coset representatives of a
+# PermGroup (``PermGroup.right_transversal``) in windows of stream
+# positions, skips whole prefixes by their leaf counts, and drops the
+# subtrees that a test on image prefixes rules out.
+
+
+def leaf_counts(group, prefixes):
+    """The number of minimal representatives below each of the valid
+    image prefixes in the (N, d) array ``prefixes`` (the images of points
+    0..d-1).
+
+    The points d..n-1 left form whole subtrees of the constraint forest,
+    each below a placed point of value v (v = -1 for a root).  Taken in
+    descending order of v, a subtree T places its |T| values among the
+    free values above v that earlier subtrees left: a falling factorial
+    of ways.  Each subtree's values must increase down its paths, which
+    leaves one placement in |orbit| per point, so the product is divided
+    by the order of the pointwise stabilizer of 0..d-1.
+    """
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    count, d = prefixes.shape
+    n, parent = group.n, group._parent
+    roots = [x for x in range(d, n) if parent[x] < d]
+    sizes = [len(group._levels[x].orbit) for x in roots]
+    # v per row and subtree: parent -1 picks the appended column of -1.
+    low = np.hstack([prefixes, np.full((count, 1), -1)])
+    low = low[:, [parent[x] for x in roots]]
+    # Free values above v, less those taken by the subtrees before: those
+    # of larger v and, for one parent, of an earlier root.
+    left = n - 1 - low
+    for k in range(d):
+        left -= prefixes[:, k, None] > low
+    key = low * n - np.arange(len(roots))
+    for b, size in enumerate(sizes):
+        left -= size * (key[:, b, None] > key)
+    left = np.maximum(left, 0)
+    counts = np.ones(count, dtype=np.int64 if n <= 20 else object)
+    for a, size in enumerate(sizes):
+        for k in range(size):
+            counts *= left[:, a] - k
+    return counts // prod(len(level.orbit) for level in group._levels[d:])
+
+
+def shard_sizes(group, shard_cnt):
+    """The number of representatives in each shard i/shard_cnt of the
+    tree, i = 0..shard_cnt-1, from the leaf counts of the depth-K
+    prefixes."""
+    depth, _ = perm._split_depths(group.n)
+    sizes = np.zeros(shard_cnt, dtype=object)
+    number = 0
+    for img, _ in group._expand(*perm._root(group.n), depth):
+        shards = (number + np.arange(len(img))) % shard_cnt
+        np.add.at(sizes, shards, leaf_counts(group, img[:, :depth]))
+        number += len(img)
+    return sizes.tolist()
+
+
+def transversal_windows(group, shard=(0, 1), start=0, size=10000, keep=None):
+    """Yield (end, rows) for each window of ``size`` stream positions of
+    ``group.right_transversal(shard)`` from ``start``: ``end`` is the
+    position after the window and ``rows`` the (B, n) uint8 images of its
+    representatives that ``keep`` spares, in stream order.
+
+    Positions count the shard's representatives, and the first ``start``
+    are dropped, whole depth-K prefixes at a time by their
+    ``leaf_counts``, so only the leaves of the prefix holding ``start``
+    are walked.
+
+    ``keep`` is None or a pair (d, test) with K <= d <= n - ``SUFFIX``
+    (7..12 on Aut(B)): ``test`` maps an (N, d) array of image prefixes to
+    a boolean mask, False only where no representative below the prefix
+    is wanted.  Such a prefix is never expanded, but its leaves still
+    count as positions, so every position names the same coset with or
+    without ``keep``, and a window whose prefixes all fail still yields
+    its ``end``.
+    """
+    shard_idx, shard_cnt = shard
+    if not 0 <= shard_idx < shard_cnt:
+        raise ValueError("invalid shard %d/%d" % (shard_idx, shard_cnt))
+    if start < 0 or size < 1:
+        raise ValueError("need start >= 0 and size >= 1")
+    depth, cut = perm._split_depths(group.n)
+    if keep is not None and not depth <= keep[0] <= cut:
+        raise ValueError(
+            "a keep test needs a depth in %d..%d, got %d" % (depth, cut, keep[0])
+        )
+    return _kept_leaves(group, shard_idx, shard_cnt, start, size, keep)
+
+
+def _node_leaves(group, nodes, used, depth, firsts, counts, orders):
+    """Yield runs of the leaves below a chunk of depth-``depth`` nodes, in
+    stream order, with their positions: node k holds ``counts[k]`` leaves
+    at consecutive positions from ``firsts[k]``."""
+    ends = np.cumsum(counts)  # leaves of the nodes up to k
+    offsets = firsts - ends + counts
+    done = 0
+    cut = group.n - orders.shape[1]
+    for img, free in group._expand(nodes, used, depth, cut):
+        leaves = group._leaves(img, free, orders)
+        if not len(leaves):
+            continue
+        ranks = done + np.arange(len(leaves))
+        done += len(leaves)
+        node = np.searchsorted(ends, ranks, side="right")
+        yield leaves, ranks + offsets[node]
+
+
+def _kept_leaves(group, shard_idx, shard_cnt, start, size, keep):
+    """The walk of ``transversal_windows``.  The depth-K prefixes of the
+    shard are expanded to the test depth d (K without ``keep``), and each
+    chunk of depth-d nodes gets its leaf counts, so each node's first
+    position; nodes that hold no leaf, end before ``start`` or fail the
+    test are dropped.  The nodes that start before the current window's
+    end are expanded when it comes, and a window is yielded once a leaf
+    past its end is built, or the next kept node starts past it."""
+    n = group.n
+    depth, cut = perm._split_depths(n)
+    test_depth, test = keep or (depth, None)
+    orders = np.array(list(permutations(range(n - cut))), dtype=np.intp)
+    number = 0  # stream number of the next depth-K prefix
+    at = 0  # position of the next node's first leaf
+    end = start + size  # end of the current window
+    # Runs of leaves built and not yet yielded, and their positions.
+    held, held_at = [np.zeros((0, n), np.uint8)], [np.zeros(0, int)]
+
+    def flush(upto):
+        """Yield the windows that end by position ``upto``."""
+        nonlocal end, held, held_at
+        while end <= upto:
+            rows, places = np.concatenate(held), np.concatenate(held_at)
+            k = int(np.searchsorted(places, end))
+            yield end, rows[:k]
+            held, held_at = [rows[k:]], [places[k:]]
+            end += size
+
+    for img, used in group._expand(*perm._root(n), depth):
+        first = (shard_idx - number) % shard_cnt
+        number += len(img)
+        img, used = img[first::shard_cnt], used[first::shard_cnt]
+        if at < start:
+            passed = at + np.cumsum(leaf_counts(group, img[:, :depth]))
+            whole = int(np.searchsorted(passed, start, side="right"))
+            if whole:
+                at = int(passed[whole - 1])
+            img, used = img[whole:], used[whole:]
+        for nodes, free in group._expand(img, used, depth, test_depth):
+            counts = leaf_counts(group, nodes[:, :test_depth])
+            firsts = at + np.cumsum(counts) - counts
+            at = int(firsts[-1] + counts[-1])
+            live = (counts > 0) & (firsts + counts > start)
+            if test is not None:
+                live[live] = test(nodes[live, :test_depth])
+            firsts, counts = firsts[live], counts[live]
+            nodes, free = nodes[live], free[live]
+            lo = 0
+            while lo < len(nodes):
+                yield from flush(firsts[lo])
+                hi = int(np.searchsorted(firsts, end))
+                runs = _node_leaves(
+                    group,
+                    nodes[lo:hi],
+                    free[lo:hi],
+                    test_depth,
+                    firsts[lo:hi],
+                    counts[lo:hi],
+                    orders,
+                )
+                for leaves, places in runs:
+                    last = places[-1]
+                    if places[0] < start:
+                        fresh = places >= start
+                        leaves, places = leaves[fresh], places[fresh]
+                    held.append(leaves)
+                    held_at.append(places)
+                    yield from flush(last)
+                lo = hi
+    yield from flush(at)
+    if end - size < at:
+        yield at, np.concatenate(held)
+
+
 def transversal_rows(group, shard=(0, 1), start=0, size=10000):
-    """The (B, n) image arrays of ``group.transversal_windows`` with no
-    keep test: every one but the last has exactly ``size`` rows."""
-    return (rows for _, rows in group.transversal_windows(shard, start, size))
+    """The (B, n) image arrays of ``transversal_windows`` with no keep
+    test: every one but the last has exactly ``size`` rows."""
+    return (rows for _, rows in transversal_windows(group, shard, start, size))
+
+
+def prune_depth(engine):
+    """The depth at which ``keep_prefixes`` prunes the tree: the deepest
+    end of a lightest base word's support that comes before the last
+    ``perm.SUFFIX`` positions (9 for B)."""
+    ends = engine._light_support.max(axis=1) + 1
+    return int(ends[ends <= 16 - perm.SUFFIX].max())
+
+
+def keep_prefixes(engine, prefixes):
+    """Which of the (N, d) image prefixes (the images of points 0..d-1)
+    may still lie below a hit: False where a lightest base word with
+    support inside 0..d-1 already fails the first stage of
+    ``engine.filter_images``, which then rejects every tau below the
+    prefix."""
+    prefixes = np.asarray(prefixes)
+    placed = engine._light_support.max(axis=1) < prefixes.shape[1]
+    cols = construct._columns(prefixes)
+    return engine._light_pass(cols, engine._light_support[placed])
+
+
+def tree_keep(engine):
+    """The (depth, test) keep pair that prunes the tree for ``engine``."""
+    return prune_depth(engine), functools.partial(keep_prefixes, engine)
+
+
+def tree_hits(engine, group, shard=(0, 1), stop=None):
+    """(hits, position): the coset representatives that pass
+    ``engine.filter_images`` in the pruned tree walk of ``shard``, in
+    stream order, up to the first window end at or past ``stop`` (the
+    whole shard when None), and that end."""
+    hits = []
+    position = 0
+    windows = transversal_windows(
+        group, shard, size=100000, keep=tree_keep(engine)
+    )
+    for position, rows in windows:
+        hits.extend(rows[engine.filter_images(rows)].tolist())
+        if stop is not None and position >= stop:
+            break
+    return hits, position
 
 
 def prefix_keys(rows, depth):

@@ -4,7 +4,10 @@ from itertools import islice
 
 import pytest
 
-from cubicsd import cli, dataset, equiv, search
+from cubicsd import cli, dataset, equiv, scan, search
+
+# Positions per full-mode block.
+FULL_BLOCK = search.SETS_PER_BLOCK * scan.COSETS_PER_SET
 
 
 def run_cli(capsys, *argv):
@@ -131,11 +134,13 @@ def test_search_reports_total(capsys, monkeypatch):
     assert code == 0
     obj = json.loads(out)
     assert obj["mode"] == "full"
-    assert obj["position"] == search.BLOCK_SIZE
-    # The leaves of the depth-7 prefixes numbered 3 mod 8.
-    assert obj["total"] == 35294550
+    assert obj["position"] == FULL_BLOCK
+    # The cosets below the 804 8-sets numbered 3 mod 8.
+    assert obj["total"] == 804 * 44100
+    assert obj["stages"] == {"sets": 8, "quads": 93, "joins": 22}
     code, out = run_cli(capsys, *argv)
-    assert "full position 10000 of 35294550," in out
+    assert "full position 352800 of 35456400," in out
+    assert "8-sets kept 8, good quads 93, joins passing D 22\n" in out
 
 
 def test_search_exits_1_on_unmatched_class(capsys, monkeypatch):
@@ -180,51 +185,39 @@ def _cut_search(capsys, monkeypatch, blocks, *argv):
     return code, json.loads(out)
 
 
-def _class_set(report):
-    return {
-        (
-            x["xi_index"],
-            c["representative"],
-            tuple(sorted(c["hits"])),
-            c["orbit_size"],
-            c["table_match"],
-        )
-        for x in report["xi"]
-        for c in x["classes"]
-    }
-
-
 def test_classify_merges_shard_logs(capsys, monkeypatch, tmp_path):
-    # Shard i/2 takes the depth-7 prefixes numbered i mod 2, and the first
-    # four hold 15120 leaves each.  With blocks of 15120 positions, shards
-    # 0/2 and 1/2 cut at 2 blocks cover the first 4 blocks of 0/1.
-    monkeypatch.setattr(search, "BLOCK_SIZE", 15120)
+    # Shard i/2 takes the 8-sets numbered i mod 2: shards 0/2 and 1/2
+    # cut at 296 blocks cover the first 592 blocks of 0/1, the 8-sets
+    # 0..4735.  The X_2 class in no table first appears in 8-set 4721.
     logs = []
     for i in range(2):
         logs.append(str(tmp_path / ("shard%d.jsonl" % i)))
         argv = ["--shard", "%d/2" % i, "--checkpoint", logs[-1]]
-        _cut_search(capsys, monkeypatch, 2, *argv, "--no-table-check")
-    code, whole = _cut_search(capsys, monkeypatch, 4, "--shard", "0/1")
+        _cut_search(capsys, monkeypatch, 296, *argv, "--no-table-check")
+    code, whole = _cut_search(capsys, monkeypatch, 592, "--shard", "0/1")
     # The prefix reaches the X_2 class that is in no table.
     assert code == 1
     code, merged = run_cli(capsys, "classify", *logs, "--json")
     assert code == 1
     merged = json.loads(merged)
-    assert [s["position"] for s in merged["shards"]] == [30240, 30240]
-    assert _class_set(merged["classify"]) == _class_set(whole["classify"])
-    assert merged["classify"]["xi"][0]["hits"] == len(whole["hits"]) == 5
+    position, hits = 296 * FULL_BLOCK, 2282
+    assert [s["position"] for s in merged["shards"]] == [position, position]
+    assert merged["classify"] == whole["classify"]
+    assert merged["classify"]["xi"][0]["hits"] == len(whole["hits"]) == hits
     assert "missing" not in merged["classify"]
     code, out = run_cli(capsys, "classify", *logs)
-    assert "shard 1/2 position 30240 of 141156630" in out
-    assert "xi=2: 5 hits in " in out
-    assert "(8,12,11,10,9)(13,15): 1 hits, orbit 240 -> NEW" in out
+    assert "shard 1/2 position %d of 141869700" % position in out
+    assert "xi=2: %d hits in " % hits in out
+    assert "(8,12,11,10,9)(13,15): 36 hits, orbit 240 -> NEW" in out
 
 
 def test_classify_checks_complete_runs(capsys, monkeypatch, tmp_path):
     log = tmp_path / "done.jsonl"
     state = search.SearchState(1, 0, None, (0, 1))
     search._start_checkpoint(str(log), state)
-    search._append_checkpoint(str(log), state.total, ["(7,8)(12,14)"])
+    search._append_checkpoint(
+        str(log), state.total, ["(7,8)(12,14)"], state.stages
+    )
     # A finished run must hold every member of its orbits.
     code, out = run_cli(capsys, "classify", str(log), "--json")
     assert code == 1
@@ -232,9 +225,9 @@ def test_classify_checks_complete_runs(capsys, monkeypatch, tmp_path):
 
 
 def test_classify_needs_every_shard_at_its_exact_total(capsys, tmp_path):
-    # Shards 1/4 and 3/4 hold fewer than a quarter of the cosets, 0/4 and
-    # 2/4 more: a stopped log one block short of its total is not done.
-    totals = dataset.autb_group().shard_sizes(4)
+    # Shard 3/4 holds fewer than a quarter of the cosets, the others
+    # more: a stopped log one block short of its total is not done.
+    totals = [search.SearchState(1, 0, None, (i, 4)).total for i in range(4)]
     assert min(totals) < dataset.autb_group().num_right_cosets() / 4
     for short in (None, 0, 1):
         logs = []
@@ -243,9 +236,10 @@ def test_classify_needs_every_shard_at_its_exact_total(capsys, tmp_path):
             search._start_checkpoint(
                 logs[-1], search.SearchState(1, 0, None, (i, 4))
             )
-            end = total - search.BLOCK_SIZE if i == short else total
+            end = total - FULL_BLOCK if i == short else total
             hits = ["(7,8)(12,14)"] if i == 0 else []
-            search._append_checkpoint(logs[-1], end, hits)
+            stages = dict.fromkeys(search.STAGES, 0)
+            search._append_checkpoint(logs[-1], end, hits, stages)
         code, out = run_cli(capsys, "classify", *logs, "--json")
         report = json.loads(out)["classify"]
         if short is None:
@@ -279,19 +273,21 @@ def test_classify_rejects_bad_logs(capsys, tmp_path):
         ["search", "--xi", "1", "--sample", "50", "--checkpoint", str(old)],
     ):
         assert cli.main(argv) == 2
-        assert "not a format-4 checkpoint" in capsys.readouterr().err
+        assert "not a format-5 checkpoint" in capsys.readouterr().err
 
 
-_GOOD_HEADER = {"version": 4, "xi": 1, "seed": 0, "sample": 50, "shard": [0, 1]}
+_GOOD_HEADER = {"version": 5, "xi": 1, "seed": 0, "sample": 50, "shard": [0, 1]}
 _BAD_BLOCK = "line 2 is not a checkpoint block"
+_STAGES = {"sets": 0, "quads": 0, "joins": 0}
 
 
 @pytest.mark.parametrize(
     "lines, message",
     [
-        ([dict(_GOOD_HEADER, version=2, mode="sample")], "not a format-4"),
-        ([dict(_GOOD_HEADER, version=3)], "not a format-4"),
-        ([{"version": 4}], "header needs"),
+        ([dict(_GOOD_HEADER, version=2, mode="sample")], "not a format-5"),
+        ([dict(_GOOD_HEADER, version=3)], "not a format-5"),
+        ([dict(_GOOD_HEADER, version=4)], "not a format-5"),
+        ([{"version": 5}], "header needs"),
         ([dict(_GOOD_HEADER, xi=9)], "header needs"),
         ([dict(_GOOD_HEADER, xi=0)], "header needs"),
         ([dict(_GOOD_HEADER, xi="1")], "header needs"),
@@ -306,10 +302,23 @@ _BAD_BLOCK = "line 2 is not a checkpoint block"
         ([_GOOD_HEADER, {"position": -1, "hits": []}], _BAD_BLOCK),
         ([_GOOD_HEADER, {"position": 10, "hits": "(1,2)"}], _BAD_BLOCK),
         ([_GOOD_HEADER, {"position": 10, "hits": [5]}], _BAD_BLOCK),
+        ([_GOOD_HEADER, {"position": 10, "hits": []}], _BAD_BLOCK),
+        (
+            [
+                _GOOD_HEADER,
+                {"position": 10, "hits": [], "stages": dict(_STAGES, sets=-1)},
+            ],
+            _BAD_BLOCK,
+        ),
+        (
+            [_GOOD_HEADER, {"position": 10, "hits": [], "stages": [0, 0, 0]}],
+            _BAD_BLOCK,
+        ),
     ],
     ids=[
         "format-2",
         "format-3",
+        "format-4",
         "no-keys",
         "xi-9",
         "xi-0",
@@ -325,6 +334,9 @@ _BAD_BLOCK = "line 2 is not a checkpoint block"
         "position-negative",
         "hits-text",
         "hit-number",
+        "stages-missing",
+        "stages-negative",
+        "stages-list",
     ],
 )
 def test_bad_checkpoint_exits_2(capsys, tmp_path, lines, message):

@@ -8,7 +8,13 @@ from cubicsd import construct, cyclicring, dataset, equiv, gf2, search
 from cubicsd.construct import STANDARD_3_16_0, DecomposedEngine
 from cubicsd.cyclicring import PolyP
 from cubicsd.perm import Permutation, parse_cycles
-from reference import light_pass_gather, random_element, transversal_rows
+from reference import (
+    keep_prefixes,
+    light_pass_gather,
+    prune_depth,
+    random_element,
+    transversal_rows,
+)
 
 EXPECTED_WE = {0: 1, 10: 768, 12: 8592, 14: 57600, 16: 267831}
 
@@ -233,7 +239,7 @@ def test_column_pass_matches_the_gather(xi_index):
     # The first stage ORs each lightest word's bit columns and looks the
     # image up in the pass table; its slow twin sums the gathered bits of
     # every row and word.  Both on seeded uniform image rows and on
-    # depth-9 prefixes, as ``keep_prefixes`` sees them.
+    # depth-9 prefixes, as the tree oracle's ``keep_prefixes`` sees them.
     eng = DecomposedEngine(xi_index)
     support = eng._light_support
     rng = np.random.default_rng(xi_index)
@@ -249,7 +255,7 @@ def test_column_pass_matches_the_gather(xi_index):
     assert len(placed) == 3
     for prefixes in (rows[:, :9], walked[:, :9]):
         want = light_pass_gather(eng, prefixes, placed)
-        assert np.array_equal(eng.keep_prefixes(prefixes), want)
+        assert np.array_equal(keep_prefixes(eng, prefixes), want)
         assert want.any() and not want.all()
 
 
@@ -265,7 +271,7 @@ def test_first_stage_words_are_the_weight_4_words():
     # nine end inside the last perm.SUFFIX = 4 coordinates.
     early = sorted(row.tolist() for row in support if row.max() < 12)
     assert early == [[3, 4, 7, 8], [3, 5, 6, 8], [4, 5, 6, 7]]
-    assert eng.prune_depth == 9
+    assert prune_depth(eng) == 9
 
 
 @pytest.mark.parametrize(

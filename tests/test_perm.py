@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+import reference
 from cubicsd import dataset
 from cubicsd.construct import DecomposedEngine
 from cubicsd.perm import (
@@ -17,9 +18,14 @@ from cubicsd.perm import (
 )
 from reference import (
     group_elements,
+    keep_prefixes,
+    leaf_counts,
     prefix_keys,
     random_element,
+    shard_sizes,
     transversal_rows,
+    transversal_windows,
+    tree_keep,
 )
 
 
@@ -344,7 +350,7 @@ def test_transversal_blocks_match_reference():
     for n, gens in SMALL_GROUPS:
         g = PermGroup([parse_cycles(t, n) for t in gens], n)
         for m in (1, 3, 4):
-            sizes = g.shard_sizes(m)
+            sizes = shard_sizes(g, m)
             for i in range(m):
                 ref = list(_reference_transversal(g, shard=(i, m)))
                 assert sizes[i] == len(ref)
@@ -361,7 +367,7 @@ def test_transversal_blocks_match_reference():
 
 
 def _prefix_test(depth):
-    """A keep test for ``transversal_windows``: a fixed hash of the
+    """A keep test for the reference ``transversal_windows``: a fixed hash of the
     depth-``depth`` prefix, which keeps about two nodes in three."""
     weights = np.arange(1, depth + 1) ** 2
 
@@ -392,8 +398,8 @@ def test_transversal_windows_keep_matches_reference():
                 starts.add(rnd.randrange(len(ref) + 1))
                 for start in sorted(starts):
                     got = list(
-                        g.transversal_windows(
-                            (i, m), start, size, keep=(depth, test)
+                        transversal_windows(
+                            g, (i, m), start, size, keep=(depth, test)
                         )
                     )
                     ends = range(start + size, len(ref) + size, size)
@@ -415,7 +421,7 @@ def test_transversal_windows_reject_keep_outside_the_split_depths():
     g = dataset.autb_group()
     for depth in (6, 13):
         with pytest.raises(ValueError):
-            g.transversal_windows(keep=(depth, _prefix_test(depth)))
+            transversal_windows(g, keep=(depth, _prefix_test(depth)))
 
 
 def test_leaf_counts_match_reference():
@@ -425,7 +431,7 @@ def test_leaf_counts_match_reference():
         for d in range(n + 1):
             prefixes = sorted(p for p in ref if len(p) == d)
             rows = np.array(prefixes, dtype=np.uint8).reshape(len(prefixes), d)
-            got = g.leaf_counts(rows)
+            got = leaf_counts(g, rows)
             assert got.tolist() == [ref[p] for p in prefixes]
             assert sum(got.tolist()) == g.num_right_cosets()
 
@@ -456,6 +462,8 @@ def test_transversal_blocks_match_reference_on_autb():
         blocks = transversal_rows(group, (i, 4), size=size)
         got = _joined(islice(blocks, -(-200000 // size)), size)
         assert got[:200000] == ref
+        stream = islice(group.right_transversal((i, 4)), 50000)
+        assert [r.img for r in stream] == ref[:50000]
         refs[i] = ref
     for i, start in ((3, random.Random(12).randrange(100000)), (0, 12345)):
         blocks = transversal_rows(group, (i, 4), start, size)
@@ -488,19 +496,18 @@ def test_resume_skips_whole_prefixes(monkeypatch):
     window = head[start : start + size]
     built = _materialised(monkeypatch)
     counted = []
-    leaf_counts = PermGroup.leaf_counts
 
-    def spy(self, prefixes):
+    def spy(group, prefixes):
         counted.append(prefixes.shape)
-        return leaf_counts(self, prefixes)
+        return leaf_counts(group, prefixes)
 
-    monkeypatch.setattr(PermGroup, "leaf_counts", spy)
+    monkeypatch.setattr(reference, "leaf_counts", spy)
     for keep, depth, bound in (
         (None, _prefix_depth(group.n), 15120),
-        ((engine.prune_depth, engine.keep_prefixes), 9, 5040),
+        (tree_keep(engine), 9, 5040),
     ):
         built.clear()
-        end, got = next(group.transversal_windows((1, 4), start, size, keep))
+        end, got = next(transversal_windows(group, (1, 4), start, size, keep))
         assert end == start + size
         want = window if keep is None else window[keep[1](window[:, :depth])]
         assert len(want) and np.array_equal(got, want)
@@ -520,12 +527,12 @@ def test_pruned_window_past_a_run_without_leaves():
     # representative; the walk must pass over that empty run.
     group = dataset.autb_group()
     engine = DecomposedEngine(1)
-    keep = (engine.prune_depth, engine.keep_prefixes)
+    keep = tree_keep(engine)
     start = 157160000
     window = next(transversal_rows(group, (0, 1), start, 10000))
-    end, got = next(group.transversal_windows((0, 1), start, 10000, keep))
+    end, got = next(transversal_windows(group, (0, 1), start, 10000, keep))
     assert end == start + 10000
-    want = window[engine.keep_prefixes(window[:, : engine.prune_depth])]
+    want = window[keep_prefixes(engine, window[:, : keep[0]])]
     assert len(want) and np.array_equal(got, want)
 
 
@@ -533,7 +540,35 @@ def test_transversal_blocks_reject_bad_input():
     g = PermGroup([parse_cycles("(1,2,3)", 4)], 4)
     for shard, start in (((4, 4), 0), ((0, 0), 0), ((-1, 2), 0), ((0, 2), -1)):
         with pytest.raises(ValueError):
-            g.transversal_windows(shard, start)
+            transversal_windows(g, shard, start)
         if start == 0:
             with pytest.raises(ValueError):
                 next(g.right_transversal(shard=shard))
+
+
+def test_min_coset_reps_match_min_coset_rep():
+    # Seeded random rows of Aut(B) and of the 4 x 4 x 4 group, their
+    # multiples by group elements (the same cosets), and images in an
+    # integer type of each width.
+    rng = random.Random(17)
+    cases = (
+        (dataset.autb_group(), 200),
+        (PermGroup([parse_cycles("(1,2,3)", 4), parse_cycles("(2,3,4)", 4)], 4), 20),
+    )
+    for group, count in cases:
+        n = group.n
+        taus = [Permutation(tuple(rng.sample(range(n), n))) for _ in range(count)]
+        mates = [random_element(group, rng) * tau for tau in taus]
+        want = [group.min_coset_rep(tau).img for tau in taus]
+        assert [group.min_coset_rep(t).img for t in mates] == want
+        for rows in (taus, mates):
+            for dtype in (np.uint8, np.int64):
+                images = np.array([t.img for t in rows], dtype=dtype)
+                got = group.min_coset_reps(images)
+                assert got.dtype == dtype
+                assert [tuple(r) for r in got.tolist()] == want
+        assert len(set(want)) > 1
+    empty = dataset.autb_group().min_coset_reps(np.zeros((0, 16), np.uint8))
+    assert empty.shape == (0, 16)
+    with pytest.raises(ValueError):
+        dataset.autb_group().min_coset_reps(np.zeros((2, 15), np.uint8))

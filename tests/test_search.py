@@ -6,8 +6,19 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from cubicsd import construct, dataset, equiv, gf2, perm, search
-from reference import prefix_keys, transversal_rows
+from cubicsd import construct, dataset, equiv, gf2, perm, scan, search
+from reference import (
+    keep_prefixes,
+    leaf_counts,
+    prefix_keys,
+    transversal_rows,
+    transversal_windows,
+    tree_hits,
+    tree_keep,
+)
+
+# Positions per full-mode block.
+FULL_BLOCK = search.SETS_PER_BLOCK * scan.COSETS_PER_SET
 
 
 def table1_taus():
@@ -222,36 +233,38 @@ def test_state_json_roundtrip(tmp_path):
         shard=(1, 2),
         position=120,
         survivors=[search.Survivor(3, "(1,2)")],
+        stages={"sets": 2, "quads": 7, "joins": 1},
     )
+    first = {"sets": 1, "quads": 3, "joins": 0}
     search._start_checkpoint(cp, st)
-    search._append_checkpoint(cp, 100, ["(1,2)"])
-    search._append_checkpoint(cp, 120, [])
+    search._append_checkpoint(cp, 100, ["(1,2)"], first)
+    search._append_checkpoint(cp, 120, [], st.stages)
     assert search.load_checkpoint(cp) == st
     with open(cp) as fh:
         lines = [json.loads(line) for line in fh]
     assert lines[0] == {
-        "version": 4,
+        "version": 5,
         "xi": 3,
         "seed": 11,
         "sample": 500,
         "shard": [1, 2],
     }
     assert lines[1:] == [
-        {"position": 100, "hits": ["(1,2)"]},
-        {"position": 120, "hits": []},
+        {"position": 100, "hits": ["(1,2)"], "stages": first},
+        {"position": 120, "hits": [], "stages": st.stages},
     ]
 
 
 def test_checkpoint_ignores_torn_last_line(tmp_path):
-    block = search.BLOCK_SIZE
+    block = FULL_BLOCK
     seen = []
     with pytest.raises(_Stop):
-        search.run_search(2, shard=(0, 4), progress=_raise_at(4 * block, seen))
+        search.run_search(4, shard=(1, 4), progress=_raise_at(4 * block, seen))
     (whole,) = seen
     cp = str(tmp_path / "cp.json")
     with pytest.raises(_Stop):
         search.run_search(
-            2, shard=(0, 4), checkpoint_path=cp, progress=_raise_at(2 * block)
+            4, shard=(1, 4), checkpoint_path=cp, progress=_raise_at(2 * block)
         )
     stopped = search.load_checkpoint(cp)
     # A write cut short by a crash leaves a line without its newline.
@@ -260,7 +273,7 @@ def test_checkpoint_ignores_torn_last_line(tmp_path):
     assert search.load_checkpoint(cp) == stopped
     with pytest.raises(_Stop):
         search.run_search(
-            2, shard=(0, 4), checkpoint_path=cp, progress=_raise_at(4 * block)
+            4, shard=(1, 4), checkpoint_path=cp, progress=_raise_at(4 * block)
         )
     with open(cp) as fh:
         text = fh.read()
@@ -268,6 +281,7 @@ def test_checkpoint_ignores_torn_last_line(tmp_path):
     resumed = search.load_checkpoint(cp)
     assert resumed.position == whole.position
     assert resumed.survivors == whole.survivors
+    assert resumed.stages == whole.stages
 
 
 def test_checkpoint_rejects_format_1(tmp_path):
@@ -282,19 +296,22 @@ def test_checkpoint_rejects_format_1(tmp_path):
         "survivors": [[1, "(7,8)(12,14)", "0123456789abcdef"]],
     }
     cp.write_text(json.dumps(old, indent=1))
-    message = "not a format-4 checkpoint.*format-1 to format-3"
+    message = "not a format-5 checkpoint.*format-1 to format-4"
     with pytest.raises(ValueError, match=message):
         search.load_checkpoint(str(cp))
     with pytest.raises(ValueError, match=message):
         search.run_search(1, sample=50, checkpoint_path=str(cp))
     assert json.loads(cp.read_text()) == old
-    # A format-3 log: its full-mode shard positions name other cosets.
+    # Format-3 and format-4 logs: their full-mode shard positions name
+    # other cosets.
     state = search.SearchState(1, 0, None, (1, 4))
     search._start_checkpoint(str(cp), state)
     header, = cp.read_text().splitlines()
-    cp.write_text(header.replace('"version": 4', '"version": 3') + "\n")
-    with pytest.raises(ValueError, match=message):
-        search.run_search(1, shard=(1, 4), checkpoint_path=str(cp))
+    for old in (3, 4):
+        version = '"version": %d' % old
+        cp.write_text(header.replace('"version": 5', version) + "\n")
+        with pytest.raises(ValueError, match=message):
+            search.run_search(1, shard=(1, 4), checkpoint_path=str(cp))
 
 
 def test_pooled_matches_serial():
@@ -314,40 +331,41 @@ def test_pooled_full_prefix_matches_serial():
 
         def progress(state):
             seen.append(state.position)
-            if state.position >= 2 * search.BLOCK_SIZE:
+            if state.position >= 2 * FULL_BLOCK:
                 live.append(state)
                 raise _Stop
 
         live = []
         with pytest.raises(_Stop):
             search.run_search(
-                2, shard=(0, 4), progress=progress, threads=threads
+                4, shard=(1, 4), progress=progress, threads=threads
             )
-        assert seen == [search.BLOCK_SIZE, 2 * search.BLOCK_SIZE]
+        assert seen == [FULL_BLOCK, 2 * FULL_BLOCK]
         return live[0]
 
     serial = prefix(1)
     pooled = prefix(2)
     assert serial.survivors
     assert serial.survivors == pooled.survivors
+    assert serial.stages == pooled.stages
     # Raising from the callback reaped the workers.
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
-    block = search.BLOCK_SIZE
+    block = FULL_BLOCK
     seen = []
     with pytest.raises(_Stop):
-        search.run_search(2, shard=(0, 4), progress=_raise_at(4 * block, seen))
+        search.run_search(4, shard=(1, 4), progress=_raise_at(4 * block, seen))
     (whole,) = seen
     cp = str(tmp_path / "cp.json")
     with pytest.raises(_Stop):
         search.run_search(
-            2, shard=(0, 4), checkpoint_path=cp, progress=_raise_at(2 * block)
+            4, shard=(1, 4), checkpoint_path=cp, progress=_raise_at(2 * block)
         )
     stopped = search.load_checkpoint(cp)
-    assert stopped.position == 2 * search.BLOCK_SIZE
+    assert stopped.position == 2 * block
     assert stopped.survivors
     calls = []
     filter_block = search._filter_block
@@ -359,24 +377,25 @@ def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "_filter_block", counted)
     with pytest.raises(_Stop):
         search.run_search(
-            2, shard=(0, 4), checkpoint_path=cp, progress=_raise_at(4 * block)
+            4, shard=(1, 4), checkpoint_path=cp, progress=_raise_at(4 * block)
         )
     resumed = search.load_checkpoint(cp)
     assert len(calls) == 2
-    assert resumed.position == whole.position == 4 * search.BLOCK_SIZE
+    assert resumed.position == whole.position == 4 * block
     assert resumed.survivors == whole.survivors
+    assert resumed.stages == whole.stages
     assert len(whole.survivors) > len(stopped.survivors)
 
 
 @pytest.mark.parametrize("xi_index", [1, 2, 3, 4])
 def test_pruned_windows_match_filtered_blocks(xi_index):
-    """ROADMAP item 1's gate: the full-mode walk, pruned by the engine's
-    tree test, gives the hits of the unpruned blocks, in order, with the
-    same end on every window, from the start of a shard and from a
-    seeded position inside a kept depth-9 node."""
+    """The tree oracle's walk, pruned by the engine's prefix test, gives
+    the hits of the unpruned blocks, in order, with the same end on every
+    window, from the start of a shard and from a seeded position inside a
+    kept depth-9 node."""
     group = dataset.autb_group()
     engine = search._worker_engine(xi_index)
-    keep = (engine.prune_depth, engine.keep_prefixes)
+    keep = tree_keep(engine)
     size, count = 7919, 16
     pruned = rejected = 0
     for shard in ((0, 1), (1, 4), (3, 4)):
@@ -390,13 +409,13 @@ def test_pruned_windows_match_filtered_blocks(xi_index):
         )
         inside = head[firsts[1:-1], :7]
         assert len(inside) >= 2
-        assert counts[1:-1].tolist() == group.leaf_counts(inside).tolist()
+        assert counts[1:-1].tolist() == leaf_counts(group, inside).tolist()
         same = prefix_keys(head[1:], 9) == prefix_keys(head[:-1], 9)
-        inner = np.flatnonzero(same & engine.keep_prefixes(head[1:, :9])) + 1
+        inner = np.flatnonzero(same & keep_prefixes(engine, head[1:, :9])) + 1
         inner = inner[inner < len(head) - 3 * size]
         mid = int(random.Random(xi_index).choice(inner))
         for start, windows in ((0, count), (mid, 3)):
-            got = group.transversal_windows(shard, start, size, keep)
+            got = transversal_windows(group, shard, start, size, keep)
             got = list(islice(got, windows))
             ends = start + size * np.arange(1, windows + 1)
             assert [end for end, _ in got] == ends.tolist()
@@ -413,16 +432,21 @@ def test_pruned_windows_match_filtered_blocks(xi_index):
 
 
 def test_window_without_candidates_advances_and_logs(tmp_path, monkeypatch):
-    # With 97-position blocks, most windows of X_4's shard 1/4 have no
-    # prefix left by the tree test: each still moves the position, calls
-    # progress and writes its checkpoint line.
-    monkeypatch.setattr(search, "BLOCK_SIZE", 97)
+    # With one 8-set per block, many blocks of X_4's shard 1/4 keep no
+    # 8-set or hold no hit: each still moves the position, calls progress
+    # and writes its checkpoint line.  The hits equal those of 8 blocks of
+    # 8 sets, in order.
+    seen = []
+    with pytest.raises(_Stop):
+        search.run_search(4, shard=(1, 4), progress=_raise_at(8 * FULL_BLOCK, seen))
+    (whole,) = seen
+    monkeypatch.setattr(search, "SETS_PER_BLOCK", 1)
     jobs = []
     filter_block = search._filter_block
 
     def counted(job):
-        jobs.append(len(job[2]))
-        return filter_block(job)
+        jobs.append(filter_block(job))
+        return jobs[-1]
 
     monkeypatch.setattr(search, "_filter_block", counted)
     cp = tmp_path / "cp.jsonl"
@@ -430,36 +454,36 @@ def test_window_without_candidates_advances_and_logs(tmp_path, monkeypatch):
 
     def progress(state):
         seen.append(state.position)
-        if state.position >= 60 * 97:
+        if state.position >= 64 * scan.COSETS_PER_SET:
             raise _Stop
 
     with pytest.raises(_Stop):
         search.run_search(
             4, shard=(1, 4), checkpoint_path=str(cp), progress=progress
         )
-    ends = [97 * k for k in range(1, 61)]
+    ends = [scan.COSETS_PER_SET * k for k in range(1, 65)]
     assert seen == ends
-    assert 0 in jobs and len(jobs) == 60
+    assert len(jobs) == 64
+    assert any(stages[0] == 0 for _, _, stages in jobs)
+    assert any(stages[0] and not hits for _, hits, stages in jobs)
     lines = [json.loads(line) for line in cp.read_text().splitlines()[1:]]
     assert [line["position"] for line in lines] == ends
-    group = dataset.autb_group()
-    head = next(transversal_rows(group, (1, 4), size=60 * 97))
-    hits = head[search._worker_engine(4).filter_images(head)]
-    texts = [str(perm.Permutation(tuple(row))) for row in hits.tolist()]
-    assert len(texts) == 2
+    assert lines[-1]["stages"] == whole.stages
+    texts = [s.perm_text for s in whole.survivors]
     assert [t for line in lines for t in line["hits"]] == texts
 
 
 def test_search_total():
-    # A full-mode shard holds the leaves of every m-th depth-7 prefix.
+    # A full-mode shard holds the cosets below every m-th 8-set.
     cosets = dataset.autb_group().num_right_cosets()
+    assert scan.SETS * scan.COSETS_PER_SET == cosets
     for m in (2, 4, 8):
         totals = [
             search.SearchState(1, 0, None, (i, m)).total for i in range(m)
         ]
         assert sum(totals) == cosets
         if m == 2:
-            assert totals == [142626870, 141156630]
+            assert totals == [3218 * 44100, 3217 * 44100]
     assert search.SearchState(1, 0, 300, (1, 3)).total == 300
 
 
@@ -495,9 +519,9 @@ def test_scan_registers_nothing(monkeypatch):
     assert len(state.survivors) == 3 + 8
     seen = []
     with pytest.raises(_Stop):
-        search.run_search(2, progress=_raise_at(2 * search.BLOCK_SIZE, seen))
+        search.run_search(2, progress=_raise_at(2 * FULL_BLOCK, seen))
     (whole,) = seen
-    assert len(whole.survivors) == 2
+    assert len(whole.survivors) == 5
 
 
 def test_dedup_against_tables(monkeypatch):
@@ -565,7 +589,7 @@ def test_table_rows_lie_in_distinct_certified_orbits(monkeypatch):
         assert order % 3 == 0 and order % 9
         rows = [i for i, e in enumerate(entries) if e.table_id == xi]
         assert x["hits"] == x["orbits"] == len(x["classes"]) == len(rows)
-        assert [c["table_match"] for c in x["classes"]] == rows
+        assert sorted(c["table_match"] for c in x["classes"]) == rows
         assert all(len(c["hits"]) == 1 for c in x["classes"])
         assert all(c["orbit_size"] % 3 == 0 for c in x["classes"])
         assert x["orbit_members"] == members[xi]
@@ -635,39 +659,80 @@ def test_unmatched_class_is_a_finding(monkeypatch, build_code_alt):
     assert other != code and equiv.are_equivalent(code, other)
 
 
+# Per X_i, a complete pass: its hits and its stage counts (8-sets kept,
+# good quads, joins passing D).
+COMPLETE_PASSES = {
+    1: (5760, {"sets": 5640, "quads": 42880, "joins": 10560}),
+    2: (4560, {"sets": 5640, "quads": 34080, "joins": 11160}),
+    3: (9138, {"sets": 5676, "quads": 54724, "joins": 21510}),
+    4: (63924, {"sets": 5748, "quads": 92526, "joins": 71694}),
+}
+
+
+@pytest.mark.parametrize("xi_index", sorted(COMPLETE_PASSES))
+def test_complete_pass_counts(xi_index):
+    """The whole pair scan of X_i (1-3 s): every coset of every shard,
+    each hit once, and the pinned stage counts."""
+    hits, stages = COMPLETE_PASSES[xi_index]
+    state = search.run_search(xi_index)
+    cosets = dataset.autb_group().num_right_cosets()
+    assert state.position == state.total == cosets
+    texts = [s.perm_text for s in state.survivors]
+    assert len(texts) == len(set(texts)) == hits
+    assert state.stages == stages
+
+
 def test_complete_x1_pass():
-    """ROADMAP item 1's whole-pipeline gate: all 283,783,500 cosets of
-    X_1 (~30 s on one core), whose 5760 hits form 5 H_1-orbits, one per
-    table-1 row, with every orbit member a hit."""
+    """The whole-pipeline gate: all 283,783,500 cosets of X_1, whose 5760
+    hits form 5 H_1-orbits, one per table-1 row, with every orbit member
+    a hit.  The hit set equals the complete pass of the tree oracle
+    (~20 s on one core), and so does the classification, which does not
+    depend on the order of the hits."""
     state = search.run_search(1)
     cosets = dataset.autb_group().num_right_cosets()
     assert state.position == state.total == cosets
-    (x1,) = search.classify_hits(state.survivors)["xi"]
+    engine = search._worker_engine(1)
+    rows, end = tree_hits(engine, dataset.autb_group())
+    assert end == cosets
+    tree = [str(perm.Permutation(tuple(row))) for row in rows]
+    assert sorted(s.perm_text for s in state.survivors) == sorted(tree)
+    report = search.classify_hits(state.survivors)
+    assert report == search.classify_hits([search.Survivor(1, t) for t in tree])
+    (x1,) = report["xi"]
     assert (x1["hits"], x1["orbits"], x1["orbit_members"]) == (5760, 5, 5760)
     entries = dataset.table_entries()
     rows = [i for i, entry in enumerate(entries) if entry.table_id == 1]
     assert sorted(c["table_match"] for c in x1["classes"]) == rows
 
 
+def test_classify_does_not_depend_on_hit_order():
+    # The hits of every 64th 8-set of X_2, and a seeded shuffle of them.
+    hits = search.run_search(2, shard=(5, 64)).survivors
+    assert len(hits) > 20
+    shuffled = list(hits)
+    random.Random(5).shuffle(shuffled)
+    assert shuffled != hits
+    report = search.classify_hits(hits)
+    assert search.classify_hits(shuffled) == report
+    assert len(report["xi"][0]["classes"]) > 1
+
+
 def test_hit_orbits_on_first_2m_positions():
-    """Hits and H_i-orbits of the first 2,000,000 stream positions.  The
-    IR equivalence search, kept as an independent check of the Sylow
-    certificate, puts the orbit representatives in one class each."""
+    """Hits and H_i-orbits of the first 2,000,000 positions of the tree
+    oracle's stream.  The IR equivalence search, kept as an independent
+    check of the Sylow certificate, puts the orbit representatives in one
+    class each."""
     expected = {1: (27, 5), 2: (84, 16), 3: (81, 48), 4: (470, 112)}
+    group = dataset.autb_group()
     for xi, (hits, orbits) in expected.items():
-        seen = []
-        with pytest.raises(_Stop):
-            search.run_search(
-                xi, progress=_raise_at(2_000_000, seen), threads=2
-            )
-        (state,) = seen
-        assert state.position == 2_000_000
-        taus = [perm.parse_cycles(s.perm_text, 16) for s in state.survivors]
+        engine = search._worker_engine(xi)
+        rows, end = tree_hits(engine, group, stop=2_000_000)
+        assert end == 2_000_000
+        taus = [perm.Permutation(tuple(row)) for row in rows]
         # hit_orbits raises if an orbit member fails the filter.
         found = search.hit_orbits(xi, taus)
-        assert (len(state.survivors), len(found)) == (hits, orbits), xi
+        assert (len(taus), len(found)) == (hits, orbits), xi
         assert sum(len(h) for _, h in found) == hits
-        engine = search._worker_engine(xi)
         codes = [
             search.register_engine_data(engine, min(m, key=lambda t: t.img))
             for m, _ in found
