@@ -176,7 +176,8 @@ def h_group(xi_index):
     The generators are those of ``equiv.automorphism_group(E_i)``,
     projected onto the cycles.  Identity projections are dropped, and so
     is each generator the others generate the group without, since
-    ``search.hit_orbits`` pays per generator.
+    ``search.hit_orbits`` reduces the image of every orbit member under
+    each generator.
     """
     aut = equiv.automorphism_group(
         gf2.BinaryCode.from_rows(even_part_rows(xi_index), 48)

@@ -120,10 +120,11 @@ def _signatures(co, colors):
 
 def _refine(co, colors):
     """Refine an ordered partition of one code's coordinates until it is
-    stable.  The color of a coordinate is the first position of its cell,
-    so a cell splits within its own positions, in signature order."""
+    stable or discrete.  The color of a coordinate is the first position
+    of its cell, so a cell splits within its own positions, in signature
+    order, and a discrete partition, one coordinate per cell, is stable."""
     n = len(colors)
-    while True:
+    while len(set(colors)) < n:
         keys = _signatures(co, colors)
         refined = [0] * n
         previous = None
@@ -132,8 +133,9 @@ def _refine(co, colors):
                 start, previous = pos, keys[x]
             refined[x] = start
         if refined == colors:
-            return colors
+            break
         colors = refined
+    return colors
 
 
 def _orbit(point, gens, fixed):

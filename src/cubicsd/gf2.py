@@ -37,13 +37,6 @@ import numpy as np
 # engine, which every such code takes.
 MAX_ENUM_DIM = 28
 
-# The most words _light_combinations XORs at once (64 KB).  Freeing a
-# larger block leaves more free memory at the top of the heap than
-# glibc keeps, so the heap is trimmed and faulted in again: with blocks
-# of 2^14 words, low_weight_words took ~75 minor page faults per [48,24]
-# code, against ~5 at 2^13 (counted with getrusage).
-_BLOCK_WORDS = 1 << 13
-
 
 def rref(rows, n_cols):
     """Reduced row-echelon form over GF(2).
@@ -198,38 +191,44 @@ def information_sets(code):
 def _half_spans(p_rows, q_rows):
     """For the P and for the Q rows, the XOR combinations of either half
     of them, grouped by how many rows they combine: entry a of a half's
-    list holds its a-row combinations.  Both sides are spanned at once,
-    as the rows of one stacked array."""
+    list holds its a-row combinations.  The four halves are spanned in
+    one call, the shorter first half padded with a zero row; a stable
+    sort of the combination numbers by popcount groups each half, whose
+    own combinations are the numbers below 2^size."""
+    k = len(p_rows)
+    sizes = (k // 2, k - k // 2)
     rows = np.stack([p_rows, q_rows])
-    k = rows.shape[1]
-    index = np.arange(1 << (k - k // 2))
-    # The combination numbers by size, then in increasing order; those
-    # below 2^(k // 2) are the shorter half's.
-    order = np.sort(np.bitwise_count(index).astype(np.int64) << 32 | index)
-    order &= 0xFFFFFFFF
+    halves = np.zeros((2, 2, sizes[1]), dtype=rows.dtype)
+    halves[:, 0, : sizes[0]] = rows[:, : sizes[0]]
+    halves[:, 1] = rows[:, sizes[0] :]
+    index = np.arange(1 << sizes[1])
+    order = np.argsort(np.bitwise_count(index), kind="stable")
     out = []
-    for half in (rows[:, : k // 2], rows[:, k // 2 :]):
-        size = half.shape[1]
-        ends = list(accumulate(comb(size, a) for a in range(size + 1)))
-        words = np.take(span(half), order[order < 1 << size], axis=1)
-        out.append([words[:, a:b] for a, b in zip([0, *ends], ends)])
-    return [tuple([g[side] for g in half] for half in out) for side in (0, 1)]
+    for side in span(halves):
+        groups = []
+        for words, size in zip(side, sizes):
+            words = words[order[order < 1 << size]]
+            ends = list(accumulate(comb(size, a) for a in range(size + 1)))
+            groups.append([words[a:b] for a, b in zip([0, *ends], ends)])
+        out.append(tuple(groups))
+    return out
 
 
 def _light_combinations(halves, a, t):
     """The XORs of exactly a rows that weigh at most t, from the rows'
-    ``_half_spans``: per split of a, broadcast XORs of the i-row
+    ``_half_spans``: per split of a, the broadcast XORs of the i-row
     combinations of the first half with the (a - i)-row ones of the
-    second, in blocks of at most about _BLOCK_WORDS words, each filtered
-    at once."""
+    second, all splits into one buffer, filtered at once."""
     left, right = halves
-    kept = [left[0][:0]]
-    for i in range(max(0, a + 1 - len(right)), min(a, len(left) - 1) + 1):
-        step = max(1, _BLOCK_WORDS // len(right[a - i]))
-        for lo in range(0, len(left[i]), step):
-            block = (left[i][lo : lo + step, None] ^ right[a - i]).ravel()
-            kept.append(block[np.bitwise_count(block) <= t])
-    return np.concatenate(kept)
+    splits = range(max(0, a + 1 - len(right)), min(a, len(left) - 1) + 1)
+    shapes = [(len(left[i]), len(right[a - i])) for i in splits]
+    words = np.empty(sum(x * y for x, y in shapes), dtype=left[0].dtype)
+    lo = 0
+    for i, (x, y) in zip(splits, shapes):
+        out = words[lo : lo + x * y].reshape(x, y)
+        np.bitwise_xor(left[i][:, None], right[a - i], out=out)
+        lo += x * y
+    return words[np.bitwise_count(words) <= t]
 
 
 def _walk(sets, t):

@@ -8,28 +8,25 @@ which is exactly the set of tau giving one and the same permuted code.
 
 ``PermGroup.min_coset_reps`` reduces a whole array of image rows to
 their lex-minimal right-coset representatives in one pass over the
-stabilizer chain, as the pair scan (``scan``) needs for its hits;
-``min_coset_rep`` is its one-permutation twin.  ``right_transversal``
-streams every lex-minimal representative, one shard of the tree of
-valid image prefixes at a time.
+stabilizer chain, as the pair scan (``scan``) needs for its hits and
+``search.hit_orbits`` for each level of its orbits; ``min_coset_rep``
+is its one-permutation twin.  ``right_transversal`` walks every
+lex-minimal representative depth first, in lex order, one shard of the
+valid image prefixes of length PREFIX_DEPTH at a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial, lcm
 
 import numpy as np
 
 from . import gf2
 
-# The transversal walk: prefixes expanded per step (on Aut(B), 1024 is
-# as fast as 4096 and holds ~3 MB less at peak), the number of last
-# positions filled at once from the orderings of the values left, and the
-# prefix length whose nodes the shards split (at most n - SUFFIX).
-EXPAND_ROWS = 1024
+# The transversal's shards split the valid image prefixes of length
+# PREFIX_DEPTH, at most n - SUFFIX.
 SUFFIX = 4
 PREFIX_DEPTH = 7
 
@@ -155,14 +152,10 @@ def _min_moved(p):
 
 def _split_depths(n):
     """(K, cut): the prefix length the shards split and the length
-    whose prefixes are completed by the orderings of the last values."""
+    whose prefixes the transversal tree (the tests' oracle) completes
+    by the orderings of the last values."""
     cut = n - min(SUFFIX, n)
     return min(PREFIX_DEPTH, cut), cut
-
-
-def _root(n):
-    """The empty prefix: (images, used-value bitmasks, length)."""
-    return np.zeros((1, n), np.uint8), np.zeros(1, np.int64), 0
 
 
 class _Level:
@@ -337,86 +330,47 @@ class PermGroup:
         return factorial(self.n) // self.order()
 
     def right_transversal(self, shard=(0, 1)):
-        """Stream the lex-minimal representative of every right coset.
+        """Stream the lex-minimal representative of every right coset, in
+        lex order.
 
         A representative r is minimal iff for every chain level j the
         value r[j] is minimal over the fundamental orbit of j, i.e. r[x]
         exceeds r[j] for every level j < x whose orbit holds x; as those
         levels are the ancestors of x in the constraint forest, r[x] need
-        only exceed r[parent(x)].  The tree of valid image prefixes is
-        expanded one position at a time, at most ``EXPAND_ROWS`` prefixes
-        per step; the last ``SUFFIX`` positions are filled at once from
-        the orderings of the values left.
+        only exceed r[parent(x)].  A depth-first walk places the images
+        one position at a time, each from the unused values above its
+        parent's, lowest first.
 
-        ``shard=(i, m)`` splits the tree at depth K = ``PREFIX_DEPTH``
-        (at most n - ``SUFFIX``): the depth-K prefixes are numbered in
-        stream order, and shard i/m expands only those numbered i modulo
-        m, so the m shards partition the stream and each keeps its order.
+        ``shard=(i, m)`` splits the walk at depth K = ``PREFIX_DEPTH``
+        (at most n - ``SUFFIX``): the valid depth-K prefixes are numbered
+        in stream order, and shard i/m descends only into those numbered
+        i modulo m, so the m shards partition the stream and each keeps
+        its order.
         """
         shard_idx, shard_cnt = shard
         if not 0 <= shard_idx < shard_cnt:
             raise ValueError(
                 "invalid shard %d/%d: need 0 <= i < m" % (shard_idx, shard_cnt)
             )
-        if self.n > 63:
-            raise ValueError("the transversal needs degree at most 63")
-        depth, cut = _split_depths(self.n)
-        orders = permutations(range(self.n - cut))
-        orders = np.array(list(orders), dtype=np.intp)
+        n, parent = self.n, self._parent
+        depth, _ = _split_depths(n)
+        img = [-1] * (n + 1)  # img[-1] = -1 stands in for a root's parent
+        used = [False] * n
         number = 0  # stream number of the next depth-K prefix
-        for img, used in self._expand(*_root(self.n), depth):
-            first = (shard_idx - number) % shard_cnt
-            number += len(img)
-            img, used = img[first::shard_cnt], used[first::shard_cnt]
-            for nodes, free in self._expand(img, used, depth, cut):
-                for row in self._leaves(nodes, free, orders).tolist():
-                    yield Permutation(tuple(row))
 
-    def _expand(self, img, used, depth, stop):
-        """Yield, in stream order, (images, used-value bitmasks) chunks of
-        at most ``EXPAND_ROWS`` valid prefixes of length ``stop``: the
-        descendants of the given prefixes of length ``depth``."""
-        values = np.arange(self.n, dtype=np.uint8)
-        bits = np.left_shift(1, values, dtype=np.int64)
-        # Pending (images, used-value bitmasks, depth), deepest on top.
-        stack = [(img, used, depth)]
-        while stack:
-            img, used, depth = stack.pop()
-            if len(img) > EXPAND_ROWS:
-                stack.append((img[EXPAND_ROWS:], used[EXPAND_ROWS:], depth))
-                img, used = img[:EXPAND_ROWS], used[:EXPAND_ROWS]
-            if not len(img):
-                continue
-            if depth == stop:
-                yield img, used
-                continue
-            free = (used[:, None] & bits) == 0
-            parent = self._parent[depth]
-            if parent >= 0:
-                free &= values > img[:, parent, None]
-            rows, vals = np.nonzero(free)
-            child = img[rows]
-            child[:, depth] = vals
-            stack.append((child, used[rows] | bits[vals], depth + 1))
+        def place(pos):
+            nonlocal number
+            if pos == depth:
+                number += 1
+                if (number - 1) % shard_cnt != shard_idx:
+                    return
+            if pos == n:
+                yield Permutation._trusted(tuple(img[:n]))
+                return
+            for v in range(img[parent[pos]] + 1, n):
+                if not used[v]:
+                    used[v], img[pos] = True, v
+                    yield from place(pos + 1)
+                    used[v] = False
 
-    def _leaves(self, img, used, orders):
-        """Every representative below a chunk of prefixes of length
-        n - tail, in stream order: each prefix completed by the orderings
-        ``orders`` of its free values, lowest first, that are valid."""
-        tail = orders.shape[1]
-        cut = self.n - tail
-        bits = np.left_shift(1, np.arange(self.n), dtype=np.int64)
-        free = (used[:, None] & bits) == 0
-        tails = np.nonzero(free)[1].astype(np.uint8).reshape(-1, tail)
-        tails = tails[:, orders]
-        ok = np.ones(tails.shape[:2], dtype=bool)
-        for t in range(tail):
-            parent = self._parent[cut + t]
-            if parent >= cut:
-                ok &= tails[:, :, t] > tails[:, :, parent - cut]
-            elif parent >= 0:
-                ok &= tails[:, :, t] > img[:, parent, None]
-        rows, which = np.nonzero(ok)
-        leaves = img[rows]
-        leaves[:, cut:] = tails[rows, which]
-        return leaves
+        yield from place(0)

@@ -32,9 +32,13 @@ on the 16 cycles, E_i = phi^-1(X_i) the even part, computed from E_i's
 automorphism group (``construct.h_group``).  For h in H_i, tau and
 tau * h build equivalent codes, so the hits of one double coset
 Aut(B) tau H_i form an H_i-orbit of cosets (Yorgov's
-method for Huffman's decomposition C = F + E).  An orbit is one class,
-keyed by its lex-least member, and a published table row matches the
-orbit that holds its coset representative.  Orbit sizes certify the
+method for Huffman's decomposition C = F + E).  The orbits are found
+on arrays (``hit_orbits``): each coset representative packs into one
+uint64 key (``coset_keys``), the hits are closed under the generators
+of H_i one ``PermGroup.min_coset_reps`` pass per level, and each orbit
+is labelled by its least member.  An orbit is one class, keyed by its
+lex-least member, and a published table row matches the orbit that
+holds its coset representative's key.  Orbit sizes certify the
 classes without building a code: each |Aut(E_i)| is divisible by 9 and
 not by 27, so when 3 divides an orbit's size, <sigma> is a Sylow
 3-subgroup of Aut(C), an equivalence between two such codes can be
@@ -51,7 +55,6 @@ import os
 import pickle
 import select
 import tempfile
-from collections import deque
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 
@@ -630,52 +633,76 @@ def run_search(
     return state
 
 
+def coset_keys(rows):
+    """One uint64 per (N, 16) row of images, each below 16, packed 4 bits
+    apiece with the first image most significant: keys compare as the
+    rows do in lex order."""
+    keys = np.zeros(len(rows), dtype=np.uint64)
+    for column in np.asarray(rows, dtype=np.uint64).T:
+        keys = keys << np.uint64(4) | column
+    return keys
+
+
 def hit_orbits(xi_index, taus):
-    """Group coset representatives of X_i hits into H_i-orbits.
+    """Group X_i hits into H_i-orbits of their coset representatives.
 
     Returns a list of (members, hits) pairs, in order of first hit:
-    ``members`` the set of representatives ``min_coset_rep(tau * h)``,
-    h in H_i, found by breadth-first search over the generators of H_i,
-    and ``hits`` the input taus that lie in it.  Each orbit is expanded
-    once, and every member of every orbit is run through the filter: a
-    member that fails means H_i or the product order is wrong, and
-    raises RuntimeError.
+    ``members`` the (M, 16) uint8 rows of ``min_coset_rep(tau * h)``, h
+    in H_i, sorted in lex order, and ``hits`` the rows of the distinct
+    representatives of the input taus that lie in the orbit, in input
+    order.  The hits are closed under the generators of H_i level by
+    level, one ``min_coset_reps`` pass per level; tau * h applies tau
+    first, so its row is h[tau], where the cycles of E_i move by h after
+    tau has placed the base code.  Each generator permutes the members,
+    and an orbit is labelled by its least member's number, passed along
+    the generators with pointer jumping.  Every level is run through the
+    filter before it is closed further: a member that fails means H_i or
+    the product order is wrong, and raises RuntimeError.
     """
+    rows = np.array([tau.img for tau in taus], dtype=np.uint8).reshape(-1, 16)
+    if not len(rows):
+        return []
     group = dataset.autb_group()
     gens = construct.h_group(xi_index).generators
-    orbit_of = {}
-    orbits = []
-    seen = set()
-    for tau in taus:
-        tau = group.min_coset_rep(tau)
-        if tau in seen:
-            continue
-        seen.add(tau)
-        k = orbit_of.get(tau)
-        if k is None:
-            k = len(orbits)
-            members = {tau}
-            queue = deque(members)
-            while queue:
-                rep = queue.popleft()
-                for h in gens:
-                    # tau * h applies tau first: the cycles of E_i move
-                    # by h after tau has placed the base code.
-                    image = group.min_coset_rep(rep * h)
-                    if image not in members:
-                        members.add(image)
-                        queue.append(image)
-            orbits.append((members, []))
-            orbit_of.update(dict.fromkeys(members, k))
-        orbits[k][1].append(tau)
-    if orbit_of:
-        images = np.array([tau.img for tau in orbit_of], dtype=np.uint8)
-        if not _worker_engine(xi_index).filter_images(images).all():
+    moves = np.array([h.img for h in gens], dtype=np.uint8).reshape(-1, 16)
+    rows = group.min_coset_reps(rows)
+    known, first = np.unique(coset_keys(rows), return_index=True)
+    hits = rows[np.sort(first)]
+    # Per level, the rows first met there and the keys of their images.
+    levels, images = [rows[first]], []
+    while len(levels[-1]):
+        if not _worker_engine(xi_index).filter_images(levels[-1]).all():
             raise RuntimeError(
                 "an H_%d-orbit member fails the filter: H_i or the "
                 "product order is wrong" % xi_index
             )
-    return orbits
+        image = group.min_coset_reps(moves[:, levels[-1]].reshape(-1, 16))
+        images.append(coset_keys(image).reshape(len(moves), len(levels[-1])))
+        fresh, at = np.unique(images[-1], return_index=True)
+        new = ~np.isin(fresh, known)
+        levels.append(image[at[new]])
+        known = np.union1d(known, fresh[new])
+    members = np.concatenate(levels)
+    order = np.argsort(coset_keys(members))
+    members = members[order]
+    steps = np.searchsorted(known, np.concatenate(images, axis=1)[:, order])
+    label = np.arange(len(members))
+    while True:
+        least = np.minimum.reduce([label, *label[steps]])
+        least = least[least]
+        if (least == label).all():
+            break
+        label = least
+    hit_label = label[np.searchsorted(known, coset_keys(hits))]
+    return [
+        (members[label == k], hits[hit_label == k])
+        for k in dict.fromkeys(hit_label.tolist())
+    ]
+
+
+def _text(row):
+    """The cycle text of an image row."""
+    return str(perm.Permutation(tuple(row.tolist())))
 
 
 def classify_hits(survivors):
@@ -701,27 +728,24 @@ def classify_hits(survivors):
     for xi_index in sorted(by_xi):
         taus = [perm.parse_cycles(t, 16) for t in by_xi[xi_index]]
         orbits = hit_orbits(xi_index, sorted(taus, key=lambda t: t.img))
-        rows = {
-            idx: group.min_coset_rep(entry.tau())
-            for idx, entry in enumerate(entries)
-            if entry.table_id == xi_index
-        }
+        rows = [i for i, e in enumerate(entries) if e.table_id == xi_index]
+        table = np.array([entries[i].tau().img for i in rows], dtype=np.uint8)
+        table = coset_keys(group.min_coset_reps(table.reshape(-1, 16)))
         classes = []
         for members, hits in orbits:
             if len(members) % 3:
                 raise RuntimeError(
                     "the H_%d-orbit of %s has %d members, not a multiple "
                     "of 3: the Sylow certificate does not apply"
-                    % (xi_index, hits[0], len(members))
+                    % (xi_index, _text(hits[0]), len(members))
                 )
+            match = np.flatnonzero(np.isin(table, coset_keys(members)))
             classes.append(
                 {
-                    "representative": str(min(members, key=lambda t: t.img)),
-                    "hits": [str(tau) for tau in hits],
+                    "representative": _text(members[0]),
+                    "hits": [_text(row) for row in hits],
                     "orbit_size": len(members),
-                    "table_match": next(
-                        (i for i, rep in rows.items() if rep in members), None
-                    ),
+                    "table_match": rows[match[0]] if len(match) else None,
                 }
             )
         num_hits = sum(len(h) for _, h in orbits)

@@ -9,7 +9,6 @@ import reference
 from cubicsd import dataset
 from cubicsd.construct import DecomposedEngine
 from cubicsd.perm import (
-    EXPAND_ROWS,
     PREFIX_DEPTH,
     SUFFIX,
     Permutation,
@@ -26,6 +25,7 @@ from reference import (
     transversal_rows,
     transversal_windows,
     tree_keep,
+    tree_transversal,
 )
 
 
@@ -45,11 +45,11 @@ def _prefix_depth(n):
 
 
 def _reference_transversal(group, shard=(0, 1)):
-    """The image-by-image backtracking the block generator replaced,
-    kept as its reference: a representative r is minimal iff r[x] exceeds
-    r[j] for every chain level j < x whose orbit contains x.  Shard i/m
-    numbers the depth-K nodes in stream order and descends only into
-    those numbered i modulo m."""
+    """Image-by-image backtracking on the constraints as first stated: a
+    representative r is minimal iff r[x] exceeds r[j] for every chain
+    level j < x whose orbit contains x.  Shard i/m numbers the depth-K
+    nodes in stream order and descends only into those numbered i
+    modulo m."""
     n = group.n
     shard_idx, shard_cnt = shard
     if not 0 <= shard_idx < shard_cnt:
@@ -358,6 +358,7 @@ def test_transversal_blocks_match_reference():
                     assert ref
                 stream = g.right_transversal(shard=(i, m))
                 assert [r.img for r in stream] == ref
+                assert [r.img for r in tree_transversal(g, (i, m))] == ref
                 size = rnd.randint(1, 4)
                 starts = {0, size // 2, len(ref), len(ref) + 3}
                 starts.add(rnd.randrange(len(ref) + 1))
@@ -437,15 +438,15 @@ def test_leaf_counts_match_reference():
 
 
 def _materialised(monkeypatch):
-    """Record every leaf array the transversal generator builds."""
+    """Record every leaf array the transversal tree builds."""
     built = []
-    leaves = PermGroup._leaves
+    leaves = reference._leaves
 
-    def spy(self, *args):
-        built.append(leaves(self, *args))
+    def spy(*args):
+        built.append(leaves(*args))
         return built[-1]
 
-    monkeypatch.setattr(PermGroup, "_leaves", spy)
+    monkeypatch.setattr(reference, "_leaves", spy)
     return built
 
 
@@ -469,6 +470,16 @@ def test_transversal_blocks_match_reference_on_autb():
         blocks = transversal_rows(group, (i, 4), start, size)
         got = _joined(islice(blocks, 3), size)
         assert got == refs[i][start : start + 3 * size]
+
+
+def test_walk_matches_tree_on_autb():
+    # The plain walk and the tree give the same first items of shards
+    # of Aut(B), whose depth-7 split leaves many prefixes empty.
+    group = dataset.autb_group()
+    for shard in ((0, 1), (1, 4), (2, 7)):
+        walk = islice(group.right_transversal(shard), 30000)
+        tree = islice(tree_transversal(group, shard), 30000)
+        assert [r.img for r in walk] == [r.img for r in tree]
 
 
 def test_shards_expand_only_their_prefixes(monkeypatch):
@@ -518,7 +529,7 @@ def test_resume_skips_whole_prefixes(monkeypatch):
         assert (prefix_keys(leaves, depth) >= first).all()
     # The depth-7 skip comes first: the pruned walk counts the depth-9
     # prefixes of one chunk, not those of every earlier depth-7 prefix.
-    assert sum(rows for rows, d in counted if d == 9) <= EXPAND_ROWS
+    assert sum(rows for rows, d in counted if d == 9) <= reference.EXPAND_ROWS
 
 
 def test_pruned_window_past_a_run_without_leaves():

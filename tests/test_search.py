@@ -6,8 +6,10 @@ from itertools import islice
 import numpy as np
 import pytest
 
+import reference
 from cubicsd import construct, dataset, equiv, gf2, perm, scan, search
 from reference import (
+    hit_orbits_bfs,
     keep_prefixes,
     leaf_counts,
     prefix_keys,
@@ -608,6 +610,34 @@ def test_table_rows_lie_in_distinct_certified_orbits(monkeypatch):
     assert all(entries[row].table_id == 3 for row in other)
 
 
+def test_table_mass_through_aut_c():
+    """Orbit-stabilizer through each table code's own automorphism
+    group, with no H_i and no scan: a code C of X_i stands for
+    |Aut(E_i)| / |N_Aut(C)(<sigma>)| cosets, and the table rows' masses
+    are the orbit members of the published codes.  Every element of
+    order 3 of every Aut(C) has type 3-(16,0)."""
+    sigma = construct.STANDARD_3_16_0.sigma()
+    powers = {sigma.img, (sigma * sigma).img}
+    aut_e = {1: 5760, 2: 720, 3: 288, 4: 2016}
+    mass = dict.fromkeys(aut_e, 0)
+    for xi, order in aut_e.items():
+        even = gf2.BinaryCode.from_rows(construct.even_part_rows(xi), 48)
+        assert equiv.automorphism_group(even).order() == order
+        for entry in dataset.table_entries(xi):
+            group = equiv.automorphism_group(construct.build_table_code(entry))
+            elements = reference.group_elements(group)
+            assert len(elements) == entry.expected_aut_order
+            normalizer = sum(
+                (g.inverse() * sigma * g).img in powers for g in elements
+            )
+            assert order % normalizer == 0
+            mass[xi] += order // normalizer
+            for g in elements:
+                if g.order() == 3:
+                    assert sorted(map(len, g.cycles())) == [3] * 16
+    assert mass == {1: 5760, 2: 4320, 3: 9138, 4: 63924}
+
+
 def test_uncertified_orbit_raises(monkeypatch):
     # Under the trivial group every orbit has one member, which the
     # Sylow argument cannot certify.
@@ -629,6 +659,34 @@ def test_hit_orbits_reject_wrong_h_data(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="fails the filter"):
         search.hit_orbits(1, table1_taus()[:1])
+
+
+def _same_orbits(fast, slow):
+    """Whether ``hit_orbits``' array orbits equal the oracle's."""
+    return [
+        (sorted(map(tuple, m.tolist())), list(map(tuple, h.tolist())))
+        for m, h in fast
+    ] == [(sorted(t.img for t in m), [t.img for t in h]) for m, h in slow]
+
+
+def test_hit_orbits_match_the_bfs():
+    # Seeded samples of the hits of every 64th 8-set of each X_i, each
+    # hit also multiplied by an element of Aut(B) (the same coset), and
+    # the 264 table taus.
+    rng = random.Random(52)
+    group = dataset.autb_group()
+    for xi in range(1, 5):
+        hits = search.run_search(xi, shard=(rng.randrange(64), 64)).survivors
+        taus = [perm.parse_cycles(s.perm_text, 16) for s in hits]
+        taus = rng.sample(taus, min(len(taus), 12))
+        taus += [reference.random_element(group, rng) * t for t in taus[:4]]
+        entries = dataset.table_entries(xi)
+        taus += [e.tau() for e in entries]
+        rng.shuffle(taus)
+        fast = search.hit_orbits(xi, taus)
+        assert _same_orbits(fast, hit_orbits_bfs(xi, taus))
+        assert all(m.dtype == h.dtype == np.uint8 for m, h in fast)
+        assert len(fast) > len(entries) // 2
 
 
 def test_unmatched_class_is_a_finding(monkeypatch, build_code_alt):
@@ -733,8 +791,6 @@ def test_hit_orbits_on_first_2m_positions():
         found = search.hit_orbits(xi, taus)
         assert (len(taus), len(found)) == (hits, orbits), xi
         assert sum(len(h) for _, h in found) == hits
-        codes = [
-            search.register_engine_data(engine, min(m, key=lambda t: t.img))
-            for m, _ in found
-        ]
+        least = [perm.Permutation(tuple(m[0].tolist())) for m, _ in found]
+        codes = [search.register_engine_data(engine, t) for t in least]
         assert equiv.partition_classes(codes) == [[k] for k in range(orbits)]
