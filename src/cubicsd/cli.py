@@ -446,7 +446,9 @@ def build_parser():
     p.add_argument("--sample", type=int, help="seeded sample size (default: the full pair scan)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shard", default="0/1", metavar="I/M")
-    p.add_argument("--checkpoint", metavar="PATH")
+    p.add_argument(
+        "--checkpoint", metavar="PATH", help="write the hit log to a new file"
+    )
     p.add_argument(
         "--no-table-check",
         action="store_true",
@@ -505,9 +507,7 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except BrokenExecutor as exc:
-        hint = " Rerunning with the same --checkpoint resumes the search."
-        hint = hint if args.command == "search" else ""
-        sys.stderr.write("error: a worker process died: %s%s\n" % (exc, hint))
+        sys.stderr.write("error: a worker process died: %s\n" % exc)
         return 2
 
 

@@ -11,10 +11,10 @@ numbered i mod m, and a position counts the cosets below the 8-sets
 done, scan.COSETS_PER_SET each.  Each block also returns its stage
 counts (8-sets kept, good quads, joins passing D), which the state sums.
 Sample mode draws seeded uniform permutations, so a fixed (seed, index)
-pair always names the same coset regardless of sharding or
-interruption: index i is row i % BLOCK_SIZE of block i // BLOCK_SIZE,
-and block b is drawn by one generator, ``np.random.default_rng([seed,
-b])``, shuffling every row of 0..15 on its own.  Shard i/m of a sample
+pair always names the same coset regardless of sharding: index i is
+row i % BLOCK_SIZE of block i // BLOCK_SIZE, and block b is drawn by
+one generator, ``np.random.default_rng([seed, b])``, shuffling every
+row of 0..15 on its own.  Shard i/m of a sample
 takes the blocks b = i mod m.  Both modes' blocks are filtered by
 ``ordered_map``: in this process alone, or in it and T - 1 workers
 forked with ``os.fork``, each process claiming the next block from a
@@ -24,8 +24,9 @@ raises ``BrokenProcessPool`` instead of stalling the scan.  A tau is a
 hit iff the code generated by (pi^-1(tau B); phi^-1(X_i)) has minimum
 distance 10.  The code depends only on the coset of tau, so only the
 hits are reduced to their coset representative.  A hit is recorded as
-(X_i, representative) and nothing more; the checkpoint is an
-append-only log with one line per block.
+(X_i, representative) and nothing more.  The checkpoint is a log that
+one run writes once, a header and then one line per block, and that
+``load_checkpoint`` reads back.
 
 The post-pass (``classify_hits``).  Let H_i be the action of Aut(E_i)
 on the 16 cycles, E_i = phi^-1(X_i) the even part, computed from E_i's
@@ -123,7 +124,8 @@ class SearchState:
 
 
 def _start_checkpoint(path, state):
-    """Create (or replace) the checkpoint atomically with its header."""
+    """Create the checkpoint with its header, fsynced.  A file that
+    already exists at ``path`` is a ValueError and is left untouched."""
     header = {
         "version": CHECKPOINT_VERSION,
         "xi": state.xi_index,
@@ -131,14 +133,17 @@ def _start_checkpoint(path, state):
         "sample": state.sample,
         "shard": list(state.shard),
     }
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp"
-    )
-    with os.fdopen(fd, "w") as fh:
+    try:
+        fh = open(path, "x")
+    except FileExistsError:
+        raise ValueError(
+            "%s already exists: a checkpoint is written once, by one run"
+            % path
+        ) from None
+    with fh:
         fh.write(json.dumps(header) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def _append_checkpoint(path, position, hits, stages):
@@ -151,14 +156,12 @@ def _append_checkpoint(path, position, hits, stages):
         os.fsync(fh.fileno())
 
 
-def _replay_checkpoint(path):
-    """(state, length): the search a checkpoint records, and the byte
-    length of its complete lines.  A torn last line (no newline) is left
-    out of both."""
+def load_checkpoint(path):
+    """The SearchState recorded by a checkpoint log.  A torn last line (no
+    newline), left by a run that died while it wrote, is dropped."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    lines = data.split(b"\n")
-    torn = lines.pop()
+        lines = fh.read().split(b"\n")
+    lines.pop()
     try:
         header = json.loads(lines[0])
     except (IndexError, ValueError):
@@ -167,7 +170,7 @@ def _replay_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             "%s is not a format-%d checkpoint (JSON lines with a version "
-            "header); a format-1 to format-4 checkpoint cannot be resumed: "
+            "header); a format-1 to format-4 checkpoint cannot be read: "
             "formats 1 and 2 are laid out differently, and a full-mode "
             "shard took every m-th coset in format 3 and every m-th "
             "transversal prefix in format 4, not every m-th 8-set"
@@ -214,12 +217,7 @@ def _replay_checkpoint(path):
         state.position = position
         state.stages = {k: stages[k] for k in STAGES}
         state.survivors.extend(Survivor(state.xi_index, t) for t in hits)
-    return state, len(data) - len(torn)
-
-
-def load_checkpoint(path):
-    """The SearchState recorded by a checkpoint log."""
-    return _replay_checkpoint(path)[0]
+    return state
 
 
 def _sample_block(seed, number, rows=None):
@@ -477,23 +475,17 @@ def ordered_map(task, jobs, threads):
 
 
 def _blocks(state):
-    """The jobs of every block from state.position: (xi, source, block,
-    end), where ``end`` is the stream position after the block.  A sample
-    job has the seed and a (number, rows) pair of sample block and rows
-    to use; shard i/m takes the blocks numbered i mod m.  A full-mode job
+    """The jobs of every block of the search: (xi, source, block, end),
+    where ``end`` is the stream position after the block.  A sample job
+    has the seed and a (number, rows) pair of sample block and rows to
+    use; shard i/m takes the blocks numbered i mod m.  A full-mode job
     has X_i's ``scan.PairScan``, made here once, and a range of at most
     SETS_PER_BLOCK 8-set numbers of the shard.
-
-    The state is read here, when the stream is made: ``ordered_map``
-    may walk a copy of it only after ``run_search`` has moved
-    state.position on, and every copy must start at the same block.
     """
     xi_index, seed, sample = state.xi_index, state.seed, state.sample
     shard_idx, shard_cnt = state.shard
     if state.mode == "sample":
-        done = -(-state.position // BLOCK_SIZE)
-        first = done + (shard_idx - done) % shard_cnt
-        numbers = range(first, -(-sample // BLOCK_SIZE), shard_cnt)
+        numbers = range(shard_idx, -(-sample // BLOCK_SIZE), shard_cnt)
         return (
             (
                 xi_index,
@@ -507,14 +499,13 @@ def _blocks(state):
     from . import scan
 
     pair_scan = scan.PairScan(_worker_engine(xi_index), dataset.autb_group())
-    done = state.position // scan.COSETS_PER_SET
-    sets = range(shard_idx, scan.SETS, shard_cnt)[done:]
+    sets = range(shard_idx, scan.SETS, shard_cnt)
     return (
         (
             xi_index,
             pair_scan,
             sets[lo : lo + SETS_PER_BLOCK],
-            (done + min(lo + SETS_PER_BLOCK, len(sets))) * scan.COSETS_PER_SET,
+            min(lo + SETS_PER_BLOCK, len(sets)) * scan.COSETS_PER_SET,
         )
         for lo in range(0, len(sets), SETS_PER_BLOCK)
     )
@@ -545,7 +536,7 @@ def run_search(
     extra_taus=(),
     threads=1,
 ):
-    """Run (or resume) one scan; returns the final SearchState.
+    """Run one scan; returns the final SearchState.
 
     ``extra_taus`` are injected ahead of the stream (not counted in the
     position), useful for spot checks with known permutations.  With
@@ -555,10 +546,10 @@ def run_search(
     calls (one per block) and checkpoint lines are still handled by this
     process only, in block order.  A dead worker raises
     ``BrokenProcessPool``; the checkpoint then holds every block
-    finished, with all the blocks before it, when the death was seen, so
-    a rerun resumes.  A missing checkpoint starts a clean search; an existing
-    one is resumed, dropping a torn last line.  Hits are recorded, not
-    classified: see ``classify_hits``.
+    finished, with all the blocks before it, when the death was seen.
+    The checkpoint is created here and written by this run alone: an
+    existing file at ``checkpoint_path`` is a ValueError, left untouched.
+    Hits are recorded, not classified: see ``classify_hits``.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1, got %d" % threads)
@@ -573,23 +564,12 @@ def run_search(
         raise ValueError(
             "invalid shard %d/%d: need 0 <= i < m" % (shard_idx, shard_cnt)
         )
-    # What the checkpoint log already holds: a position and a hit count.
+    state = SearchState(xi_index, seed, sample, tuple(shard))
+    if checkpoint_path is not None:
+        _start_checkpoint(checkpoint_path, state)
+    # What the checkpoint log holds: a position and a hit count.
     logged = (0, 0)
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        state, length = _replay_checkpoint(checkpoint_path)
-        if (state.xi_index, state.sample, state.seed) != (
-            xi_index,
-            sample,
-            seed,
-        ) or tuple(state.shard) != tuple(shard):
-            raise ValueError("checkpoint does not match the requested search")
-        os.truncate(checkpoint_path, length)
-        logged = (state.position, len(state.survivors))
-    else:
-        state = SearchState(xi_index, seed, sample, tuple(shard))
-        if checkpoint_path is not None:
-            _start_checkpoint(checkpoint_path, state)
-    seen = {s.perm_text for s in state.survivors}
+    seen = set()
 
     def keep(tau):
         """Record a canonical tau that passed the filter, once per coset."""

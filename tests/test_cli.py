@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from itertools import islice
 
 import pytest
@@ -232,7 +233,7 @@ def test_classify_needs_every_shard_at_its_exact_total(capsys, tmp_path):
     for short in (None, 0, 1):
         logs = []
         for i, total in enumerate(totals):
-            logs.append(str(tmp_path / ("shard%d.jsonl" % i)))
+            logs.append(str(tmp_path / ("shard%d-%s.jsonl" % (i, short))))
             search._start_checkpoint(
                 logs[-1], search.SearchState(1, 0, None, (i, 4))
             )
@@ -268,12 +269,25 @@ def test_classify_rejects_bad_logs(capsys, tmp_path):
         assert err.startswith("error: ") and message in err
     old = tmp_path / "v1.json"
     old.write_text(json.dumps({"xi_index": 1, "survivors": []}, indent=1))
-    for argv in (
-        ["classify", str(old)],
-        ["search", "--xi", "1", "--sample", "50", "--checkpoint", str(old)],
-    ):
-        assert cli.main(argv) == 2
-        assert "not a format-5 checkpoint" in capsys.readouterr().err
+    for path in (str(old), os.devnull):
+        assert cli.main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert "not a format-5 checkpoint" in err
+        assert "format-1 to format-4 checkpoint cannot be read" in err
+
+
+def test_search_refuses_existing_checkpoint(capsys, tmp_path):
+    # A checkpoint is a log of one run: a second run on its path exits 2
+    # and leaves the log as the first run wrote it.
+    log = tmp_path / "cp.jsonl"
+    argv = ["search", "--xi", "1", "--sample", "50", "--checkpoint", str(log)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    data = log.read_bytes()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s already exists" % log)
+    assert log.read_bytes() == data
 
 
 _GOOD_HEADER = {"version": 5, "xi": 1, "seed": 0, "sample": 50, "shard": [0, 1]}
@@ -343,13 +357,11 @@ def test_bad_checkpoint_exits_2(capsys, tmp_path, lines, message):
     log = tmp_path / "bad.jsonl"
     text = "".join(json.dumps(obj) + "\n" for obj in lines)
     log.write_text(text)
-    for argv in (
-        ["classify", str(log)],
-        ["search", "--xi", "1", "--sample", "50", "--checkpoint", str(log)],
-    ):
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: %s" % log) and message in err
+    with pytest.raises(ValueError, match=re.escape(message)):
+        search.load_checkpoint(str(log))
+    assert cli.main(["classify", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s" % log) and message in err
     assert log.read_text() == text
 
 

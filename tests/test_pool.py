@@ -91,7 +91,7 @@ _CLI_SEARCH = [
 ]
 
 
-def test_dead_search_worker_raises_and_checkpoint_resumes(tmp_path):
+def test_dead_search_worker_raises_and_log_keeps_finished_blocks(tmp_path):
     cp = str(tmp_path / "cp.jsonl")
     args = "4, sample=40000, seed=1, threads=2"
     status, _, err = _run_dying(
@@ -99,14 +99,13 @@ def test_dead_search_worker_raises_and_checkpoint_resumes(tmp_path):
     )
     assert status == 1
     assert "BrokenProcessPool" in _last_line(err)
+    # Block 0 never dies, and its result is read before the death is seen.
     stopped = search.load_checkpoint(cp)
-    assert stopped.position <= 2 * search.BLOCK_SIZE
-    # The rerun resumes the same checkpoint with the real task.
-    resumed = search.run_search(4, sample=40000, seed=1, checkpoint_path=cp)
-    whole = search.run_search(4, sample=40000, seed=1)
-    assert len(whole.survivors) > len(stopped.survivors)
-    assert resumed.survivors == whole.survivors
-    assert resumed.position == whole.position == 40000
+    assert stopped.position in (search.BLOCK_SIZE, 2 * search.BLOCK_SIZE)
+    # An index names the same coset whatever the sample size, so the log
+    # holds the hits of an uninterrupted run up to its position.
+    prefix = search.run_search(4, sample=stopped.position, seed=1)
+    assert stopped.survivors and stopped.survivors == prefix.survivors
 
 
 def test_dead_verify_worker_raises():
@@ -127,7 +126,7 @@ def test_cli_reports_dead_worker(tmp_path):
     assert status == 2
     assert out == ""
     assert err.startswith("error: a worker process died: ")
-    assert "the same --checkpoint resumes" in err
+    assert "resume" not in err and "--checkpoint" not in err
     assert len(err.splitlines()) == 1
 
 

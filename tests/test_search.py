@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 from itertools import islice
 
 import numpy as np
@@ -170,60 +171,18 @@ def test_shard_union_equals_full():
     assert union == full
 
 
-def test_checkpoint_resume(tmp_path):
-    cp = str(tmp_path / "cp.json")
-    taus = table1_taus()[:1]
-    full = search.run_search(4, sample=20000, seed=7, extra_taus=taus)
-
-    def stop_after_first_block(state):
-        raise _Stop
-
-    with pytest.raises(_Stop):
-        search.run_search(
-            4,
-            sample=20000,
-            seed=7,
-            checkpoint_path=cp,
-            extra_taus=taus,
-            progress=stop_after_first_block,
-        )
-    stopped = search.load_checkpoint(cp)
-    assert stopped.position == search.BLOCK_SIZE
-    resumed = search.run_search(4, sample=20000, seed=7, checkpoint_path=cp)
-    assert len(full.survivors) > len(stopped.survivors) > 1
-    assert resumed.survivors == full.survivors
-    assert resumed.position == 20000
-    assert search.load_checkpoint(cp) == resumed
-
-
-def test_sample_shard_resume_matches_uninterrupted(tmp_path):
-    # Shard 1/3 of 65000 draws takes blocks 1 and 4; stop after block 1.
-    cp = str(tmp_path / "cp.json")
-    whole = search.run_search(4, sample=65000, seed=11, shard=(1, 3))
-    with pytest.raises(_Stop):
-        search.run_search(
-            4,
-            sample=65000,
-            seed=11,
-            shard=(1, 3),
-            checkpoint_path=cp,
-            progress=_raise_at(0),
-        )
-    assert search.load_checkpoint(cp).position == 4 * search.BLOCK_SIZE
-    resumed = search.run_search(
-        4, sample=65000, seed=11, shard=(1, 3), checkpoint_path=cp
-    )
-    assert resumed.survivors == whole.survivors
-    assert resumed.position == whole.position == 65000
-
-
-def test_checkpoint_mismatch_rejected(tmp_path):
-    cp = str(tmp_path / "cp.json")
-    search.run_search(1, sample=50, seed=8, checkpoint_path=cp)
-    with pytest.raises(ValueError, match="checkpoint"):
-        search.run_search(1, sample=50, seed=9, checkpoint_path=cp)
-    with pytest.raises(ValueError, match="checkpoint"):
-        search.run_search(2, sample=50, seed=8, checkpoint_path=cp)
+def test_existing_checkpoint_refused(tmp_path):
+    # A checkpoint is written once: a file at the path, a finished log or
+    # anything else, is refused by name and keeps its bytes.
+    cp = tmp_path / "cp.json"
+    search.run_search(1, sample=50, seed=8, checkpoint_path=str(cp))
+    other = tmp_path / "other.txt"
+    other.write_bytes(b"not a log")
+    for path in (cp, other):
+        data = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape("%s already" % path)):
+            search.run_search(1, sample=50, seed=8, checkpoint_path=str(path))
+        assert path.read_bytes() == data
 
 
 def test_state_json_roundtrip(tmp_path):
@@ -258,32 +217,21 @@ def test_state_json_roundtrip(tmp_path):
 
 
 def test_checkpoint_ignores_torn_last_line(tmp_path):
-    block = FULL_BLOCK
+    cp = str(tmp_path / "cp.json")
     seen = []
     with pytest.raises(_Stop):
-        search.run_search(4, shard=(1, 4), progress=_raise_at(4 * block, seen))
-    (whole,) = seen
-    cp = str(tmp_path / "cp.json")
-    with pytest.raises(_Stop):
         search.run_search(
-            4, shard=(1, 4), checkpoint_path=cp, progress=_raise_at(2 * block)
+            4,
+            shard=(1, 4),
+            checkpoint_path=cp,
+            progress=_raise_at(2 * FULL_BLOCK, seen),
         )
-    stopped = search.load_checkpoint(cp)
+    (stopped,) = seen
+    assert search.load_checkpoint(cp) == stopped
     # A write cut short by a crash leaves a line without its newline.
     with open(cp, "a") as fh:
         fh.write('{"position": 30000, "hits": ["(1,')
     assert search.load_checkpoint(cp) == stopped
-    with pytest.raises(_Stop):
-        search.run_search(
-            4, shard=(1, 4), checkpoint_path=cp, progress=_raise_at(4 * block)
-        )
-    with open(cp) as fh:
-        text = fh.read()
-    assert text.endswith("\n") and '["(1,' not in text
-    resumed = search.load_checkpoint(cp)
-    assert resumed.position == whole.position
-    assert resumed.survivors == whole.survivors
-    assert resumed.stages == whole.stages
 
 
 def test_checkpoint_rejects_format_1(tmp_path):
@@ -298,22 +246,20 @@ def test_checkpoint_rejects_format_1(tmp_path):
         "survivors": [[1, "(7,8)(12,14)", "0123456789abcdef"]],
     }
     cp.write_text(json.dumps(old, indent=1))
-    message = "not a format-5 checkpoint.*format-1 to format-4"
+    message = "not a format-5 checkpoint.*format-1 to format-4 .* be read"
     with pytest.raises(ValueError, match=message):
         search.load_checkpoint(str(cp))
-    with pytest.raises(ValueError, match=message):
-        search.run_search(1, sample=50, checkpoint_path=str(cp))
     assert json.loads(cp.read_text()) == old
     # Format-3 and format-4 logs: their full-mode shard positions name
     # other cosets.
-    state = search.SearchState(1, 0, None, (1, 4))
-    search._start_checkpoint(str(cp), state)
-    header, = cp.read_text().splitlines()
+    new = tmp_path / "new.json"
+    search._start_checkpoint(str(new), search.SearchState(1, 0, None, (1, 4)))
+    header, = new.read_text().splitlines()
     for old in (3, 4):
         version = '"version": %d' % old
         cp.write_text(header.replace('"version": 5', version) + "\n")
         with pytest.raises(ValueError, match=message):
-            search.run_search(1, shard=(1, 4), checkpoint_path=str(cp))
+            search.load_checkpoint(str(cp))
 
 
 def test_pooled_matches_serial():
@@ -355,12 +301,14 @@ def test_pooled_full_prefix_matches_serial():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
+def test_stopped_full_log_matches_uninterrupted(tmp_path):
+    # A log stopped after two blocks holds what a run without a log holds
+    # there.
     block = FULL_BLOCK
     seen = []
     with pytest.raises(_Stop):
-        search.run_search(4, shard=(1, 4), progress=_raise_at(4 * block, seen))
-    (whole,) = seen
+        search.run_search(4, shard=(1, 4), progress=_raise_at(2 * block, seen))
+    (prefix,) = seen
     cp = str(tmp_path / "cp.json")
     with pytest.raises(_Stop):
         search.run_search(
@@ -369,24 +317,7 @@ def test_full_mode_resume_matches_uninterrupted(tmp_path, monkeypatch):
     stopped = search.load_checkpoint(cp)
     assert stopped.position == 2 * block
     assert stopped.survivors
-    calls = []
-    filter_block = search._filter_block
-
-    def counted(job):
-        calls.append(job)
-        return filter_block(job)
-
-    monkeypatch.setattr(search, "_filter_block", counted)
-    with pytest.raises(_Stop):
-        search.run_search(
-            4, shard=(1, 4), checkpoint_path=cp, progress=_raise_at(4 * block)
-        )
-    resumed = search.load_checkpoint(cp)
-    assert len(calls) == 2
-    assert resumed.position == whole.position == 4 * block
-    assert resumed.survivors == whole.survivors
-    assert resumed.stages == whole.stages
-    assert len(whole.survivors) > len(stopped.survivors)
+    assert stopped == prefix
 
 
 @pytest.mark.parametrize("xi_index", [1, 2, 3, 4])
@@ -740,13 +671,16 @@ def test_complete_pass_counts(xi_index):
     assert state.stages == stages
 
 
-def test_complete_x1_pass():
+def test_complete_x1_pass(tmp_path):
     """The whole-pipeline gate: all 283,783,500 cosets of X_1, whose 5760
     hits form 5 H_1-orbits, one per table-1 row, with every orbit member
     a hit.  The hit set equals the complete pass of the tree oracle
     (~20 s on one core), and so does the classification, which does not
-    depend on the order of the hits."""
-    state = search.run_search(1)
+    depend on the order of the hits.  The pass's log loads to its final
+    state."""
+    cp = str(tmp_path / "x1.jsonl")
+    state = search.run_search(1, checkpoint_path=cp)
+    assert search.load_checkpoint(cp) == state
     cosets = dataset.autb_group().num_right_cosets()
     assert state.position == state.total == cosets
     engine = search._worker_engine(1)
